@@ -10,6 +10,7 @@ everything is reproducible from (seed, samples).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -130,6 +131,19 @@ class SuiteReport:
 # -- residual helpers ---------------------------------------------------------
 
 
+def _worst(residual: float, value: float) -> float:
+    """max(residual, value), except that a non-finite argument is returned as is.
+
+    max(0.0, nan) is 0.0, so a plain max fold lets a NaN residual pass;
+    here NaN and inf stick to the residual and fail the record.
+    """
+    if not math.isfinite(residual):
+        return residual
+    if not math.isfinite(value):
+        return value
+    return max(residual, value)
+
+
 def _blocks(samples: int) -> Iterator[int]:
     remaining = samples
     while remaining > 0:
@@ -144,7 +158,7 @@ def _field_residual(
     out = 0.0
     for xi in points:
         for cx, cy in zip(x.components, y.components):
-            out = max(out, (cx.evaluate(xi) - cy.evaluate(xi)).max_abs())
+            out = _worst(out, (cx.evaluate(xi) - cy.evaluate(xi)).max_abs())
     return out
 
 
@@ -152,14 +166,14 @@ def _field_zero_residual(x: AVectorField, points: Sequence[NearPoint]) -> float:
     out = 0.0
     for xi in points:
         for c in x.components:
-            out = max(out, c.evaluate(xi).max_abs())
+            out = _worst(out, c.evaluate(xi).max_abs())
     return out
 
 
 def _fn_residual(phi: AFunction, psi: AFunction, points: Sequence[NearPoint]) -> float:
     out = 0.0
     for xi in points:
-        out = max(out, (phi.evaluate(xi) - psi.evaluate(xi)).max_abs())
+        out = _worst(out, (phi.evaluate(xi) - psi.evaluate(xi)).max_abs())
     return out
 
 
@@ -177,7 +191,7 @@ def _check_jacobi(algebra, chart, rng, samples):
         y = random_field(rng, algebra, chart)
         z = random_field(rng, algebra, chart)
         total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
-        residual = max(residual, _field_zero_residual(total, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_zero_residual(total, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -187,7 +201,7 @@ def _check_antisymmetry(algebra, chart, rng, samples):
         x = random_field(rng, algebra, chart)
         y = random_field(rng, algebra, chart)
         total = bracket(x, y) + bracket(y, x)
-        residual = max(residual, _field_zero_residual(total, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_zero_residual(total, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -206,8 +220,8 @@ def _check_a_bilinearity(algebra, chart, rng, samples):
         a = random_a_element(rng, algebra)
         base = bracket(x, y).scale(a)
         points = _points(rng, algebra, chart, block)
-        residual = max(residual, _field_residual(bracket(x.scale(a), y), base, points))
-        residual = max(residual, _field_residual(bracket(x, y.scale(a)), base, points))
+        residual = _worst(residual, _field_residual(bracket(x.scale(a), y), base, points))
+        residual = _worst(residual, _field_residual(bracket(x, y.scale(a)), base, points))
     return residual
 
 
@@ -219,7 +233,7 @@ def _check_prop11_tilde_bracket(algebra, chart, rng, samples):
         phi = random_function(rng, algebra, chart)
         lhs = bracket(x, y).apply_fn(phi)
         rhs = x.apply_fn(y.apply_fn(phi)) - y.apply_fn(x.apply_fn(phi))
-        residual = max(residual, _fn_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _fn_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -232,7 +246,7 @@ def _check_prop11_tilde_scale(algebra, chart, rng, samples):
         psi = sp.random_lifted_function(rng, algebra, chart)
         lhs = x.scale(phi).apply_fn(psi)
         rhs = phi * x.apply_fn(psi)
-        residual = max(residual, _fn_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _fn_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -245,7 +259,7 @@ def _check_prop12(algebra, chart, rng, samples):
         phi = random_function(rng, algebra, chart)
         lhs = bracket(x, y.scale(phi))
         rhs = y.scale(x.apply_fn(phi)) + bracket(x, y).scale(phi)
-        residual = max(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -256,7 +270,7 @@ def _check_prop17_bracket(algebra, chart, rng, samples):
         t2 = random_base_field(rng, chart)
         lhs = bracket(prolong(t1, algebra, chart), prolong(t2, algebra, chart))
         rhs = prolong(lie_bracket(t1, t2), algebra, chart)
-        residual = max(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -267,7 +281,7 @@ def _check_prop17_scale(algebra, chart, rng, samples):
         f = sp.random_chart_expr(rng, chart, transcendental=False)
         lhs = prolong(t.scale(f), algebra, chart)
         rhs = prolong(t, algebra, chart).scale(lifted_function(f, algebra, chart))
-        residual = max(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -278,7 +292,7 @@ def _check_prop19_dstar_bracket(algebra, chart, rng, samples):
         d2 = random_derivation(rng, algebra)
         lhs = bracket(from_derivation(d1, chart), from_derivation(d2, chart))
         rhs = from_derivation(d1.commutator(d2), chart)
-        residual = max(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -289,7 +303,7 @@ def _check_prop19_dstar_scale(algebra, chart, rng, samples):
         a = random_a_element(rng, algebra)
         lhs = from_derivation(d.scale(a), chart)
         rhs = from_derivation(d, chart).scale(a)
-        residual = max(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -299,7 +313,7 @@ def _check_prop19_dstar_theta(algebra, chart, rng, samples):
         d = random_derivation(rng, algebra)
         t = random_base_field(rng, chart)
         total = bracket(from_derivation(d, chart), prolong(t, algebra, chart))
-        residual = max(residual, _field_zero_residual(total, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _field_zero_residual(total, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -312,7 +326,7 @@ def _check_lift_add(algebra, chart, rng, samples):
         f = sp.random_chart_expr(rng, chart)
         g = sp.random_chart_expr(rng, chart)
         for xi in _points(rng, algebra, chart, block):
-            residual = max(residual, (lift(f + g, xi) - (lift(f, xi) + lift(g, xi))).max_abs())
+            residual = _worst(residual, (lift(f + g, xi) - (lift(f, xi) + lift(g, xi))).max_abs())
     return residual
 
 
@@ -322,7 +336,7 @@ def _check_lift_mul(algebra, chart, rng, samples):
         f = sp.random_chart_expr(rng, chart)
         g = sp.random_chart_expr(rng, chart)
         for xi in _points(rng, algebra, chart, block):
-            residual = max(residual, (lift(mul(f, g), xi) - lift(f, xi) * lift(g, xi)).max_abs())
+            residual = _worst(residual, (lift(mul(f, g), xi) - lift(f, xi) * lift(g, xi)).max_abs())
     return residual
 
 
@@ -333,7 +347,7 @@ def _check_lift_scale(algebra, chart, rng, samples):
         lam = float(rng.uniform(-2.0, 2.0))
         scaled = mul(const(lam), f)
         for xi in _points(rng, algebra, chart, block):
-            residual = max(residual, (lift(scaled, xi) - lam * lift(f, xi)).max_abs())
+            residual = _worst(residual, (lift(scaled, xi) - lam * lift(f, xi)).max_abs())
     return residual
 
 
@@ -342,7 +356,7 @@ def _check_lift_base(algebra, chart, rng, samples):
     for block in _blocks(samples):
         f = sp.random_chart_expr(rng, chart)
         for xi in _points(rng, algebra, chart, block):
-            residual = max(residual, abs(lift(f, xi).augmentation - evaluate(f, xi.base())))
+            residual = _worst(residual, abs(lift(f, xi).augmentation - evaluate(f, xi.base())))
     return residual
 
 
@@ -355,7 +369,7 @@ def _check_lift_map_compose(algebra, chart, rng, samples):
         composed = _substitute(phi, h)
         for xi in _points(rng, algebra, chart, block):
             image = lift_map(h, xi, target)
-            residual = max(residual, (lift(composed, xi) - lift(phi, image)).max_abs())
+            residual = _worst(residual, (lift(composed, xi) - lift(phi, image)).max_abs())
     return residual
 
 
@@ -373,7 +387,7 @@ def _check_lift_dual_derivative(algebra, chart, rng, samples):
                 evaluate(p, base) * xi.coords[i].coefficient(1) for i, p in enumerate(partials)
             )
             expected = algebra.element([evaluate(f, base), slope])
-            residual = max(residual, (lift(f, xi) - expected).max_abs())
+            residual = _worst(residual, (lift(f, xi) - expected).max_abs())
     return residual
 
 
@@ -383,7 +397,7 @@ def _check_gamma_agrees(algebra, chart, rng, samples):
         f = sp.random_chart_expr(rng, chart)
         phi = lifted_function(f, algebra, chart)
         for xi in _points(rng, algebra, chart, block):
-            residual = max(residual, (phi.evaluate(xi) - lift(f, xi)).max_abs())
+            residual = _worst(residual, (phi.evaluate(xi) - lift(f, xi)).max_abs())
     return residual
 
 
@@ -394,7 +408,7 @@ def _check_gamma_morphism(algebra, chart, rng, samples):
         g = sp.random_chart_expr(rng, chart)
         lhs = lifted_function(mul(f, g), algebra, chart)
         rhs = lifted_function(f, algebra, chart) * lifted_function(g, algebra, chart)
-        residual = max(residual, _fn_residual(lhs, rhs, _points(rng, algebra, chart, block)))
+        residual = _worst(residual, _fn_residual(lhs, rhs, _points(rng, algebra, chart, block)))
     return residual
 
 
@@ -406,7 +420,7 @@ def _check_tangent_leibniz(algebra, chart, rng, samples):
         g = sp.random_chart_expr(rng, chart)
         lhs = v.apply(mul(f, g))
         rhs = v.apply(f) * lift(g, v.at) + lift(f, v.at) * v.apply(g)
-        residual = max(residual, (lhs - rhs).max_abs())
+        residual = _worst(residual, (lhs - rhs).max_abs())
     return residual
 
 
@@ -419,13 +433,13 @@ def _check_tangent_extension(algebra, chart, rng, samples):
         a = random_a_element(rng, algebra)
         phi = random_function(rng, algebra, chart)
         psi = random_function(rng, algebra, chart)
-        residual = max(residual, v.apply_fn(AFunction.constant(a, chart)).max_abs())
-        residual = max(residual, (v.apply_fn(lifted_function(f, algebra, chart)) - v.apply(f)).max_abs())
-        residual = max(residual, (v.apply_fn(phi.scale(a)) - a * v.apply_fn(phi)).max_abs())
+        residual = _worst(residual, v.apply_fn(AFunction.constant(a, chart)).max_abs())
+        residual = _worst(residual, (v.apply_fn(lifted_function(f, algebra, chart)) - v.apply(f)).max_abs())
+        residual = _worst(residual, (v.apply_fn(phi.scale(a)) - a * v.apply_fn(phi)).max_abs())
         leibniz = v.apply_fn(phi * psi) - (
             v.apply_fn(phi) * psi.evaluate(v.at) + phi.evaluate(v.at) * v.apply_fn(psi)
         )
-        residual = max(residual, leibniz.max_abs())
+        residual = _worst(residual, leibniz.max_abs())
     return residual
 
 
@@ -476,7 +490,7 @@ def _decomposable_check(algebra, chart, rng, samples, degree):
             rhs = lift(base_value, xi)
             for f in fs:
                 rhs = rhs * lift(f, xi)
-            residual = max(residual, (lhs - rhs).max_abs())
+            residual = _worst(residual, (lhs - rhs).max_abs())
     return residual
 
 
@@ -496,7 +510,7 @@ def _form_residual(e1: AForm, e2: AForm, rng, algebra, chart, points) -> float:
         probes = [
             prolong(random_base_field(rng, chart), algebra, chart) for _ in range(e1.degree)
         ]
-        residual = max(residual, (e1.evaluate(probes, xi) - e2.evaluate(probes, xi)).max_abs())
+        residual = _worst(residual, (e1.evaluate(probes, xi) - e2.evaluate(probes, xi)).max_abs())
     return residual
 
 
@@ -507,7 +521,7 @@ def _check_da_naturality(algebra, chart, rng, samples):
         omega = random_base_form(rng, chart, degree)
         lhs = d_a(prolong_form(omega, algebra, chart))
         rhs = prolong_form(d_base(omega), algebra, chart)
-        residual = max(
+        residual = _worst(
             residual,
             _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, block)),
         )
@@ -522,7 +536,7 @@ def _check_da_linearity(algebra, chart, rng, samples):
         a = random_a_element(rng, algebra)
         lhs = d_a(eta.scale_const(a))
         rhs = d_a(eta).scale_const(a)
-        residual = max(
+        residual = _worst(
             residual,
             _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, block)),
         )
@@ -538,7 +552,7 @@ def _check_da_squared(algebra, chart, rng, samples):
         eta = _random_aform(rng, algebra, chart, degree)
         dd = d_a(d_a(eta))
         zero = AForm.zero(algebra, chart, dd.degree)
-        residual = max(
+        residual = _worst(
             residual,
             _form_residual(dd, zero, rng, algebra, chart, _points(rng, algebra, chart, block)),
         )
@@ -561,7 +575,7 @@ def _check_palais_route(algebra, chart, rng, samples):
         for xi in _points(rng, algebra, chart, block):
             lhs = palais_eval(eta, thetas, xi)
             rhs = deta.evaluate(lifted, xi)
-            residual = max(residual, (lhs - rhs).max_abs())
+            residual = _worst(residual, (lhs - rhs).max_abs())
     return residual
 
 
@@ -576,7 +590,7 @@ def _check_wedge_commutativity(algebra, chart, rng, samples):
         e2 = _random_aform(rng, algebra, chart, q)
         lhs = wedge(e2, e1)
         rhs = wedge(e1, e2).scale_const((-1.0) ** (p * q))
-        residual = max(
+        residual = _worst(
             residual,
             _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, block)),
         )
@@ -594,7 +608,7 @@ def _check_wedge_leibniz(algebra, chart, rng, samples):
         e2 = _random_aform(rng, algebra, chart, q)
         lhs = d_a(wedge(e1, e2))
         rhs = wedge(d_a(e1), e2) + wedge(e1, d_a(e2)).scale_const((-1.0) ** p)
-        residual = max(
+        residual = _worst(
             residual,
             _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, block)),
         )
@@ -747,12 +761,6 @@ def run_suite(
 # -- cohomology models ----------------------------------------------------------
 
 
-def _aform_residual_on_probes(
-    lhs: AForm, rhs: AForm, rng, algebra, chart, n_points: int
-) -> float:
-    return _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, n_points))
-
-
 def run_poincare_model(
     algebra: WeilAlgebra, chart: Chart, seed: int = 0, samples: int = 10, tol: float = 1e-9
 ) -> list[CheckRecord]:
@@ -776,8 +784,9 @@ def run_poincare_model(
             primitive = a_primitive(eta, chart, tol=1e-10)
             lhs = d_a(primitive.to_aform(chart))
             rhs = eta.to_aform(chart)
-            residual = max(
-                residual, _aform_residual_on_probes(lhs, rhs, rng, algebra, chart, 3)
+            residual = _worst(
+                residual,
+                _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, 3)),
             )
         records.append(
             CheckRecord(
@@ -814,7 +823,7 @@ def run_circle_model(
             ),
         )
         eta_exact = zero_form.differential()
-        kernel_residual = max(kernel_residual, circle_h1_class(eta_exact).max_abs())
+        kernel_residual = _worst(kernel_residual, circle_h1_class(eta_exact).max_abs())
 
         # general form: eta = class . dx + d(primitive)
         eta = ACombination(
@@ -835,12 +844,12 @@ def run_circle_model(
             reconstructed = cls
             for a, omega in primitive.terms:
                 reconstructed = reconstructed + evaluate(diff(omega.coefficient(()), 0), [t]) * a
-            split_residual = max(split_residual, (direct - reconstructed).max_abs())
+            split_residual = _worst(split_residual, (direct - reconstructed).max_abs())
 
         # A-linearity of the class map
         a = random_a_element(rng, algebra)
         scaled = ACombination(algebra, 1, 1, tuple((a * c, w) for c, w in eta.terms))
-        linear_residual = max(
+        linear_residual = _worst(
             linear_residual, (circle_h1_class(scaled) - a * circle_h1_class(eta)).max_abs()
         )
     def mk(name: str, res: float) -> CheckRecord:
@@ -864,7 +873,7 @@ def run_h0_model(
     for trial in range(samples):
         a = random_a_element(rng, algebra)
         value = h0_check(AFunction.constant(a, chart), samples=5, seed=seed + trial)
-        const_residual = max(const_residual, (value - a).max_abs())
+        const_residual = _worst(const_residual, (value - a).max_abs())
 
         f = sp.random_chart_expr(rng, chart)
         g = sp.random_chart_expr(rng, chart)
@@ -875,7 +884,7 @@ def run_h0_model(
             + AFunction.constant(a, chart)
         )
         value = h0_check(phi, samples=5, seed=seed + trial)
-        telescope_residual = max(telescope_residual, (value - a).max_abs())
+        telescope_residual = _worst(telescope_residual, (value - a).max_abs())
 
         try:
             h0_check(lifted_function(var(0), algebra, chart), samples=5, seed=seed + trial)

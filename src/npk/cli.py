@@ -3,7 +3,7 @@
 All randomness flows from one --seed (env NPK_SEED as fallback), so
 reports are byte-identical across runs with the same configuration.
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or data
-error.
+error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .weil import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERNAL_ERROR = 3
 
 
 def _fmt(value: float) -> str:
@@ -282,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         # data and configuration problems; exit 1 is reserved for failed checks
         print(f"npk: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        # a bug or an exhausted resource (RecursionError, MemoryError), never a failed check
+        print(f"npk: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

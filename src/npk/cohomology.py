@@ -274,10 +274,8 @@ class ACombination:
                 raise ValueError("summand of wrong dimension or degree")
 
     def to_aform(self, chart: Chart) -> AForm:
-        out = AForm.zero(self.algebra, chart, self.degree)
-        for a, omega in self.terms:
-            out = out + inject(a, omega, chart)
-        return out
+        terms = tuple(t for a, omega in self.terms for t in inject(a, omega, chart).terms)
+        return AForm(self.algebra, chart, self.degree, terms)
 
     def differential(self) -> "ACombination":
         from .expr import exterior_derivative as d_base

@@ -58,13 +58,13 @@ class AVectorField:
 
     def apply(self, f: Expr) -> AFunction:
         """X(f) = sum_i lift(d_i f) * c_i."""
-        out = AFunction.zero(self.algebra, self.chart)
+        terms = []
         for i, c in enumerate(self.components):
             df = diff(f, i)
             if isinstance(df, Const) and df.value == 0.0:
                 continue
-            out = out + lifted_function(df, self.algebra, self.chart) * c
-        return out
+            terms.extend((lifted_function(df, self.algebra, self.chart) * c).terms)
+        return AFunction(self.algebra, self.chart, terms)
 
     def apply_fn(self, phi: AFunction) -> AFunction:
         """Action of the canonical derivation extension on an A-valued function.
@@ -82,17 +82,22 @@ class AVectorField:
         coord = self._is_coordinate()
         if coord is not None:
             return coordinate_derive(phi, coord)
-        out = AFunction.zero(self.algebra, self.chart)
-        cache: dict[int, AFunction] = {}
+        terms = []
+        applied: dict[int, AFunction] = {}
+        projected: dict[tuple[int, int], AFunction] = {}
         for coeff, mono in phi.terms:
             for j, gen in enumerate(mono):
-                applied = cache.get(id(gen.fn))
-                if applied is None:
-                    applied = self.apply(gen.fn)
-                    cache[id(gen.fn)] = applied
-                rest = AFunction(self.algebra, self.chart, [(coeff, mono[:j] + mono[j + 1:])])
-                out = out + rest * dual_projection(applied, gen.alpha)
-        return out
+                proj = projected.get((id(gen.fn), gen.alpha))
+                if proj is None:
+                    image = applied.get(id(gen.fn))
+                    if image is None:
+                        image = self.apply(gen.fn)
+                        applied[id(gen.fn)] = image
+                    proj = dual_projection(image, gen.alpha)
+                    projected[(id(gen.fn), gen.alpha)] = proj
+                rest = mono[:j] + mono[j + 1:]
+                terms.extend((coeff * c2, rest + m2) for c2, m2 in proj.terms)
+        return AFunction(self.algebra, self.chart, terms)
 
     def _is_coordinate(self) -> int | None:
         """Index i when this field is the prolongation of d/dx_i, else None."""

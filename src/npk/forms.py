@@ -72,7 +72,7 @@ class AForm:
     def __post_init__(self) -> None:
         if not 0 <= self.degree <= self.chart.n:
             raise DegreeOverflow(f"degree {self.degree} outside 0..{self.chart.n}")
-        merged: dict[tuple[int, ...], AFunction] = {}
+        grouped: dict[tuple[int, ...], list[AFunction]] = {}
         for phi, idx in self.terms:
             if phi.algebra != self.algebra or phi.chart != self.chart:
                 raise AlgebraMismatch("coefficient over a different algebra or chart")
@@ -82,11 +82,15 @@ class AForm:
                 raise ValueError(f"index tuple {idx} not strictly increasing")
             if any(not 0 <= i < self.chart.n for i in idx):
                 raise ValueError(f"index out of range in {idx}")
-            merged[idx] = merged[idx] + phi if idx in merged else phi
-        kept = tuple(
-            (phi, idx) for idx, phi in sorted(merged.items()) if not phi.is_structurally_zero()
-        )
-        object.__setattr__(self, "terms", kept)
+            grouped.setdefault(idx, []).append(phi)
+        kept = []
+        for idx, phis in sorted(grouped.items()):
+            phi = phis[0] if len(phis) == 1 else AFunction(
+                self.algebra, self.chart, [t for p in phis for t in p.terms]
+            )
+            if not phi.is_structurally_zero():
+                kept.append((phi, idx))
+        object.__setattr__(self, "terms", tuple(kept))
 
     def _check(self, other: "AForm") -> None:
         if self.algebra != other.algebra or self.chart != other.chart:
@@ -124,18 +128,18 @@ class AForm:
         for x in fields:
             if x.algebra != self.algebra or x.chart != self.chart:
                 raise AlgebraMismatch("field over a different algebra or chart")
-        out = AFunction.zero(self.algebra, self.chart)
+        terms = []
         for phi, idx in self.terms:
-            det = AFunction.zero(self.algebra, self.chart)
+            det_terms = []
             for perm in itertools.permutations(range(self.degree)):
                 prod = AFunction.constant(
                     self.algebra.scalar(float(_perm_sign(perm))), self.chart
                 )
                 for row, col in enumerate(perm):
                     prod = prod * fields[row].components[idx[col]]
-                det = det + prod
-            out = out + phi * det
-        return out
+                det_terms.extend(prod.terms)
+            terms.extend((phi * AFunction(self.algebra, self.chart, det_terms)).terms)
+        return AFunction(self.algebra, self.chart, terms)
 
     def evaluate(self, fields: Sequence[AVectorField], xi: NearPoint) -> AElement:
         """eta(X_1..X_p)(xi): coefficients times the A-determinant of evaluated components."""

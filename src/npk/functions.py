@@ -17,6 +17,7 @@ same function (e.g. the lift of f*g versus the product of the lifts).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -42,7 +43,7 @@ class ScalarGenerator:
     alpha: int
     fn: Expr
 
-    @property
+    @cached_property
     def key(self) -> tuple[int, str]:
         return (self.alpha, expr_key(self.fn))
 
@@ -80,7 +81,7 @@ class AFunction:
         kept = []
         for key in sorted(merged):
             coeffs, mono = merged[key]
-            if np.any(coeffs != 0.0):
+            if coeffs.any():
                 kept.append((AElement(algebra, coeffs), mono))
         self.algebra = algebra
         self.chart = chart

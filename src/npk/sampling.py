@@ -228,9 +228,3 @@ def random_derivation(rng: np.random.Generator, algebra: WeilAlgebra) -> Derivat
     weights = np.round(rng.uniform(-1.0, 1.0, size=len(basis)), 3)
     matrix = sum(w * d.matrix for w, d in zip(weights, basis))
     return Derivation(LinearEndo(algebra, matrix))
-
-
-def prolonged_probe_fields(
-    rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, count: int
-) -> list[AVectorField]:
-    return [prolong(random_base_field(rng, chart), algebra, chart) for _ in range(count)]

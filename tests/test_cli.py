@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -151,3 +152,28 @@ def test_cohomology_h0():
 def test_usage_error_exit_2():
     out = run_cli("check", "--suite", "nope", "--algebra", "R")
     assert out.returncode == 2
+
+
+def test_nan_residual_fails_check_with_exit_1(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0: a NaN must stick to the residual and fail the record
+    from npk import checks, cli
+    from npk.points import Chart
+    from npk.weil import build_algebra, parse_presentation
+
+    monkeypatch.setattr(checks, "_field_zero_residual", lambda x, points: float("nan"))
+    dual = build_algebra(parse_presentation("R[x]/(x^2)"))
+    record = checks.check_identity("jacobi", dual, Chart.cube(2), samples=1)
+    assert math.isnan(record.max_residual)
+    assert not record.passed
+    code = cli.main(["check", "--suite", "lie", "--algebra", "R[x]/(x^2)", "--samples", "1"])
+    assert code == cli.CHECK_FAILED == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_internal_error_exit_3():
+    # 500 nested sums exhaust the recursion limit: an internal error, not a failed check
+    fn = "+".join(["x1"] * 500)
+    out = run_cli("lift", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", "[[0,1]]")
+    assert out.returncode == 3
+    assert out.stderr.startswith("npk: internal error: RecursionError: ")
+    assert "Traceback" not in out.stderr

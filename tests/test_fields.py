@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from npk.expr import Const, VectorField, lie_bracket, parse
+from npk.expr import Const, VectorField, diff, lie_bracket, parse
 from npk.fields import (
     AVectorField,
     bracket,
@@ -9,16 +11,19 @@ from npk.fields import (
     from_derivation,
     prolong,
 )
-from npk.functions import AFunction, lifted_function
+from npk.functions import AFunction, ScalarGenerator, dual_projection, lifted_function
 from npk.points import Chart, NearPoint
 from npk.sampling import (
     random_a_element,
+    random_derivation,
+    random_expr,
     random_field,
     random_function,
     random_lifted_field,
+    random_lifted_function,
     random_near_point,
 )
-from npk.weil import AlgebraMismatch, derivation_basis
+from npk.weil import AlgebraMismatch, build_algebra, derivation_basis, parse_presentation
 from npk.checks import check_identity, UnknownIdentity
 
 CHART = Chart.cube(2)
@@ -249,3 +254,88 @@ def test_field_mismatch(dual, jet3):
     y = AVectorField.zero(jet3, CHART)
     with pytest.raises(AlgebraMismatch):
         bracket(x, y)
+
+
+# -- one canonicalization per operation reproduces the pairwise fold --------------
+
+SIX_DIM = "R[x,y]/(x^3,x^2*y,x*y^2,y^3)"
+
+
+def _fold_apply(x, f):
+    """Reference X(f): out = out + lift(d_i f) * c_i, re-canonicalized per component."""
+    out = AFunction.zero(x.algebra, x.chart)
+    for i, c in enumerate(x.components):
+        df = diff(f, i)
+        if isinstance(df, Const) and df.value == 0.0:
+            continue
+        out = out + lifted_function(df, x.algebra, x.chart) * c
+    return out
+
+
+def _fold_apply_fn(x, phi):
+    """Reference extension on a non-coordinate field: one sum per generator occurrence."""
+    out = AFunction.zero(x.algebra, x.chart)
+    for coeff, mono in phi.terms:
+        for j, gen in enumerate(mono):
+            rest = AFunction(x.algebra, x.chart, [(coeff, mono[:j] + mono[j + 1:])])
+            out = out + rest * dual_projection(_fold_apply(x, gen.fn), gen.alpha)
+    return out
+
+
+def _terms_equal(phi, psi):
+    def keys(f):
+        return [tuple(g.key for g in mono) for _, mono in f.terms]
+
+    return keys(phi) == keys(psi) and all(
+        np.array_equal(a.coeffs, b.coeffs) for (a, _), (b, _) in zip(phi.terms, psi.terms)
+    )
+
+
+@pytest.mark.parametrize("presentation", ["R[x]/(x^2)", SIX_DIM])
+def test_apply_and_extension_match_pairwise_fold(presentation):
+    algebra = build_algebra(parse_presentation(presentation))
+    chart = Chart.cube(3)
+    rng = np.random.default_rng(30)
+    for _ in range(3):
+        fields = [
+            random_field(rng, algebra, chart),
+            random_lifted_field(rng, algebra, chart, decorate=True),
+            from_derivation(random_derivation(rng, algebra), chart),
+        ]
+        f = random_expr(rng, chart.n)
+        phis = [
+            random_function(rng, algebra, chart, max_terms=3),
+            random_lifted_function(rng, algebra, chart),
+            fields[1].components[0],
+        ]
+        for x in fields:
+            assert _terms_equal(x.apply(f), _fold_apply(x, f))
+            for phi in phis:
+                assert _terms_equal(x.apply_fn(phi), _fold_apply_fn(x, phi))
+
+
+def test_extension_builds_a_fixed_number_of_functions(dual, monkeypatch):
+    # over a fixed generator set, AFunction constructions must not grow with the term count
+    rng = np.random.default_rng(31)
+    x = random_field(rng, dual, CHART)
+    gens = [ScalarGenerator(alpha, parse(g, 2)) for g in ("x1*x2", "x1 + x2") for alpha in range(2)]
+    monos = [m for k in (1, 2, 3) for m in itertools.combinations_with_replacement(gens, k)]
+    phis = [
+        AFunction(dual, CHART, [(random_a_element(rng, dual), m) for m in monos[:t]])
+        for t in (4, 12, 30)
+    ]
+    assert [len(phi.terms) for phi in phis] == [4, 12, 30]
+    built = []
+    init = AFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AFunction, "__init__", counting_init)
+    counts = []
+    for phi in phis:
+        built.clear()
+        x.apply_fn(phi)
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2]

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from npk.cohomology import ACombination, inject
 from npk.expr import Const, VectorField, form, parse
 from npk.expr import exterior_derivative as d_base
 from npk.fields import coordinate_prolongation, prolong
@@ -8,6 +11,7 @@ from npk.forms import (
     AForm,
     ArityMismatch,
     DegreeOverflow,
+    _perm_sign,
     exterior_derivative,
     palais_eval,
     prolong_form,
@@ -18,9 +22,14 @@ from npk.points import Chart, lift
 from npk.sampling import (
     random_a_element,
     random_base_field,
+    random_base_form,
+    random_field,
+    random_function,
+    random_lifted_field,
     random_lifted_function,
     random_near_point,
 )
+from npk.weil import build_algebra, parse_presentation
 
 CHART = Chart.cube(2)
 
@@ -229,3 +238,83 @@ def test_arity_and_degree_errors(dual):
         exterior_derivative(area)
     with pytest.raises(ArityMismatch):
         palais_eval(eta, [], random_near_point(np.random.default_rng(12), dual, CHART))
+
+
+# -- one canonicalization per operation reproduces the pairwise fold --------------
+
+SIX_DIM = "R[x,y]/(x^3,x^2*y,x*y^2,y^3)"
+
+
+def _fold_merge(terms):
+    """Reference AForm merge: merged[idx] = merged[idx] + phi, one sum per repeat."""
+    merged = {}
+    for phi, idx in terms:
+        merged[idx] = merged[idx] + phi if idx in merged else phi
+    return [(phi, idx) for idx, phi in sorted(merged.items()) if not phi.is_structurally_zero()]
+
+
+def _fold_contract(eta, fields):
+    """Reference contraction: determinant and result summed one product at a time."""
+    out = AFunction.zero(eta.algebra, eta.chart)
+    for phi, idx in eta.terms:
+        det = AFunction.zero(eta.algebra, eta.chart)
+        for perm in itertools.permutations(range(eta.degree)):
+            sign = float(_perm_sign(perm))
+            prod = AFunction.constant(eta.algebra.scalar(sign), eta.chart)
+            for row, col in enumerate(perm):
+                prod = prod * fields[row].components[idx[col]]
+            det = det + prod
+        out = out + phi * det
+    return out
+
+
+def _fold_to_aform(comb, chart):
+    """Reference ACombination.to_aform: out = out + inject(a, omega), merged per step."""
+    out = []
+    for a, omega in comb.terms:
+        out = _fold_merge(out + list(inject(a, omega, chart).terms))
+    return out
+
+
+def _terms_equal(phi, psi):
+    def keys(f):
+        return [tuple(g.key for g in mono) for _, mono in f.terms]
+
+    return keys(phi) == keys(psi) and all(
+        np.array_equal(a.coeffs, b.coeffs) for (a, _), (b, _) in zip(phi.terms, psi.terms)
+    )
+
+
+def _form_terms_equal(eta, reference):
+    return [idx for _, idx in eta.terms] == [idx for _, idx in reference] and all(
+        _terms_equal(phi, psi) for (phi, _), (psi, _) in zip(eta.terms, reference)
+    )
+
+
+@pytest.mark.parametrize("presentation", ["R[x]/(x^2)", SIX_DIM])
+def test_form_sums_and_contraction_match_pairwise_fold(presentation):
+    algebra = build_algebra(parse_presentation(presentation))
+    chart = Chart.cube(3)
+    rng = np.random.default_rng(40)
+    for degree in (1, 2, 3, 1, 2, 3):
+        terms = []
+        for idx in itertools.combinations(range(3), degree):
+            count = int(rng.integers(1, 4))
+            phis = [random_function(rng, algebra, chart, max_terms=3) for _ in range(count)]
+            if rng.uniform() < 0.3:
+                phis = [phis[0], -phis[0]]  # repeats that cancel: the index must drop out
+            terms.extend((phi, idx) for phi in phis)
+        eta = AForm(algebra, chart, degree, tuple(terms))
+        assert _form_terms_equal(eta, _fold_merge(terms))
+
+        fields = [
+            random_field(rng, algebra, chart) if k % 2 else random_lifted_field(rng, algebra, chart)
+            for k in range(degree)
+        ]
+        assert _terms_equal(eta.contract(fields), _fold_contract(eta, fields))
+
+        summands = tuple(
+            (random_a_element(rng, algebra), random_base_form(rng, chart, degree)) for _ in range(3)
+        )
+        comb = ACombination(algebra, 3, degree, summands)
+        assert _form_terms_equal(comb.to_aform(chart), _fold_to_aform(comb, chart))
