@@ -6,10 +6,11 @@ Usage: python scripts/run_identity_suites.py [seed] [samples]
 import os
 import sys
 import time
+from functools import reduce
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from npk.checks import CATALOG, run_suite
+from npk.checks import CATALOG, _worst, run_suite
 from npk.points import Chart
 from npk.weil import build_algebra, parse_presentation
 
@@ -26,7 +27,8 @@ def main() -> int:
         for suite in ("lie", "lift", "forms"):
             t0 = time.time()
             report = run_suite(suite, algebra, chart, seed=seed, samples=samples)
-            worst = max(r.max_residual for r in report.records)
+            # NaN-sticky, as in the records: a plain max would hide a NaN residual
+            worst = reduce(_worst, (r.max_residual for r in report.records), 0.0)
             status = "pass" if report.passed else "FAIL"
             failures += 0 if report.passed else 1
             print(f"{text:<34} {suite:<6} {worst:>15.3e} {time.time() - t0:>6.1f}s  {status}")

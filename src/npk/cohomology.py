@@ -32,6 +32,7 @@ from .expr import (
     Pow,
     Sub,
     Var,
+    _insert_index,
     add,
     call,
     const,
@@ -202,7 +203,8 @@ def d_poly(pf: PolyForm) -> PolyForm:
     out: dict[tuple[int, ...], Poly] = {}
     for idx, p in pf.coeffs.items():
         for i in range(pf.n):
-            if i in idx:
+            slot = _insert_index(i, idx)
+            if slot is None:
                 continue
             partial: Poly = {}
             for exps, c in p.items():
@@ -212,9 +214,7 @@ def d_poly(pf: PolyForm) -> PolyForm:
                     partial[tuple(down)] = c * exps[i]
             if not partial:
                 continue
-            pos = sum(1 for j in idx if j < i)
-            sign = (-1) ** pos
-            new_idx = idx[:pos] + (i,) + idx[pos:]
+            sign, new_idx = slot
             signed = {k: sign * v for k, v in partial.items()}
             out[new_idx] = _poly_add(out.get(new_idx, {}), signed, 1)
     return PolyForm(pf.n, pf.degree + 1, out)

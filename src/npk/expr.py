@@ -482,6 +482,31 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     raise TypeError(f"not an expression: {e!r}")
 
 
+# -- substitution -----------------------------------------------------------
+
+def _substitute(phi: Expr, h: Sequence[Expr]) -> Expr:
+    """phi(h_1, .., h_n) by structural substitution."""
+    if isinstance(phi, Const):
+        return phi
+    if isinstance(phi, Var):
+        return h[phi.index]
+    if isinstance(phi, Add):
+        return add(_substitute(phi.left, h), _substitute(phi.right, h))
+    if isinstance(phi, Sub):
+        return sub(_substitute(phi.left, h), _substitute(phi.right, h))
+    if isinstance(phi, Mul):
+        return mul(_substitute(phi.left, h), _substitute(phi.right, h))
+    if isinstance(phi, Div):
+        return div(_substitute(phi.left, h), _substitute(phi.right, h))
+    if isinstance(phi, Neg):
+        return neg(_substitute(phi.arg, h))
+    if isinstance(phi, Pow):
+        return power(_substitute(phi.base, h), _substitute(phi.exponent, h))
+    if isinstance(phi, Call):
+        return call(phi.fn, _substitute(phi.arg, h))
+    raise TypeError(f"not an expression: {phi!r}")
+
+
 # -- differentiation --------------------------------------------------------
 
 _DIFF_CACHE: dict[tuple[int, int], tuple[Expr, Expr]] = {}
@@ -629,6 +654,14 @@ def form(n: int, degree: int, coeffs: dict[tuple[int, ...], Expr]) -> Differenti
         (g, idx) for idx, g in sorted(coeffs.items()) if not _is_const(g, 0.0)
     )
     return DifferentialForm(n, degree, terms)
+
+
+def _sort_indices(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(sign of the sorting permutation, sorted tuple); None if an index repeats."""
+    if len(set(indices)) != len(indices):
+        return None
+    order = sorted(range(len(indices)), key=indices.__getitem__)
+    return _perm_sign(order), tuple(indices[k] for k in order)
 
 
 def _insert_index(i: int, idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

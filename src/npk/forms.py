@@ -18,7 +18,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import DifferentialForm, VectorField as BaseField
+from .expr import (
+    DifferentialForm,
+    VectorField as BaseField,
+    _insert_index,
+    _perm_sign,
+    _sort_indices,
+)
 from .fields import AVectorField, bracket, coordinate_prolongation, prolong
 from .functions import AFunction, lifted_function
 from .points import Chart, NearPoint
@@ -41,23 +47,6 @@ class ArityMismatch(ValueError):
 
 class DegreeOverflow(ValueError):
     """Operation would produce a form of degree above the chart dimension."""
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -183,23 +172,12 @@ def wedge(eta1: AForm, eta2: AForm) -> AForm:
     terms = []
     for phi1, idx1 in eta1.terms:
         for phi2, idx2 in eta2.terms:
-            merged = _merge_indices(idx1, idx2)
+            merged = _sort_indices(idx1 + idx2)
             if merged is None:
                 continue
             sign, idx = merged
             terms.append(((phi1 * phi2).scale(float(sign)), idx))
     return AForm(eta1.algebra, eta1.chart, p + q, tuple(terms))
-
-
-def _merge_indices(
-    idx1: tuple[int, ...], idx2: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Sort the concatenation of two increasing tuples; None if they overlap."""
-    if set(idx1) & set(idx2):
-        return None
-    combined = idx1 + idx2
-    order = sorted(range(len(combined)), key=lambda k: combined[k])
-    return _perm_sign(order), tuple(sorted(combined))
 
 
 def exterior_derivative(eta: AForm) -> AForm:
@@ -211,36 +189,40 @@ def exterior_derivative(eta: AForm) -> AForm:
     terms = []
     for phi, idx in eta.terms:
         for i in range(chart.n):
-            if i in idx:
+            slot = _insert_index(i, idx)
+            if slot is None:
                 continue
-            pos = sum(1 for j in idx if j < i)
-            sign = (-1.0) ** pos
-            new_idx = idx[:pos] + (i,) + idx[pos:]
-            terms.append((coords[i].apply_fn(phi).scale(sign), new_idx))
+            sign, new_idx = slot
+            terms.append((coords[i].apply_fn(phi).scale(float(sign)), new_idx))
     return AForm(algebra, chart, eta.degree + 1, tuple(terms))
 
 
-def palais_eval(eta: AForm, thetas: Sequence[BaseField], xi: NearPoint) -> AElement:
+def palais_eval(
+    eta: AForm, thetas: Sequence[BaseField], points: Sequence[NearPoint]
+) -> list[AElement]:
     """Global formula for the derivative of eta on prolonged base fields.
 
     sum_i (-1)^(i-1) Xi~[eta(.. hat i ..)] + sum_{i<j} (-1)^(i+j) eta([Xi,Xj], .. hats ..)
-    evaluated at xi, where Xi is the prolongation of thetas[i].  Independent of
-    the coefficientwise route, which it must match.
+    evaluated at each near point, where Xi is the prolongation of thetas[i].
+    Independent of the coefficientwise route, which it must match.  The
+    extensions and brackets do not depend on the point, so they are built once.
     """
     if len(thetas) != eta.degree + 1:
         raise ArityMismatch(f"need {eta.degree + 1} fields, got {len(thetas)}")
     algebra, chart = eta.algebra, eta.chart
     lifted = [prolong(t, algebra, chart) for t in thetas]
-    acc = algebra.zero()
-    for i, x in enumerate(lifted):
-        rest = lifted[:i] + lifted[i + 1:]
-        inner = eta.contract(rest)
-        value = x.apply_fn(inner).evaluate(xi)
-        acc = acc + ((-1.0) ** i) * value
+    extended = [x.apply_fn(eta.contract(lifted[:i] + lifted[i + 1:])) for i, x in enumerate(lifted)]
+    corrections = []
     for i in range(len(lifted)):
         for j in range(i + 1, len(lifted)):
             rest = [lifted[k] for k in range(len(lifted)) if k not in (i, j)]
-            br = bracket(lifted[i], lifted[j])
-            value = eta.evaluate([br] + rest, xi)
-            acc = acc + ((-1.0) ** (i + j)) * value
-    return acc
+            corrections.append((i + j, [bracket(lifted[i], lifted[j])] + rest))
+    values = []
+    for xi in points:
+        acc = algebra.zero()
+        for i, phi in enumerate(extended):
+            acc = acc + ((-1.0) ** i) * phi.evaluate(xi)
+        for exponent, fields in corrections:
+            acc = acc + ((-1.0) ** exponent) * eta.evaluate(fields, xi)
+        values.append(acc)
+    return values

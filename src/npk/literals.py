@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .expr import parse
+from .expr import _sort_indices, parse
 from .fields import AVectorField, from_derivation, prolong
 from .forms import AForm
 from .functions import AFunction, ScalarGenerator, lifted_function
@@ -135,9 +135,10 @@ def parse_form(text: str, algebra: WeilAlgebra, chart: Chart) -> AForm:
         indices = tuple(int(i) - 1 for i in re.findall(r"dx\(\s*(\d+)\s*\)", m.group(0)))
         if any(not 0 <= i < chart.n for i in indices):
             raise LiteralError(f"coordinate index out of range in {m.group(0)!r}")
-        sign, sorted_idx = _sort_indices(indices)
-        if sign == 0:
+        slot = _sort_indices(indices)
+        if slot is None:  # a repeated dx(i) makes the term vanish
             continue
+        sign, sorted_idx = slot
         if degree is None:
             degree = len(indices)
         elif degree != len(indices):
@@ -154,22 +155,3 @@ def _parse_coeff(text: str, algebra: WeilAlgebra, chart: Chart) -> AFunction:
     if text.lstrip().startswith("["):
         return parse_fn(text, algebra, chart)
     return lifted_function(parse(text, chart.n), algebra, chart)
-
-
-def _sort_indices(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if len(set(indices)) != len(indices):
-        return 0, ()
-    order = sorted(range(len(indices)), key=lambda k: indices[k])
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign, tuple(sorted(indices))

@@ -1,0 +1,73 @@
+import pytest
+
+from npk.checks import IDENTITIES, SUITES, check_identity, run_suite
+from npk.points import Chart
+from npk.weil import build_algebra, parse_presentation
+
+# Report order is part of the byte-identical --json contract.
+ALL_IDENTITIES = (
+    "jacobi",
+    "antisymmetry",
+    "a-bilinearity",
+    "prop11-tilde-bracket",
+    "prop11-tilde-scale",
+    "prop12",
+    "prop17-bracket",
+    "prop17-scale",
+    "prop19-dstar-bracket",
+    "prop19-dstar-scale",
+    "prop19-dstar-theta",
+    "lift-add",
+    "lift-mul",
+    "lift-scale",
+    "lift-base",
+    "lift-map-compose",
+    "lift-dual-derivative",
+    "gamma-agrees-with-lift",
+    "gamma-morphism",
+    "tangent-leibniz",
+    "tangent-extension",
+    "thm20-eval-p1",
+    "thm20-eval-p2",
+    "da-naturality",
+    "da-linearity",
+    "da-squared-zero",
+    "palais-route",
+    "wedge-graded-commutativity",
+    "wedge-leibniz",
+)
+
+ONE_DIM_CHARTS = ("box:[-1,1]^1", "circle")
+
+
+def _algebra(text):
+    return build_algebra(parse_presentation(text))
+
+
+def test_report_order_is_pinned():
+    assert SUITES["all"] == ALL_IDENTITIES
+    assert SUITES["lie"] + SUITES["lift"] + SUITES["forms"] == ALL_IDENTITIES
+    assert tuple(IDENTITIES) == ALL_IDENTITIES
+
+
+@pytest.mark.parametrize("chart_text", ONE_DIM_CHARTS)
+@pytest.mark.parametrize("presentation", ["R", "R[x]/(x^2)"])
+def test_all_suite_passes_on_one_dim_charts(presentation, chart_text):
+    report = run_suite("all", _algebra(presentation), Chart.parse(chart_text), seed=0, samples=10)
+    assert [r.check for r in report.records] == list(ALL_IDENTITIES)
+    failed = [(r.check, r.max_residual) for r in report.records if not r.passed]
+    assert not failed
+
+
+@pytest.mark.parametrize("chart_text", ONE_DIM_CHARTS)
+@pytest.mark.parametrize(
+    "name", ["thm20-eval-p2", "da-squared-zero", "wedge-graded-commutativity", "wedge-leibniz"]
+)
+def test_identities_needing_two_dims_are_vacuous_on_one_dim(name, chart_text):
+    record = check_identity(name, _algebra("R[x]/(x^2)"), Chart.parse(chart_text), samples=5)
+    assert record.max_residual == 0.0 and record.passed
+
+
+def test_dual_derivative_is_vacuous_off_dual_numbers():
+    record = check_identity("lift-dual-derivative", _algebra("R[x]/(x^3)"), Chart.cube(2), samples=5)
+    assert record.max_residual == 0.0 and record.passed

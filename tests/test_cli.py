@@ -177,3 +177,32 @@ def test_internal_error_exit_3():
     assert out.returncode == 3
     assert out.stderr.startswith("npk: internal error: RecursionError: ")
     assert "Traceback" not in out.stderr
+
+
+def test_nan_residual_json_is_valid(monkeypatch, capsys):
+    # json.dumps writes the bare token NaN, which is not JSON; the record spells it "nan"
+    from npk import checks, cli
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    monkeypatch.setattr(checks, "_field_zero_residual", lambda x, points: float("nan"))
+    code = cli.main(
+        ["check", "--suite", "lie", "--algebra", "R[x]/(x^2)", "--samples", "1", "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    jacobi = next(r for r in payload["records"] if r["check"] == "jacobi")
+    assert jacobi["max_residual"] == "nan"
+    assert jacobi["pass"] is False
+    assert payload["pass"] is False
+    assert code == cli.CHECK_FAILED == 1
+
+
+def test_non_finite_residual_encoding():
+    from npk.checks import CheckRecord
+
+    def encoded(value):
+        return CheckRecord("c", "R", "box", 1, 0, value, False).to_dict()["max_residual"]
+
+    assert [encoded(v) for v in (float("nan"), float("inf"), -float("inf"))] == ["nan", "inf", "-inf"]
+    assert encoded(0.0) == 0.0 and encoded(1.5e-12) == 1.5e-12

@@ -252,3 +252,17 @@ def test_contract_form():
     assert evaluate(contract_form(w, [v1, v2]), [0.0, 0.0]) == 1.0
     assert evaluate(contract_form(w, [v2, v1]), [0.0, 0.0]) == -1.0
     assert evaluate(contract_form(w, [v1, v1]), [0.0, 0.0]) == 0.0
+
+
+def test_index_sign_helpers_agree():
+    # inserting i into an increasing tuple is sorting (i, *idx): same sign, same tuple
+    import itertools
+
+    from npk.expr import _insert_index, _perm_sign, _sort_indices
+
+    for idx in itertools.combinations(range(4), 2):
+        for i in range(4):
+            assert _insert_index(i, idx) == _sort_indices((i,) + idx)
+    assert _sort_indices((2, 0, 1)) == (_perm_sign((1, 2, 0)), (0, 1, 2)) == (1, (0, 1, 2))
+    assert _sort_indices((1, 0)) == (-1, (0, 1))
+    assert _sort_indices((1, 1)) is None

@@ -188,7 +188,7 @@ def test_palais_degree_zero(dual):
     theta = VectorField((parse("x2", 2), parse("x1", 2)))
     for _ in range(10):
         xi = random_near_point(rng, dual, CHART)
-        out = palais_eval(eta, [theta], xi)
+        out = palais_eval(eta, [theta], [xi])[0]
         expected = lift(theta.apply(f), xi)
         assert (out - expected).max_abs() <= 1e-10
 
@@ -204,7 +204,7 @@ def test_palais_matches_coefficient_route(plane_jet):
     lifted = [prolong(t, plane_jet, CHART) for t in thetas]
     for _ in range(20):
         xi = random_near_point(rng, plane_jet, CHART)
-        assert (palais_eval(eta, thetas, xi) - deta.evaluate(lifted, xi)).max_abs() <= 1e-9
+        assert (palais_eval(eta, thetas, [xi])[0] - deta.evaluate(lifted, xi)).max_abs() <= 1e-9
 
 
 def test_palais_constant_coefficients_on_coordinates(plane_jet):
@@ -215,7 +215,7 @@ def test_palais_constant_coefficients_on_coordinates(plane_jet):
         VectorField((Const(0.0), Const(1.0))),
     ]
     xi = random_near_point(np.random.default_rng(10), plane_jet, CHART)
-    assert palais_eval(eta, thetas, xi).max_abs() <= 1e-12
+    assert palais_eval(eta, thetas, [xi])[0].max_abs() <= 1e-12
 
 
 def test_exterior_operator_three_dimensional(dual, plane_jet):
@@ -237,7 +237,7 @@ def test_arity_and_degree_errors(dual):
     with pytest.raises(DegreeOverflow):
         exterior_derivative(area)
     with pytest.raises(ArityMismatch):
-        palais_eval(eta, [], random_near_point(np.random.default_rng(12), dual, CHART))
+        palais_eval(eta, [], [random_near_point(np.random.default_rng(12), dual, CHART)])
 
 
 # -- one canonicalization per operation reproduces the pairwise fold --------------
