@@ -729,9 +729,9 @@ def run_cohomology_model(
     run = _MODELS.get(model)
     if run is None:
         raise ValueError(f"unknown cohomology model {model!r}")
-    report = _report("cohomology", "model", model, algebra, chart, seed, samples, tol)
     if model == "circle":
         chart = Chart.circle()
+    report = _report("cohomology", "model", model, algebra, chart, seed, samples, tol)
     rng = np.random.default_rng(seed)
     report.records = [
         _record(name, algebra, chart, samples, seed, residual, check_tol)

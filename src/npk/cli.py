@@ -190,12 +190,9 @@ def cmd_form(args: argparse.Namespace) -> int:
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
     algebra = _algebra_from(args)
-    if args.model == "circle":
-        chart = Chart.circle()
-    else:
-        chart = _chart_from(args)
-        if chart.kind != "box":
-            raise SystemExit(f"npk: model {args.model!r} needs a box chart")
+    chart = _chart_from(args)
+    if args.model != "circle" and chart.kind != "box":
+        raise SystemExit(f"npk: model {args.model!r} needs a box chart")
     report = run_cohomology_model(args.model, algebra, chart, args.seed, args.samples, args.tol)
     return _emit_report(report, args.json)
 

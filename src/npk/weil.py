@@ -12,8 +12,10 @@ all the small desk examples are of this form.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +42,6 @@ __all__ = [
 
 DERIVATION_TOL = 1e-10
 INVERT_TOL = 1e-12
-NULLSPACE_CUTOFF = 1e-9
 
 
 class PresentationError(ValueError):
@@ -383,9 +384,10 @@ class LinearEndo:
 
 
 def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
+    # axes (a, b, s): coefficient s of d(e_a e_b) against d(e_a) e_b + e_a d(e_b)
     c = algebra.structure
-    lhs = np.einsum("abg,sg->abs", c, matrix)
-    rhs = np.einsum("ra,rbs->abs", matrix, c) + np.einsum("rb,ars->abs", matrix, c)
+    lhs = c @ matrix.T
+    rhs = np.tensordot(matrix, c, axes=(0, 0)) + np.matmul(matrix.T, c)
     return float(np.max(np.abs(lhs - rhs))) if algebra.dim else 0.0
 
 
@@ -429,41 +431,99 @@ class Derivation:
 
 
 def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
-    """Basis of Der(A), from the nullspace of the homogeneous Leibniz system.
+    """Basis of Der(A), solved exactly from the values d(x_i).
 
-    Unknowns are the dim^2 matrix entries D[s, g] (coefficient s of d(e_g));
-    one linear equation per triple (a, b, s).  Cached per algebra instance.
+    A derivation of R[x1..xk]/I is fixed by the values d(x_i) = sum_a u[i, a] e_a,
+    and these define one exactly when d(x^g) = sum_i g_i x^(g-e_i) d(x_i) is zero
+    in A for every minimal generator x^g (each x^(g-e_i) is then a standard
+    monomial).  That gives one integer equation per pair (g, e_s).  An equation
+    couples only unknowns u[i, a] of one weight e_a / x_i, so the system splits
+    into blocks of at most k unknowns, each reduced exactly over the rationals.
+
+    Order: each free unknown of the reduced row echelon form, in increasing
+    index i * dim + a, gives one basis element: that unknown set to 1, the
+    other free ones to 0, then scaled to the smallest integer vector, so that
+    every matrix entry is an integer.  Column b of the matrix is
+    d(x^b) = sum_i b_i x^(b-e_i) d(x_i).  Cached per algebra instance.
     """
     cached = getattr(algebra, "_derivation_basis", None)
     if cached is not None:
         return list(cached)
-    dim = algebra.dim
-    c = algebra.structure
-    n_unknowns = dim * dim
-    rows = np.zeros((dim * dim * dim, n_unknowns))
-    eq = 0
-    for a in range(dim):
-        for b in range(dim):
-            for s in range(dim):
-                row = np.zeros((dim, dim))
-                row[s, :] += c[a, b, :]          # d(e_a e_b) coefficient s
-                row[:, a] -= c[:, b, s]          # d(e_a) e_b
-                row[:, b] -= c[a, :, s]          # e_a d(e_b)
-                rows[eq] = row.reshape(-1)
-                eq += 1
-    _, svals, vt = np.linalg.svd(rows)
-    svals = np.concatenate([svals, np.zeros(n_unknowns - len(svals))])
-    null = [vt[i].reshape(dim, dim) for i in range(n_unknowns) if svals[i] <= NULLSPACE_CUTOFF]
-    basis = [Derivation(LinearEndo(algebra, _tidy(m))) for m in null]
-    algebra._derivation_basis = tuple(basis)
-    return basis
-
-
-def _tidy(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Snap near-integer entries of a nullspace vector for readable output."""
-    out = matrix.copy()
-    out[np.abs(out) <= tol] = 0.0
-    rounded = np.round(out)
-    near = np.abs(out - rounded) <= tol
-    out[near] = rounded[near]
+    dim, basis, index = algebra.dim, algebra.basis, algebra._index
+    blocks: dict[tuple[int, ...], list[dict[int, Fraction]]] = {}
+    for g in algebra.presentation.normalized_generators():
+        for m in basis:
+            weight = tuple(x - y for x, y in zip(m, g))
+            row = {}
+            for i, gi in enumerate(g):
+                a = index.get(_shift(weight, i, 1)) if gi else None
+                if a is not None:
+                    row[i * dim + a] = Fraction(gi)
+            if row:
+                blocks.setdefault(weight, []).append(row)
+    pivots: set[int] = set()
+    dependents: dict[int, list[tuple[int, Fraction]]] = {}  # free -> [(pivot, value)]
+    for rows in blocks.values():
+        for p, row in _rref(rows).items():
+            pivots.add(p)
+            for col, v in row.items():
+                if col != p:
+                    dependents.setdefault(col, []).append((p, -v))
+    out = []
+    for free in range(algebra.num_vars * dim):
+        if free in pivots:
+            continue
+        values = [(free, Fraction(1)), *dependents.get(free, ())]
+        scale = math.lcm(*(v.denominator for _, v in values))
+        matrix = np.zeros((dim, dim))
+        for col, v in values:
+            i, a = divmod(col, dim)
+            v = int(v * scale)
+            for b, mb in enumerate(basis):  # d(x^b) gains b_i x^(b-e_i) * v e_a
+                if mb[i]:
+                    s = index.get(_shift(tuple(x + y for x, y in zip(mb, basis[a])), i, -1))
+                    if s is not None:
+                        matrix[s, b] += mb[i] * v
+        out.append(Derivation(LinearEndo(algebra, matrix)))
+    algebra._derivation_basis = tuple(out)
     return out
+
+
+def _shift(exps: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
+    """exps with exponent i moved by delta."""
+    return exps[:i] + (exps[i] + delta,) + exps[i + 1:]
+
+
+def _rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rational rows, keyed by pivot column.
+
+    Each pivot is the lowest column of its row, and no other row has an entry
+    in a pivot column, so the result depends only on the span of the rows.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = dict(row)
+        for p, prow in reduced.items():
+            _eliminate(row, prow, p)
+        if not row:
+            continue
+        p = min(row)
+        lead = row[p]
+        row = {c: v / lead for c, v in row.items()}
+        for prow in reduced.values():
+            _eliminate(prow, row, p)
+        reduced[p] = row
+    return reduced
+
+
+def _eliminate(row: dict[int, Fraction], pivot_row: dict[int, Fraction], p: int) -> None:
+    """Subtract the multiple of pivot_row (entry 1 at p) that clears column p of row."""
+    factor = row.get(p)
+    if not factor:
+        return
+    for c, v in pivot_row.items():
+        x = row.get(c, 0) - factor * v
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)

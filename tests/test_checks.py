@@ -1,6 +1,6 @@
 import pytest
 
-from npk.checks import IDENTITIES, SUITES, check_identity, run_suite
+from npk.checks import IDENTITIES, SUITES, check_identity, run_cohomology_model, run_suite
 from npk.points import Chart
 from npk.weil import build_algebra, parse_presentation
 
@@ -71,3 +71,9 @@ def test_identities_needing_two_dims_are_vacuous_on_one_dim(name, chart_text):
 def test_dual_derivative_is_vacuous_off_dual_numbers():
     record = check_identity("lift-dual-derivative", _algebra("R[x]/(x^3)"), Chart.cube(2), samples=5)
     assert record.max_residual == 0.0 and record.passed
+
+
+def test_circle_model_reports_the_chart_it_ran_on():
+    report = run_cohomology_model("circle", _algebra("R[x]/(x^2)"), Chart.cube(2), samples=3)
+    assert report.config["chart"] == "circle"
+    assert [r.chart for r in report.records] == ["circle"] * len(report.records)

@@ -38,6 +38,14 @@ def test_algebra_info_plane():
     assert payload["basis"] == ["1", "x", "y"]
 
 
+def test_algebra_dim_48_derivations():
+    # the dense Leibniz system at dim 48 needed 91 GiB; Der(A) is now solved from d(x_i)
+    out = run_cli("algebra", "--algebra", "R[x,y,z]/(x^4,y^4,z^3)")
+    assert out.returncode == 0, out.stderr
+    assert "dim      48" in out.stdout
+    assert "dim Der  104" in out.stdout
+
+
 def test_algebra_infinite_dimensional_exit_2():
     out = run_cli("algebra", "--algebra", "R[x,y]/(x^2)")
     assert out.returncode == 2

@@ -22,6 +22,7 @@ from npk.weil import (
     is_derivation,
     parse_presentation,
 )
+from npk.weil import _leibniz_residual
 
 
 def test_parse_presentation_roundtrip():
@@ -208,7 +209,86 @@ EXPECTED_DER_DIM = {
     "R[x]/(x^4)": 3,
     "R[x,y]/(x^2,x*y,y^2)": 4,
     "R[x,y]/(x^3,x^2*y,x*y^2,y^3)": 10,
+    "R[x,y]/(x^4,y^4)": 24,
+    "R[x,y,z]/(x^3,y^3,z^2)": 33,
+    "R[x,y,z]/(x^3,y^3,z^3)": 54,
 }
+
+
+def svd_derivation_nullspace(algebra):
+    """Oracle: float nullspace of the dense Leibniz system in the dim^2 matrix entries.
+
+    Unknowns are the entries D[s, g] (coefficient s of d(e_g)); one equation
+    per triple (a, b, s).  Returns the nullspace as rows of length dim^2.
+    """
+    dim = algebra.dim
+    c = algebra.structure
+    rows = np.zeros((dim * dim * dim, dim * dim))
+    eq = 0
+    for a in range(dim):
+        for b in range(dim):
+            for s in range(dim):
+                row = np.zeros((dim, dim))
+                row[s, :] += c[a, b, :]          # d(e_a e_b) coefficient s
+                row[:, a] -= c[:, b, s]          # d(e_a) e_b
+                row[:, b] -= c[a, :, s]          # e_a d(e_b)
+                rows[eq] = row.reshape(-1)
+                eq += 1
+    _, svals, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[svals <= 1e-9]
+
+
+@pytest.mark.parametrize("text", EXPECTED_DER_DIM)
+def test_derivation_basis_matches_svd_oracle(text):
+    a = build_algebra(parse_presentation(text))
+    basis = derivation_basis(a)
+    assert len(basis) == EXPECTED_DER_DIM[text]
+    for d in basis:
+        assert _leibniz_residual(a, d.matrix) == 0.0
+        assert np.array_equal(d.matrix, np.round(d.matrix))
+    exact = np.array([d.matrix.reshape(-1) for d in basis]).reshape(len(basis), a.dim * a.dim)
+    oracle = svd_derivation_nullspace(a)
+    assert len(oracle) == len(basis)
+    # equal spans: stacking the oracle adds no rank.  The oracle rows carry
+    # about 1e-12 of Leibniz noise, hence the explicit tolerance.
+    assert np.linalg.matrix_rank(exact, tol=1e-9) == len(basis)
+    assert np.linalg.matrix_rank(np.vstack([exact, oracle]), tol=1e-9) == len(basis)
+
+
+def test_derivation_basis_order():
+    # free unknowns of d(x), then of d(y), each in basis order: x->x, x->y, y->x, y->y
+    a = build_algebra(parse_presentation("R[x,y]/(x^2,x*y,y^2)"))
+    images = [(d.matrix[:, 1], d.matrix[:, 2]) for d in derivation_basis(a)]
+    expected = [([0, 1, 0], [0, 0, 0]), ([0, 0, 1], [0, 0, 0]),
+                ([0, 0, 0], [0, 1, 0]), ([0, 0, 0], [0, 0, 1])]
+    for (dx, dy), (want_x, want_y) in zip(images, expected, strict=True):
+        assert np.array_equal(dx, want_x) and np.array_equal(dy, want_y)
+
+
+def test_derivation_basis_clears_denominators():
+    # x^3*y forces 3*u + v = 0 between d(x) and d(y) terms; the basis stays integral
+    a = build_algebra(parse_presentation("R[x,y]/(x^3*y,x^5,y^4)"))
+    basis = derivation_basis(a)
+    assert len(basis) == len(svd_derivation_nullspace(a))
+    assert all(_leibniz_residual(a, d.matrix) == 0.0 for d in basis)
+    assert any(np.abs(d.matrix).max() == 3.0 for d in basis)
+
+
+def test_leibniz_residual_matches_einsum_reference(catalog):
+    def reference(algebra, m):
+        c = algebra.structure
+        lhs = np.einsum("abg,sg->abs", c, m)
+        rhs = np.einsum("ra,rbs->abs", m, c) + np.einsum("rb,ars->abs", m, c)
+        return float(np.max(np.abs(lhs - rhs)))
+
+    rng = np.random.default_rng(5)
+    algebras = catalog + [build_algebra(parse_presentation("R[x,y]/(x^4,y^4)"))]
+    for a in algebras:
+        for d in derivation_basis(a):
+            m = d.matrix + 1e-3 * rng.standard_normal((a.dim, a.dim))
+            assert abs(_leibniz_residual(a, m) - reference(a, m)) <= 1e-12
+        m = rng.standard_normal((a.dim, a.dim))
+        assert abs(_leibniz_residual(a, m) - reference(a, m)) <= 1e-12
 
 
 def test_derivation_basis_dimensions(catalog):
