@@ -1,0 +1,59 @@
+"""Write a fixed matrix of npk reports, one file per run, for byte-for-byte comparison.
+
+Usage: python scripts/report_matrix.py OUTDIR
+
+Runs `npk check --suite all --json --samples 10` for seeds 0 and 1 over
+three algebras and three charts, and `npk cohomology --json` for the
+three models with seeds 0-2.  Each run is a fresh `python -m npk`
+process with the caller's environment, so PYTHONPATH picks the checkout
+under test; without PYTHONPATH it is this checkout's `src`.  Each file
+holds the command, its exit code, stdout and stderr.  Two matrices
+agree when `diff -r` between them prints nothing.
+"""
+
+import os
+import subprocess
+import sys
+
+ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x]/(x^3)")
+CHARTS = ("box:[-1,1]^3", "box:[-1,1]^2", "circle")
+MODELS = (
+    ("poincare", "R[x]/(x^2)", "box:[-1,1]^3"),
+    ("circle", "R[x]/(x^2)", "circle"),
+    ("h0", "R[x,y]/(x^2,x*y,y^2)", "box:[-1,1]^2"),
+)
+
+
+def runs():
+    """(file name, npk arguments) for every report of the matrix."""
+    for seed in (0, 1):
+        for a, algebra in enumerate(ALGEBRAS):
+            for c, chart in enumerate(CHARTS):
+                args = ["check", "--suite", "all", "--json", "--samples", "10", "--seed", str(seed),
+                        "--algebra", algebra, "--chart", chart]
+                yield f"check-seed{seed}-algebra{a}-chart{c}.txt", args
+    for model, algebra, chart in MODELS:
+        for seed in (0, 1, 2):
+            args = ["cohomology", "--model", model, "--json", "--seed", str(seed),
+                    "--algebra", algebra, "--chart", chart]
+            yield f"cohomology-{model}-seed{seed}.txt", args
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: python scripts/report_matrix.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = sys.argv[1]
+    os.makedirs(outdir, exist_ok=True)
+    env = dict(os.environ)
+    env.setdefault("PYTHONPATH", os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    for name, args in runs():
+        proc = subprocess.run([sys.executable, "-m", "npk", *args], capture_output=True, text=True, env=env)
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(f"$ npk {' '.join(args)}\nexit {proc.returncode}\n")
+            fh.write(f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,8 @@
 All randomness flows from one --seed (env NPK_SEED as fallback), so
 reports are byte-identical across runs with the same configuration.
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or data
-error, 3 internal error.
+error, 3 internal error, 141 stdout closed early (a pager or `head`
+quit reading; 128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .weil import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERNAL_ERROR = 3
+BROKEN_PIPE = 141
 
 
 def _fmt(value: float) -> str:
@@ -41,7 +43,7 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"npk: bad NPK_SEED value {env!r}")
+            raise ValueError(f"bad NPK_SEED value {env!r}") from None
     return 0
 
 
@@ -192,7 +194,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     algebra = _algebra_from(args)
     chart = _chart_from(args)
     if args.model != "circle" and chart.kind != "box":
-        raise SystemExit(f"npk: model {args.model!r} needs a box chart")
+        raise ValueError(f"model {args.model!r} needs a box chart")
     report = run_cohomology_model(args.model, algebra, chart, args.seed, args.samples, args.tol)
     return _emit_report(report, args.json)
 
@@ -264,10 +266,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--samples must be >= 1")
     if getattr(args, "tol", 1.0) < 0.0:
         parser.error("--tol must be >= 0")
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
-        return args.handler(args)
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader quit early; silence the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (
         PresentationError,
         ParseError,

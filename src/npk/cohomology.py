@@ -440,15 +440,13 @@ def h0_check(
     rng = np.random.default_rng(seed)
     points = [random_near_point(rng, algebra, chart) for _ in range(max(1, samples))]
     partials = [coordinate_prolongation(algebra, chart, i).apply_fn(phi) for i in range(chart.n)]
-    residual = 0.0
-    for xi in points:
-        for dphi in partials:
-            residual = max(residual, dphi.evaluate(xi).max_abs())
-    if residual > closed_tol:
+    # np.max keeps a NaN, and `not x <= tol` fails it, so a NaN never passes
+    residual = np.max([dphi.evaluate(xi).max_abs() for xi in points for dphi in partials])
+    if not residual <= closed_tol:
         raise NotClosed(f"differential residual {residual:.3e} exceeds {closed_tol:.1e}")
     values = [phi.evaluate(xi) for xi in points]
     first = values[0]
-    spread = max((v - first).max_abs() for v in values)
-    if spread > constant_tol:
+    spread = np.max([(v - first).max_abs() for v in values])
+    if not spread <= constant_tol:
         raise NotConstant(f"value spread {spread:.3e} exceeds {constant_tol:.1e}")
     return first

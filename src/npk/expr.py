@@ -73,7 +73,7 @@ class DomainError(ArithmeticError):
 
 
 class Expr:
-    __slots__ = ()
+    __slots__ = ("_key", "_partials")  # memos of expr_key and diff; not fields, so not in == or hash
 
     def __add__(self, other: "Expr") -> "Expr":
         return add(self, other)
@@ -428,17 +428,14 @@ def unparse(e: Expr) -> str:
     return _unparse(e)[0]
 
 
-_KEY_CACHE: dict[int, tuple[Expr, str]] = {}
-
-
 def expr_key(e: Expr) -> str:
-    """Deterministic textual key, cached per node object (used for canonical orderings)."""
-    hit = _KEY_CACHE.get(id(e))
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    key = unparse(e)
-    _KEY_CACHE[id(e)] = (e, key)
-    return key
+    """Deterministic textual key, memoized on the node (used for canonical orderings)."""
+    try:
+        return e._key
+    except AttributeError:
+        key = unparse(e)
+        object.__setattr__(e, "_key", key)  # nodes are frozen dataclasses
+        return key
 
 
 # -- evaluation -------------------------------------------------------------
@@ -509,16 +506,16 @@ def _substitute(phi: Expr, h: Sequence[Expr]) -> Expr:
 
 # -- differentiation --------------------------------------------------------
 
-_DIFF_CACHE: dict[tuple[int, int], tuple[Expr, Expr]] = {}
-
-
 def diff(e: Expr, index: int) -> Expr:
-    """Exact symbolic partial derivative with respect to x_{index+1}."""
-    hit = _DIFF_CACHE.get((id(e), index))
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    out = _diff(e, index)
-    _DIFF_CACHE[(id(e), index)] = (e, out)
+    """Exact symbolic partial derivative with respect to x_{index+1}, memoized on the node."""
+    try:
+        partials = e._partials
+    except AttributeError:
+        partials = {}
+        object.__setattr__(e, "_partials", partials)  # nodes are frozen dataclasses
+    out = partials.get(index)
+    if out is None:
+        out = partials[index] = _diff(e, index)
     return out
 
 

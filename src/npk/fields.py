@@ -166,25 +166,13 @@ def from_derivation(d: Derivation, chart: Chart) -> AVectorField:
     algebra = d.algebra
     comps = []
     for i in range(chart.n):
-        xi_expr = _coordinate_expr(i)
+        xi_expr = Var(i)
         terms = [
             (AElement(algebra, -d.matrix[:, alpha]), (ScalarGenerator(alpha, xi_expr),))
             for alpha in range(algebra.dim)
         ]
         comps.append(AFunction(algebra, chart, terms))
     return AVectorField(algebra, chart, tuple(comps))
-
-
-_COORD_EXPRS: dict[int, Expr] = {}
-
-
-def _coordinate_expr(i: int) -> Expr:
-    # shared nodes so identity-keyed caches hit across fields
-    e = _COORD_EXPRS.get(i)
-    if e is None:
-        e = Var(i)
-        _COORD_EXPRS[i] = e
-    return e
 
 
 def bracket(x: AVectorField, y: AVectorField) -> AVectorField:

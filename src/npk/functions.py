@@ -12,6 +12,7 @@ which is all the surrounding theory manipulates.
 Equality of two such functions is decided by evaluation at sampled near
 points, never structurally: distinct term lists routinely denote the
 same function (e.g. the lift of f*g versus the product of the lifts).
+Evaluation keeps no lift cache: lift(g, xi) is memoized on the point xi.
 """
 
 from __future__ import annotations
@@ -126,32 +127,20 @@ class AFunction:
             return AFunction(self.algebra, self.chart, [(a * c, m) for c, m in self.terms])
         return AFunction(self.algebra, self.chart, [(c * float(a), m) for c, m in self.terms])
 
-    def postcompose(self, matrix: np.ndarray) -> "AFunction":
-        """Compose with a linear map of A: termwise action on the coefficients."""
-        return AFunction(
-            self.algebra,
-            self.chart,
-            [(AElement(self.algebra, matrix @ c.coeffs), m) for c, m in self.terms],
-        )
-
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, xi: NearPoint) -> AElement:
+        """Value at xi; the generators' lifts come from the point's own lift memo."""
         if xi.algebra != self.algebra:
             raise AlgebraMismatch("near point over a different algebra")
-        cache: dict[int, AElement] = {}
         acc = np.zeros(self.algebra.dim)
         for coeff, mono in self.terms:
             scalar = 1.0
             for gen in mono:
-                lifted = cache.get(id(gen.fn))
-                if lifted is None:
-                    lifted = lift(gen.fn, xi)
-                    cache[id(gen.fn)] = lifted
-                scalar *= lifted.coefficient(gen.alpha)
+                scalar *= lift(gen.fn, xi).coefficient(gen.alpha)
             acc = acc + scalar * coeff.coeffs
         return AElement(self.algebra, acc)
 
@@ -228,20 +217,13 @@ def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
     A-linear in the coefficients, vanishes on constants, agrees with v on
     lifted functions, and satisfies the Leibniz rule relative to evaluation
     at the base near point.  A generator (alpha, g) contributes the dual
-    coefficient alpha of v applied to g, a real scalar.
+    coefficient alpha of v applied to g, a real scalar.  Lifts at the base
+    near point come from that point's lift memo.
     """
     if phi.algebra != v.at.algebra:
         raise AlgebraMismatch("function over a different algebra")
     algebra = phi.algebra
-    lift_cache: dict[int, AElement] = {}
     apply_cache: dict[int, AElement] = {}
-
-    def lifted(g: Expr) -> AElement:
-        out = lift_cache.get(id(g))
-        if out is None:
-            out = lift(g, v.at)
-            lift_cache[id(g)] = out
-        return out
 
     def applied(g: Expr) -> AElement:
         out = apply_cache.get(id(g))
@@ -256,7 +238,7 @@ def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
             scalar = 1.0
             for k, other in enumerate(mono):
                 if k != j:
-                    scalar *= lifted(other.fn).coefficient(other.alpha)
+                    scalar *= lift(other.fn, v.at).coefficient(other.alpha)
             derived = applied(gen.fn).coefficient(gen.alpha)
             acc = acc + (scalar * derived) * coeff
     return acc

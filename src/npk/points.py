@@ -13,7 +13,9 @@ where x is the base point and nu_i = xi_i - x_i are nilpotent, so the
 sum terminates.  This is the unique algebra homomorphism extending the
 assignment x_i -> xi_i on the implemented function class, and it is
 first-order forward-mode automatic differentiation when A is the dual
-numbers, and higher-order jet propagation in general.
+numbers, and higher-order jet propagation in general.  A near point is
+the homomorphism f -> lift(f, xi), so it memoizes its own lifts, shared
+by everything evaluated at it and freed with it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class Chart:
 class NearPoint:
     """Point of the near-point manifold: one A-element per chart coordinate."""
 
-    __slots__ = ("algebra", "chart", "coords")
+    __slots__ = ("algebra", "chart", "coords", "_lifts")
 
     def __init__(self, algebra: WeilAlgebra, chart: Chart, coords: Sequence[AElement]):
         coords = tuple(coords)
@@ -129,6 +131,7 @@ class NearPoint:
         self.algebra = algebra
         self.chart = chart
         self.coords = coords
+        self._lifts: dict[int, tuple[Expr, AElement]] = {}  # id(f) -> (f, lift); f pins its id
 
     def base(self) -> np.ndarray:
         return np.array([c.augmentation for c in self.coords])
@@ -165,7 +168,17 @@ def _partial(f: Expr, beta: tuple[int, ...]) -> Expr:
 
 
 def lift(f: Expr, xi: NearPoint) -> AElement:
-    """Push f through the near point: truncated Taylor expansion in the nilpotent parts."""
+    """Push f through the near point: truncated Taylor expansion in the nilpotent parts.
+
+    Memoized on xi, so the result is shared: callers must not mutate it in place.
+    """
+    hit = xi._lifts.get(id(f))
+    if hit is None:
+        hit = xi._lifts[id(f)] = (f, _taylor(f, xi))
+    return hit[1]
+
+
+def _taylor(f: Expr, xi: NearPoint) -> AElement:
     algebra = xi.algebra
     base = xi.base()
     h = algebra.height

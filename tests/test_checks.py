@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from npk.checks import IDENTITIES, SUITES, check_identity, run_cohomology_model, run_suite
@@ -77,3 +80,20 @@ def test_circle_model_reports_the_chart_it_ran_on():
     report = run_cohomology_model("circle", _algebra("R[x]/(x^2)"), Chart.cube(2), samples=3)
     assert report.config["chart"] == "circle"
     assert [r.chart for r in report.records] == ["circle"] * len(report.records)
+
+
+def test_repeated_suite_runs_do_not_grow_memory():
+    # memos live on expression nodes and near points, so a finished run leaves nothing behind
+    algebra, chart = build_algebra(parse_presentation("R[x]/(x^3)")), Chart.cube(2)
+    run_suite("all", algebra, chart, samples=2)  # warm-up: per-algebra caches, lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            run_suite("all", algebra, chart, samples=2)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 100_000, f"{growth} bytes still live after two more runs"

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -160,6 +162,40 @@ def test_cohomology_h0():
 def test_usage_error_exit_2():
     out = run_cli("check", "--suite", "nope", "--algebra", "R")
     assert out.returncode == 2
+
+
+def test_bad_env_seed_exit_2():
+    # exit 1 is reserved for a failed check
+    out = run_cli("check", "--algebra", "R[x]/(x^2)", env_extra={"NPK_SEED": "abc"})
+    assert out.returncode == 2
+    assert out.stderr == "npk: bad NPK_SEED value 'abc'\n"
+
+
+@pytest.mark.parametrize("model", ["poincare", "h0"])
+def test_box_model_on_circle_exit_2(model):
+    out = run_cli("cohomology", "--model", model, "--algebra", "R[x]/(x^2)", "--chart", "circle")
+    assert out.returncode == 2
+    assert out.stderr == f"npk: model {model!r} needs a box chart\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("algebra", "--algebra", "R[x]/(x^2)"),  # fits the buffer: the pipe breaks at the flush
+        ("algebra", "--json", "--algebra", "R[x,y,z]/(x^4,y^4,z^3)"),  # breaks inside print
+    ],
+)
+def test_closed_stdout_exits_141_silently(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "npk", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()  # the reader quits before the first byte, like `npk ... | head -0`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_nan_residual_fails_check_with_exit_1(monkeypatch, capsys):

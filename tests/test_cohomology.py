@@ -10,6 +10,7 @@ from npk.cohomology import (
     NonPolynomialCoefficient,
     NonTrigPolynomial,
     NotClosed,
+    NotConstant,
     NotStarShaped,
     PolyForm,
     a_primitive,
@@ -337,3 +338,15 @@ def test_h0_on_circle(dual):
     a = dual.element([0.7, -0.3])
     out = h0_check(AFunction.constant(a, circle), samples=10, seed=5)
     assert (out - a).max_abs() <= 1e-12
+
+
+def test_h0_nan_differential_is_not_closed(dual):
+    # a NaN residual used to pass both `residual > tol` tests and return nan + nan*x
+    phi = lifted_function(parse("x1", 2), dual, CHART).scale(dual.element([math.nan, 0.0]))
+    with pytest.raises(NotClosed):
+        h0_check(phi, samples=10, seed=3)
+
+
+def test_h0_nan_constant_is_not_constant(dual):
+    with pytest.raises(NotConstant):
+        h0_check(AFunction.constant(dual.element([math.nan, 0.0]), CHART), samples=10, seed=3)

@@ -218,3 +218,38 @@ def test_lift_hypothesis_homomorphism(pair, base):
     xi = NearPoint(algebra, chart, coords)
     assert (lift(f * g, xi) - lift(f, xi) * lift(g, xi)).max_abs() <= 1e-9
     assert (lift(f + g, xi) - (lift(f, xi) + lift(g, xi))).max_abs() <= 1e-9
+
+
+def test_lift_memo_matches_a_fresh_point():
+    rng = np.random.default_rng(8)
+    chart = Chart.cube(2)
+    for _ in range(10):
+        f = random_expr(rng, 2)
+        xi = random_near_point(rng, _DUAL_JET, chart)
+        first = lift(f, xi)
+        assert lift(f, xi) is first  # memoized on the point
+        fresh = NearPoint(_DUAL_JET, chart, xi.coords)
+        assert np.array_equal(lift(f, fresh).coeffs, first.coeffs)
+
+
+def test_field_and_form_at_one_point_share_lifts(monkeypatch):
+    # one Taylor expansion per distinct expression, however many objects are evaluated at xi
+    from npk import points
+    from npk.fields import prolong
+    from npk.forms import prolong_form
+    from npk.sampling import random_base_field, random_base_form
+
+    rng = np.random.default_rng(9)
+    chart = Chart.cube(2)
+    fields = [prolong(random_base_field(rng, chart), _DUAL_JET, chart) for _ in range(2)]
+    eta = prolong_form(random_base_form(rng, chart, 2), _DUAL_JET, chart)
+    xi = random_near_point(rng, _DUAL_JET, chart)
+    functions = [c for x in fields for c in x.components] + [phi for phi, _ in eta.terms]
+    distinct = {id(g.fn) for phi in functions for _, mono in phi.terms for g in mono}
+    expansions = []
+    real = points.multi_indices
+    monkeypatch.setattr(points, "multi_indices", lambda n, h: expansions.append(n) or real(n, h))
+    for x in fields:
+        x.evaluate(xi)
+    eta.evaluate(fields, xi)
+    assert distinct and len(expansions) == len(distinct)
