@@ -3,14 +3,18 @@
 Usage: python scripts/report_matrix.py OUTDIR
 
 Runs `npk check --suite all --json --samples 10` for seeds 0 and 1 over
-three algebras and three charts, and `npk cohomology --json` for the
-three models with seeds 0-2.  Each run is a fresh `python -m npk`
-process with the caller's environment, so PYTHONPATH picks the checkout
-under test; without PYTHONPATH it is this checkout's `src`.  Each file
+three algebras and three charts, `npk cohomology --json` for the three
+models with seeds 0-2, and `npk lift --json` of four expressions (sin,
+cos, exp, log, sqrt, constant and general powers, division) on three
+algebras, plus one lift outside the domain (exit 2).  Each run is a
+fresh `python -m npk` process with the caller's environment, so
+PYTHONPATH picks the checkout under test; without PYTHONPATH it is this
+checkout's `src`.  Each file
 holds the command, its exit code, stdout and stderr.  Two matrices
 agree when `diff -r` between them prints nothing.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +26,19 @@ MODELS = (
     ("circle", "R[x]/(x^2)", "circle"),
     ("h0", "R[x,y]/(x^2,x*y,y^2)", "box:[-1,1]^2"),
 )
+LIFT_ALGEBRAS = (("R[x]/(x^2)", 2), ("R[x]/(x^4)", 4), ("R[x,y,z]/(x^3,y^3,z^3)", 27))
+LIFT_FNS = (
+    "sin(x1)*cos(x2) + exp(x1*x2)",
+    "log(x1 + 2) - sqrt(x2 + 3)",
+    "(x1 + 2)^1.5/(x2 + 3)",
+    "(x1 + 2)^(x2 + 1)",
+)
+
+
+def _point(dim: int) -> str:
+    """A near point over x1, x2 with base (0.3, -0.2) and fixed, exactly printable nilpotent parts."""
+    coords = [[b] + [((k * (j + 3)) % 7 - 2) / 4 for k in range(1, dim)] for j, b in enumerate((0.3, -0.2))]
+    return json.dumps(coords)
 
 
 def runs():
@@ -37,6 +54,12 @@ def runs():
             args = ["cohomology", "--model", model, "--json", "--seed", str(seed),
                     "--algebra", algebra, "--chart", chart]
             yield f"cohomology-{model}-seed{seed}.txt", args
+    for a, (algebra, dim) in enumerate(LIFT_ALGEBRAS):
+        for k, fn in enumerate(LIFT_FNS):
+            args = ["lift", "--json", "--algebra", algebra, "--fn", fn, "--point", _point(dim)]
+            yield f"lift-algebra{a}-fn{k}.txt", args
+    args = ["lift", "--json", "--algebra", "R[x]/(x^2)", "--fn", "sqrt(x1 - 1)", "--point", _point(2)]
+    yield "lift-domain-error.txt", args
 
 
 def main() -> int:

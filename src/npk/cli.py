@@ -17,7 +17,7 @@ import sys
 from .checks import SUITES, SuiteReport, run_cohomology_model, run_suite
 from .cohomology import NotClosed
 from .expr import DomainError, ParseError, UnknownVariable, parse
-from .points import Chart, NearPoint
+from .points import Chart, NearPoint, lift
 from .weil import (
     DimensionMismatch,
     PresentationError,
@@ -112,8 +112,6 @@ def cmd_lift(args: argparse.Namespace) -> int:
     chart = Chart.parse(args.chart) if args.chart else Chart.box([(-float("inf"), float("inf"))] * n)
     xi = NearPoint(algebra, chart, [algebra.element(c) for c in coords])
     f = parse(args.fn, chart.n)
-    from .points import lift
-
     value = lift(f, xi)
     if args.json:
         payload = {
@@ -138,7 +136,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_field(args: argparse.Namespace) -> int:
     from .literals import parse_field
-    from .points import NearPoint
 
     algebra = _algebra_from(args)
     chart = _chart_from(args)
@@ -167,7 +164,6 @@ def cmd_field(args: argparse.Namespace) -> int:
 
 def cmd_form(args: argparse.Namespace) -> int:
     from .literals import parse_field, parse_form
-    from .points import NearPoint
 
     algebra = _algebra_from(args)
     chart = _chart_from(args)

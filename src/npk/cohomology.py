@@ -185,9 +185,6 @@ class PolyForm:
     def to_form(self) -> DifferentialForm:
         return form(self.n, self.degree, {idx: poly_to_expr(p, self.n) for idx, p in self.coeffs.items() if p})
 
-    def is_zero(self) -> bool:
-        return all(not p for p in self.coeffs.values())
-
     def max_abs(self) -> float:
         vals = [abs(float(v)) for p in self.coeffs.values() for v in p.values()]
         return max(vals, default=0.0)

@@ -1,26 +1,25 @@
-"""Near points of a chart model and the nilpotent Taylor lift.
+"""Near points of a chart model and the lift of smooth functions through them.
 
 A chart model is either an open box in R^n or the circle (coordinate
 mod 2*pi, functions restricted to trigonometric polynomials).  A near
 point of kind A assigns to each coordinate an element of A whose
 augmentation is the corresponding coordinate of an ordinary base point
-in the chart.  Smooth functions are pushed through a near point by the
-finite Taylor formula
+in the chart.  A smooth function f is pushed through a near point xi by
+evaluating its expression tree in A with x_i -> xi_i: sums and products
+are A-arithmetic, and each primitive g (sin, cos, exp, log, sqrt, 1/x,
+x^c) acts on a0 + n through its series, which terminates as n is nilpotent:
 
-    lift(f, xi) = sum_{|beta| <= height} D^beta f(x) / beta! * nu^beta
+    g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k.
 
-where x is the base point and nu_i = xi_i - x_i are nilpotent, so the
-sum terminates.  This is the unique algebra homomorphism extending the
-assignment x_i -> xi_i on the implemented function class, and it is
-first-order forward-mode automatic differentiation when A is the dual
-numbers, and higher-order jet propagation in general.  A near point is
+This is the unique algebra homomorphism extending x_i -> xi_i on the
+implemented function class: forward-mode automatic differentiation on
+the dual numbers, Taylor (jet) arithmetic in general.  A near point is
 the homomorphism f -> lift(f, xi), so it memoizes its own lifts, shared
 by everything evaluated at it and freed with it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -29,7 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, diff, evaluate
+from .expr import (
+    _FUNCTIONS, ONE, Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, UnknownVariable, Var, diff, evaluate,
+)
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "TangentVector",
     "lift",
     "lift_map",
-    "multi_indices",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -148,62 +148,62 @@ class NearPoint:
         return f"NearPoint({', '.join(repr(c) for c in self.coords)})"
 
 
-def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of length n with total degree <= max_degree, graded-lex."""
-    out = [
-        beta
-        for beta in itertools.product(range(max_degree + 1), repeat=n)
-        if sum(beta) <= max_degree
-    ]
-    out.sort(key=lambda b: (sum(b), tuple(-e for e in b)))
-    return out
-
-
-def _partial(f: Expr, beta: tuple[int, ...]) -> Expr:
-    out = f
-    for i, e in enumerate(beta):
-        for _ in range(e):
-            out = diff(out, i)
-    return out
-
-
 def lift(f: Expr, xi: NearPoint) -> AElement:
-    """Push f through the near point: truncated Taylor expansion in the nilpotent parts.
+    """Push f through the near point: evaluate the tree of f in A, with x_i -> xi_i.
 
     Memoized on xi, so the result is shared: callers must not mutate it in place.
     """
     hit = xi._lifts.get(id(f))
     if hit is None:
-        hit = xi._lifts[id(f)] = (f, _taylor(f, xi))
+        hit = xi._lifts[id(f)] = (f, _jet(f, xi))
     return hit[1]
 
 
-def _taylor(f: Expr, xi: NearPoint) -> AElement:
-    algebra = xi.algebra
-    base = xi.base()
-    h = algebra.height
-    n = xi.chart.n
-    # nilpotent offsets and their powers up to the height
-    nil_powers: list[list[AElement]] = []
-    for c in xi.coords:
-        nu = c - algebra.scalar(c.augmentation)
-        powers = [algebra.unit()]
-        for _ in range(h):
-            powers.append(powers[-1] * nu)
-        nil_powers.append(powers)
-    acc = algebra.zero()
-    for beta in multi_indices(n, h):
-        value = evaluate(_partial(f, beta), base)
-        if value == 0.0:
-            continue
-        factorial = 1
-        for e in beta:
-            factorial *= math.factorial(e)
-        term = algebra.scalar(value / factorial)
-        for i, e in enumerate(beta):
-            if e:
-                term = term * nil_powers[i][e]
-        acc = acc + term
+_X = Var(0)
+_RECIPROCAL = Div(ONE, _X)
+_CALLS = {fn: Call(fn, _X) for fn in _FUNCTIONS}
+
+
+def _jet(e: Expr, xi: NearPoint) -> AElement:
+    if isinstance(e, Const):
+        return xi.algebra.scalar(e.value)
+    if isinstance(e, Var):
+        if e.index >= len(xi.coords):
+            raise UnknownVariable(f"x{e.index + 1}")
+        return xi.coords[e.index]
+    if isinstance(e, Add):
+        return _jet(e.left, xi) + _jet(e.right, xi)
+    if isinstance(e, Sub):
+        return _jet(e.left, xi) - _jet(e.right, xi)
+    if isinstance(e, Mul):
+        return _jet(e.left, xi) * _jet(e.right, xi)
+    if isinstance(e, Div):
+        return _jet(e.left, xi) * _compose(_RECIPROCAL, _jet(e.right, xi))
+    if isinstance(e, Neg):
+        return -_jet(e.arg, xi)
+    if isinstance(e, Pow):
+        if isinstance(e.exponent, Const):
+            return _compose(Pow(_X, e.exponent), _jet(e.base, xi))
+        # general base^exponent = exp(exponent * log(base))
+        return _compose(_CALLS["exp"], _jet(e.exponent, xi) * _compose(_CALLS["log"], _jet(e.base, xi)))
+    if isinstance(e, Call):
+        return _compose(_CALLS[e.fn], _jet(e.arg, xi))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _compose(g: Expr, a: AElement) -> AElement:
+    """g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k for g in x1 and nilpotent n.
+
+    `diff` and `evaluate` give the coefficients, so `expr` owns every domain check.
+    """
+    at = (a.augmentation,)
+    n = a.nilpotent_part()
+    acc = a.algebra.scalar(evaluate(g, at))
+    nk = a.algebra.unit()
+    for k in range(1, a.algebra.height + 1):
+        g = diff(g, 0)
+        nk = nk * n
+        acc = acc + nk * (evaluate(g, at) / math.factorial(k))
     return acc
 
 

@@ -214,13 +214,33 @@ def test_nan_residual_fails_check_with_exit_1(monkeypatch, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
-def test_internal_error_exit_3():
-    # 500 nested sums exhaust the recursion limit: an internal error, not a failed check
+def test_internal_error_exit_3(monkeypatch, capsys):
+    # an unexpected exception is an internal error, not a failed check
+    from npk import cli
+
+    def boom(f, xi):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "lift", boom)
+    code = cli.main(["lift", "--algebra", "R[x]/(x^2)", "--fn", "x1", "--point", "[[0,1]]"])
+    err = capsys.readouterr().err
+    assert code == cli.INTERNAL_ERROR == 3
+    assert err.startswith("npk: internal error: RuntimeError: ")
+    assert "Traceback" not in err
+
+
+def test_lift_500_term_sum_exit_0():
     fn = "+".join(["x1"] * 500)
     out = run_cli("lift", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", "[[0,1]]")
-    assert out.returncode == 3
-    assert out.stderr.startswith("npk: internal error: RecursionError: ")
-    assert "Traceback" not in out.stderr
+    assert out.returncode == 0
+    assert out.stdout.strip() == "[0, 500]"
+
+
+@pytest.mark.parametrize("fn, base", [("x1^0.5", 0), ("log(x1)", -0.5), ("1/x1", 0)])
+def test_lift_domain_error_exit_2(fn, base):
+    out = run_cli("lift", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", f"[[{base},1]]")
+    assert out.returncode == 2
+    assert out.stderr.startswith("npk: ") and "Traceback" not in out.stderr
 
 
 def test_nan_residual_json_is_valid(monkeypatch, capsys):

@@ -245,7 +245,7 @@ def test_check_identity_api(dual):
 
 
 def test_check_identity_tol_zero_fails(dual):
-    record = check_identity("lift-mul", dual, CHART, seed=5, samples=10, tol=0.0)
+    record = check_identity("tangent-leibniz", dual, CHART, seed=5, samples=10, tol=0.0)
     assert not record.passed
 
 

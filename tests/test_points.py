@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npk.expr import Const, parse
+from npk.expr import Const, DomainError, Expr, diff, evaluate, parse
 from npk.weil import build_algebra, parse_presentation
 
 _DUAL_JET = build_algebra(parse_presentation("R[x,y]/(x^3,x^2*y,x*y^2,y^3)"))
@@ -16,10 +17,9 @@ from npk.points import (
     TangentVector,
     lift,
     lift_map,
-    multi_indices,
 )
 from npk.sampling import random_expr, random_near_point
-from npk.weil import AlgebraMismatch
+from npk.weil import AElement, AlgebraMismatch
 
 
 def test_chart_parse_and_text():
@@ -54,11 +54,6 @@ def test_near_point_json_roundtrip(dual):
     assert text == "[[0.5, 1.0], [-0.25, 2.0]]"
     back = NearPoint.from_json(text, dual, chart)
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(xi.coords, back.coords))
-
-
-def test_multi_indices_graded_order():
-    out = multi_indices(2, 2)
-    assert out == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def test_lift_dual_square(dual):
@@ -232,9 +227,18 @@ def test_lift_memo_matches_a_fresh_point():
         assert np.array_equal(lift(f, fresh).coeffs, first.coeffs)
 
 
-def test_field_and_form_at_one_point_share_lifts(monkeypatch):
-    # one Taylor expansion per distinct expression, however many objects are evaluated at xi
-    from npk import points
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+def test_field_and_form_at_one_point_share_lifts():
+    # one expansion per distinct expression, however many objects are evaluated at xi
     from npk.fields import prolong
     from npk.forms import prolong_form
     from npk.sampling import random_base_field, random_base_form
@@ -246,10 +250,105 @@ def test_field_and_form_at_one_point_share_lifts(monkeypatch):
     xi = random_near_point(rng, _DUAL_JET, chart)
     functions = [c for x in fields for c in x.components] + [phi for phi, _ in eta.terms]
     distinct = {id(g.fn) for phi in functions for _, mono in phi.terms for g in mono}
-    expansions = []
-    real = points.multi_indices
-    monkeypatch.setattr(points, "multi_indices", lambda n, h: expansions.append(n) or real(n, h))
+    xi._lifts = expansions = _CountingDict()  # lift stores once per memo miss
     for x in fields:
         x.evaluate(xi)
     eta.evaluate(fields, xi)
-    assert distinct and len(expansions) == len(distinct)
+    assert distinct and expansions.stores == len(expansions) == len(distinct)
+    assert set(expansions) == distinct
+
+
+# -- the symbolic multi-index Taylor formula, kept as an independent oracle for lift --------
+
+
+def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of length n with total degree <= max_degree, graded-lex."""
+    out = [
+        beta
+        for beta in itertools.product(range(max_degree + 1), repeat=n)
+        if sum(beta) <= max_degree
+    ]
+    out.sort(key=lambda b: (sum(b), tuple(-e for e in b)))
+    return out
+
+
+def _partial(f: Expr, beta: tuple[int, ...]) -> Expr:
+    out = f
+    for i, e in enumerate(beta):
+        for _ in range(e):
+            out = diff(out, i)
+    return out
+
+
+def _taylor(f: Expr, xi: NearPoint) -> AElement:
+    algebra = xi.algebra
+    base = xi.base()
+    h = algebra.height
+    n = xi.chart.n
+    # nilpotent offsets and their powers up to the height
+    nil_powers: list[list[AElement]] = []
+    for c in xi.coords:
+        nu = c - algebra.scalar(c.augmentation)
+        powers = [algebra.unit()]
+        for _ in range(h):
+            powers.append(powers[-1] * nu)
+        nil_powers.append(powers)
+    acc = algebra.zero()
+    for beta in multi_indices(n, h):
+        value = evaluate(_partial(f, beta), base)
+        if value == 0.0:
+            continue
+        factorial = 1
+        for e in beta:
+            factorial *= math.factorial(e)
+        term = algebra.scalar(value / factorial)
+        for i, e in enumerate(beta):
+            if e:
+                term = term * nil_powers[i][e]
+        acc = acc + term
+    return acc
+
+
+def _assert_matches_oracle(f: Expr, xi: NearPoint) -> None:
+    expected = _taylor(f, xi)
+    got = lift(f, xi)
+    assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12 * expected.max_abs()
+
+
+def test_lift_matches_taylor_oracle(catalog):
+    rng = np.random.default_rng(31)
+    dim27 = build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))
+    for algebra in [*catalog, dim27]:
+        draws = 3 if algebra.dim > 20 else 12
+        for n in (1, 2, 3):
+            chart = Chart.cube(n)
+            for _ in range(draws):
+                _assert_matches_oracle(random_expr(rng, n), random_near_point(rng, algebra, chart))
+
+
+@pytest.mark.parametrize(
+    "presentation, text, point",
+    [
+        ("R[x]/(x^4)", "x1^2", [[0.0, 1.0, -0.5, 0.25]]),
+        ("R[x]/(x^4)", "x1^3", [[0.0, 1.0, -0.5, 0.25]]),
+        ("R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "x1^x2", [[0.7, 0.3, -0.2, 0.1, 0.5, 0.4], [0.4, -1, 0.6, 0.2, 0.3, -0.1]]),
+        ("R[x]/(x^4)", "1/(x1+2)", [[0.3, 1.0, -0.5, 0.25]]),
+        ("R[x]/(x^4)", "sqrt(x1+2)", [[-0.3, 1.0, -0.5, 0.25]]),
+        ("R", "sin(x1)*exp(x2)/(x1+2) + sqrt(x2+2)^1.5 + x1^x2", [[0.5], [0.25]]),
+    ],
+)
+def test_lift_edge_cases_match_taylor_oracle(presentation, text, point):
+    algebra = build_algebra(parse_presentation(presentation))
+    chart = Chart.box([(-math.inf, math.inf)] * len(point))
+    xi = NearPoint(algebra, chart, [algebra.element(c) for c in point])
+    _assert_matches_oracle(parse(text, len(point)), xi)
+
+
+@pytest.mark.parametrize("text, base", [("x1^0.5", 0.0), ("log(x1)", -0.5), ("1/x1", 0.0)])
+def test_lift_domain_errors_match_taylor_oracle(dual, text, base):
+    # `npk lift` exits 2 on the same inputs: test_cli.py::test_lift_domain_error_exit_2
+    chart = Chart.box([(-math.inf, math.inf)])
+    f = parse(text, 1)
+    for route in (_taylor, lift):
+        with pytest.raises(DomainError):
+            route(f, NearPoint(dual, chart, [dual.element([base, 1.0])]))
