@@ -464,6 +464,9 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     if isinstance(e, Pow):
         base = evaluate(e.base, point)
         exponent = evaluate(e.exponent, point)
+        if base <= 0.0 and not isinstance(e.exponent, Const):
+            # a general power is exp(exponent * log(base)), as in lift and diff
+            raise DomainError(f"{base}^{exponent}: general power of a non-positive base")
         try:
             return math.pow(base, exponent)
         except (ValueError, OverflowError) as exc:

@@ -11,6 +11,7 @@ all the small desk examples are of this form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -181,8 +182,14 @@ class WeilAlgebra:
 
     basis       ordered standard monomials (exponent tuples), constant first,
                 graded-lexicographic within each degree
-    structure   rank-3 tensor c with e_a * e_b = sum_g c[a, b, g] e_g (entries 0/1)
     height      largest total degree of a standard monomial; m^(height+1) = 0
+
+    The product of two basis monomials is one basis monomial or zero, so the
+    multiplication table is stored sparsely, once: the nonzero products
+    e_a * e_b = e_g as three index arrays (a, b) -> g, ordered by a, then b.
+    Every product, left multiplication, inverse and Leibniz check reads them.
+    ``structure``, the dense 0/1 tensor c[a, b, g], is built from the table
+    only on request; no computation here uses it.
     """
 
     def __init__(self, presentation: Presentation):
@@ -209,14 +216,13 @@ class WeilAlgebra:
         self.num_vars = pres.num_vars
         self.height = max((_total_degree(b) for b in basis), default=0)
         index = {b: i for i, b in enumerate(basis)}
-        structure = np.zeros((self.dim, self.dim, self.dim))
-        for a, ea in enumerate(basis):
-            for b, eb in enumerate(basis):
-                prod = tuple(x + y for x, y in zip(ea, eb))
-                g = index.get(prod)
-                if g is not None:
-                    structure[a, b, g] = 1.0
-        self.structure = structure
+        table = [
+            (a, b, g)
+            for a, ea in enumerate(basis)
+            for b, eb in enumerate(basis)
+            if (g := index.get(tuple(x + y for x, y in zip(ea, eb)))) is not None
+        ]
+        self._left, self._right, self._prod = np.array(table, dtype=np.intp).T.copy()
         self._index = index
 
     def __eq__(self, other: object) -> bool:
@@ -264,11 +270,51 @@ class WeilAlgebra:
     # -- products ---------------------------------------------------------
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("abg,a,b->g", self.structure, a, b)
+        return np.bincount(self._prod, weights=a[self._left] * b[self._right], minlength=self.dim)
 
     def left_multiplication(self, a: np.ndarray) -> np.ndarray:
         """Matrix of b -> a*b in the monomial basis."""
-        return np.einsum("abg,a->gb", self.structure, a)
+        out = np.zeros((self.dim, self.dim))
+        out[self._prod, self._right] = a[self._left]  # e_g = e_a e_b fixes a, so no entry repeats
+        return out
+
+    @functools.cached_property
+    def structure(self) -> np.ndarray:
+        """Dense rank-3 tensor c with e_a * e_b = sum_g c[a, b, g] e_g (entries 0/1)."""
+        c = np.zeros((self.dim, self.dim, self.dim))
+        c[self._left, self._right, self._prod] = 1.0
+        return c
+
+    @functools.cached_property
+    def _leibniz_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the Leibniz terms of each triple (a, b, s) sit in a flattened D.
+
+        The terms are D[s, ab], D[s/b, a] and D[s/a, b]; each is given as a flat
+        position in the dim x dim matrix D followed by one zero, which stands in
+        for every product or quotient outside the basis.  Only triples where a
+        term can be nonzero are listed: those with ab, s/b or s/a in the basis.
+        The residual of (b, a, s) equals that of (a, b, s), so these are the
+        triples with ab in the basis and a <= b, and then, without repeats, those
+        with s/b in the basis.
+        """
+        dim, left, right, prod = self.dim, self._left, self._right, self._prod
+        product = np.full((dim, dim), -1)
+        product[left, right] = prod  # product[a, b] = ab
+        quotient = np.full((dim, dim), -1)
+        quotient[prod, right] = left  # quotient[s, b] = s/b
+        every = np.arange(dim)
+        half = left <= right
+        # ab in the basis and a <= b, every s
+        a1, b1, s1 = np.repeat(left[half], dim), np.repeat(right[half], dim), np.tile(every, half.sum())
+        # s/b in the basis, every a, less the triples above
+        a2, b2, s2 = np.tile(every, len(prod)), np.repeat(right, dim), np.repeat(prod, dim)
+        rest = (product[a2, b2] < 0) | (a2 > b2)
+        a, b, s = (np.concatenate([x1, x2[rest]]) for x1, x2 in ((a1, a2), (b1, b2), (s1, s2)))
+
+        def position(row, col):
+            return np.where((row >= 0) & (col >= 0), row * dim + col, dim * dim)
+
+        return position(s, product[a, b]), position(quotient[s, b], a), position(quotient[s, a], b)
 
 
 class AElement:
@@ -334,14 +380,15 @@ class AElement:
         a0 = self.augmentation
         if abs(a0) <= INVERT_TOL:
             raise NotInvertible("augmentation is zero: element lies in the maximal ideal")
+        algebra = self.algebra
+        scale = 1.0 / a0 if math.isfinite(a0) else math.nan  # 1/inf = 0 would hide the overflow
         # geometric series 1/(1+n) = sum (-n)^j, truncated by nilpotency
-        n = self.nilpotent_part() * (1.0 / a0)
-        acc = self.algebra.unit()
-        power = self.algebra.unit()
-        for _ in range(self.algebra.height):
-            power = power * n * (-1.0)
+        n = self.nilpotent_part().coeffs * scale
+        acc = power = algebra.unit().coeffs
+        for _ in range(algebra.height):
+            power = algebra.mul_coeffs(power, n) * -1.0
             acc = acc + power
-        return acc * (1.0 / a0)
+        return AElement(algebra, acc * scale)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.algebra.dim else 0.0
@@ -384,11 +431,12 @@ class LinearEndo:
 
 
 def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
-    # axes (a, b, s): coefficient s of d(e_a e_b) against d(e_a) e_b + e_a d(e_b)
-    c = algebra.structure
-    lhs = c @ matrix.T
-    rhs = np.tensordot(matrix, c, axes=(0, 0)) + np.matmul(matrix.T, c)
-    return float(np.max(np.abs(lhs - rhs))) if algebra.dim else 0.0
+    """max over (a, b, s) of |coefficient s of d(e_a e_b) - d(e_a) e_b - e_a d(e_b)|."""
+    lhs, left, right = algebra._leibniz_index
+    flat = np.append(matrix, 0.0)
+    residual = flat[lhs]
+    residual -= flat[left] + flat[right]
+    return float(np.abs(residual, out=residual).max())
 
 
 def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray, tol: float = DERIVATION_TOL) -> bool:

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
+import npk.checks as checks
 from npk.checks import IDENTITIES, SUITES, check_identity, run_cohomology_model, run_suite
-from npk.points import Chart
+from npk.points import Chart, NearPoint
 from npk.weil import build_algebra, parse_presentation
 
 # Report order is part of the byte-identical --json contract.
@@ -97,3 +98,25 @@ def test_repeated_suite_runs_do_not_grow_memory():
     finally:
         tracemalloc.stop()
     assert growth < 100_000, f"{growth} bytes still live after two more runs"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["lift-add", "lift-mul", "lift-scale", "lift-map-compose", "gamma-morphism"])
+@pytest.mark.parametrize("presentation", ["R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)"])
+def test_non_finite_near_point_fails_the_record(monkeypatch, presentation, name, bad):
+    # both sides are computed at the near point in A, so a non-finite coefficient reaches the residual
+    drawn = checks._points
+
+    def corrupted(rng, algebra, chart, k):
+        points = []
+        for xi in drawn(rng, algebra, chart, k):
+            coords = [c.coeffs.copy() for c in xi.coords]
+            for c in coords:
+                c[-1] = bad
+            points.append(NearPoint(algebra, chart, [algebra.element(c) for c in coords]))
+        return points
+
+    monkeypatch.setattr(checks, "_points", corrupted)
+    record = check_identity(name, _algebra(presentation), Chart.cube(2), samples=3)
+    assert not record.passed

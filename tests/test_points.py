@@ -352,3 +352,21 @@ def test_lift_domain_errors_match_taylor_oracle(dual, text, base):
     for route in (_taylor, lift):
         with pytest.raises(DomainError):
             route(f, NearPoint(dual, chart, [dual.element([base, 1.0])]))
+
+
+@pytest.mark.parametrize("base", [-2.0, 0.0, 1.5])
+def test_general_power_domain_agrees_across_evaluate_lift_diff(dual, base):
+    # b^c with a non-constant exponent is exp(c * log b), defined only for b > 0
+    f = parse("x1^x2", 2)
+    chart = Chart.box([(-math.inf, math.inf)] * 2)
+    xi = NearPoint(dual, chart, [dual.element([base, 1.0]), dual.element([2.0, 0.5])])
+    routes = [lambda: evaluate(f, [base, 2.0]), lambda: lift(f, xi).augmentation]
+    routes += [lambda i=i: evaluate(diff(f, i), [base, 2.0]) for i in range(2)]
+    if base > 0:
+        assert routes[0]() == pytest.approx(routes[1](), rel=1e-15)
+        for route in routes[2:]:
+            assert math.isfinite(route())
+    else:
+        for route in routes:
+            with pytest.raises(DomainError):
+                route()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import npk.weil as weil
 from npk.weil import (
     AlgebraMismatch,
     Derivation,
@@ -348,3 +349,86 @@ def test_derivation_scale():
     scaled = d.scale(ax)
     probe = a.element([0.3, -0.2, 0.7])
     assert (scaled(probe) - ax * d(probe)).max_abs() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def dim27():
+    return build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))
+
+
+def test_products_match_einsum_reference(catalog, dim27):
+    rng = np.random.default_rng(7)
+    for a in [*catalog, dim27]:
+        c = a.structure
+        # bincount sums in another order: at most dim terms of size <= 1 per coefficient
+        atol = 2 * a.dim**2 * np.finfo(float).eps
+        for _ in range(5):
+            x, y = rng.uniform(-1, 1, a.dim), rng.uniform(-1, 1, a.dim)
+            assert np.allclose(a.mul_coeffs(x, y), np.einsum("abg,a,b->g", c, x, y), rtol=0, atol=atol)
+            # one term per entry, so no rounding
+            assert np.array_equal(a.left_multiplication(x), np.einsum("abg,a->gb", c, x))
+
+
+def test_structure_is_built_only_on_request():
+    a = build_algebra(parse_presentation("R[x,y]/(x^3,x^2*y,x*y^2,y^3)"))
+    u = a.element([2.0, 1.0, -1.0, 0.5, 0.25, 0.0])
+    d = derivation_basis(a)[0]
+    (u * u).invert()
+    d.scale(u).commutator(d)
+    assert "structure" not in vars(a)
+    assert a.structure.shape == (a.dim,) * 3 and "structure" in vars(a)
+
+
+def test_non_finite_product_example():
+    # the table skips structural zeros, so only the slots that inf reaches turn non-finite
+    a = build_algebra(parse_presentation("R[x]/(x^3)"))
+    with np.errstate(invalid="ignore"):
+        out = a.mul_coeffs(np.array([np.inf, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    assert out[0] == np.inf and np.isnan(out[1:]).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_never_gives_a_finite_result(catalog, bad):
+    rng = np.random.default_rng(11)
+    for a in catalog:
+        for alpha in range(a.dim):
+            x = rng.uniform(0.5, 1.5, a.dim)
+            x[alpha] = bad
+            for y in (rng.uniform(-1, 1, a.dim), np.zeros(a.dim), a.unit().coeffs):
+                assert not np.isfinite(a.mul_coeffs(x, y)).all()
+                assert not np.isfinite(a.mul_coeffs(y, x)).all()
+            assert not np.isfinite(a.left_multiplication(x)).all()
+            assert not np.isfinite(a.element(x).invert().coeffs).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_not_a_derivation(catalog, dim27, bad):
+    rng = np.random.default_rng(13)
+    for a in [*catalog, dim27]:
+        basis = derivation_basis(a) or [None]
+        positions = list(itertools.product(range(a.dim), repeat=2))
+        if len(positions) > 100:
+            positions = [positions[k] for k in rng.choice(len(positions), 100, replace=False)]
+        for d in basis[:3]:
+            for r, q in positions:
+                m = np.zeros((a.dim, a.dim)) if d is None else d.matrix.copy()
+                m[r, q] = bad
+                assert not np.isfinite(_leibniz_residual(a, m))
+                assert not is_derivation(a, m)
+
+
+def test_validation_covers_every_basis_element(monkeypatch):
+    a = build_algebra(parse_presentation("R[x,y,z]/(x^4,y^4,z^3)"))
+    assert a.dim == 48
+    residuals = []
+
+    def counting(algebra, endo, tol=weil.DERIVATION_TOL):
+        residuals.append(_leibniz_residual(algebra, endo.matrix))
+        return residuals[-1] <= tol
+
+    monkeypatch.setattr(weil, "is_derivation", counting)
+    basis = derivation_basis(a)
+    assert len(basis) == len(residuals) == 104
+    assert all(r == 0.0 for r in residuals)
