@@ -1,10 +1,14 @@
-"""Time A-arithmetic and Der(A) validation; print one JSON object.
+"""Time A-arithmetic, the lift of each primitive and Der(A) validation; print one JSON object.
 
 Usage: python scripts/bench_weil.py
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
-and 100 (best of five timing rounds), and, at dims 27, 48 and 100, the
+and 100 (best of five timing rounds); the per-call microseconds of lift for
+each primitive (sin, cos, exp, log, sqrt, 1/x, x^3, x^2.5) of one variable
+at a near point whose lift memo is emptied before each call, over
+R[x]/(x^2), R[x]/(x^4) and R[x,y,z]/(x^3,y^3,z^3) (best of five rounds);
+and, at dims 27, 48 and 100, the
 seconds of derivation_basis on a fresh algebra (exact solve, rebuild and the
 validation of each element) and of validating that basis again with
 is_derivation (best of three runs, or one run when a run takes over a second).
@@ -29,6 +33,8 @@ if not os.environ.get("PYTHONPATH"):
 
 import numpy as np  # noqa: E402
 
+from npk.expr import parse  # noqa: E402
+from npk.points import Chart, NearPoint, lift  # noqa: E402
 from npk.weil import build_algebra, derivation_basis, is_derivation, parse_presentation  # noqa: E402
 
 PRODUCT_ALGEBRAS = (
@@ -39,6 +45,8 @@ PRODUCT_ALGEBRAS = (
     "R[x,y,z]/(x^3,y^3,z^3)",
     "R[x,y,z]/(x^5,y^5,z^4)",
 )
+LIFT_ALGEBRAS = ("R[x]/(x^2)", "R[x]/(x^4)", "R[x,y,z]/(x^3,y^3,z^3)")
+LIFT_PRIMITIVES = ("sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "1/x1", "x1^3", "x1^2.5")
 DERIVATION_ALGEBRAS = ("R[x,y,z]/(x^3,y^3,z^3)", "R[x,y,z]/(x^4,y^4,z^3)", "R[x,y,z]/(x^5,y^5,z^4)")
 
 
@@ -90,6 +98,22 @@ def products(text: str) -> dict:
     }
 
 
+def lifts(text: str) -> dict:
+    algebra = build_algebra(parse_presentation(text))
+    rng = np.random.default_rng(0)
+    xi = NearPoint(algebra, Chart.cube(1), [algebra.element([0.3, *rng.uniform(-1, 1, algebra.dim - 1)])])
+
+    def fresh_lift(f):
+        xi._lifts.clear()  # a point's lifts are memoized on it
+        return lift(f, xi)
+
+    out = {"algebra": text, "dim": algebra.dim}
+    for fn in LIFT_PRIMITIVES:
+        f = parse(fn, 1)
+        out[f"{fn}_us"] = per_call_us(lambda: fresh_lift(f))
+    return out
+
+
 def derivations(text: str) -> dict:
     presentation = parse_presentation(text)
     basis = []
@@ -115,6 +139,7 @@ def main() -> int:
         "blas_threads": blas_threads(),
         "nproc": len(os.sched_getaffinity(0)),
         "products": [products(text) for text in PRODUCT_ALGEBRAS],
+        "lift": [lifts(text) for text in LIFT_ALGEBRAS],
         "derivation_basis": [derivations(text) for text in DERIVATION_ALGEBRAS],
     }
     print(json.dumps(out, indent=1))

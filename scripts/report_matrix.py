@@ -6,7 +6,9 @@ Runs `npk check --suite all --json --samples 10` for seeds 0 and 1 over
 three algebras and three charts, `npk cohomology --json` for the three
 models with seeds 0-2, and `npk lift --json` of four expressions (sin,
 cos, exp, log, sqrt, constant and general powers, division) on three
-algebras, plus one lift outside the domain (exit 2).  Each run is a
+algebras, plus five lifts outside the domain (exit 2): sqrt(x1 - 1) at
+0.3, x1^0.5 and 1/x1 at 0, log(x1) at -0.5, and 1/x1 at 1e-200, where a
+coefficient of the series is out of floating-point range.  Each run is a
 fresh `python -m npk` process with the caller's environment, so
 PYTHONPATH picks the checkout under test; without PYTHONPATH it is this
 checkout's `src`.  Each file
@@ -33,6 +35,7 @@ LIFT_FNS = (
     "(x1 + 2)^1.5/(x2 + 3)",
     "(x1 + 2)^(x2 + 1)",
 )
+DOMAIN_ERRORS = (("x1^0.5", 0), ("1/x1", 0), ("log(x1)", -0.5), ("1/x1", 1e-200))
 
 
 def _point(dim: int) -> str:
@@ -60,6 +63,9 @@ def runs():
             yield f"lift-algebra{a}-fn{k}.txt", args
     args = ["lift", "--json", "--algebra", "R[x]/(x^2)", "--fn", "sqrt(x1 - 1)", "--point", _point(2)]
     yield "lift-domain-error.txt", args
+    for k, (fn, base) in enumerate(DOMAIN_ERRORS):
+        args = ["lift", "--json", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", json.dumps([[base, 1]])]
+        yield f"lift-domain-error-fn{k}.txt", args
 
 
 def main() -> int:

@@ -47,6 +47,7 @@ __all__ = [
     "neg",
     "parse",
     "power",
+    "series",
     "sub",
     "unparse",
     "var",
@@ -455,31 +456,78 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     if isinstance(e, Mul):
         return evaluate(e.left, point) * evaluate(e.right, point)
     if isinstance(e, Div):
-        denom = evaluate(e.right, point)
-        if denom == 0.0:
-            raise DomainError("division by zero")
+        denom = _nonzero(evaluate(e.right, point))
         return evaluate(e.left, point) / denom
     if isinstance(e, Neg):
         return -evaluate(e.arg, point)
     if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        exponent = evaluate(e.exponent, point)
-        if base <= 0.0 and not isinstance(e.exponent, Const):
-            # a general power is exp(exponent * log(base)), as in lift and diff
-            raise DomainError(f"{base}^{exponent}: general power of a non-positive base")
-        try:
-            return math.pow(base, exponent)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{base}^{exponent} undefined") from exc
+        return _power(evaluate(e.base, point), evaluate(e.exponent, point), isinstance(e.exponent, Const))
     if isinstance(e, Call):
-        arg = evaluate(e.arg, point)
-        if e.fn in ("log", "sqrt") and arg <= 0.0:
-            raise DomainError(f"{e.fn} of non-positive value {arg}")
-        try:
-            return _FUNCTIONS[e.fn](arg)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{e.fn}({arg}) undefined") from exc
+        return _apply(e.fn, evaluate(e.arg, point))
     raise TypeError(f"not an expression: {e!r}")
+
+
+# the three places where a value can leave the domain, shared by evaluate and series
+
+
+def _nonzero(denom: float) -> float:
+    if denom == 0.0:
+        raise DomainError("division by zero")
+    return denom
+
+
+def _power(base: float, exponent: float, constant: bool = True) -> float:
+    if base <= 0.0 and not constant:
+        # a general power is exp(exponent * log(base)), as in lift and diff
+        raise DomainError(f"{base}^{exponent}: general power of a non-positive base")
+    try:
+        return math.pow(base, exponent)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{base}^{exponent} undefined") from exc
+
+
+def _apply(fn: str, arg: float) -> float:
+    if fn in ("log", "sqrt") and arg <= 0.0:
+        raise DomainError(f"{fn} of non-positive value {arg}")
+    try:
+        return _FUNCTIONS[fn](arg)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{fn}({arg}) undefined") from exc
+
+
+def series(g: str | float, a0: float, order: int) -> list[float]:
+    """Taylor coefficients g^(k)(a0) / k!, k = 0..order, of a primitive g of one variable.
+
+    g names a function (sin, cos, exp, log, sqrt), is "1/x", or is the constant
+    exponent c of x^c.  The closed forms are those of univariate Taylor
+    propagation; values and powers go through the helpers of `evaluate`, so
+    a point outside the domain raises the same DomainError.
+    """
+    if g == "exp":
+        value = _apply("exp", a0)
+        return [value / math.factorial(k) for k in range(order + 1)]
+    if g in ("sin", "cos"):
+        s, c = _apply("sin", a0), _apply("cos", a0)
+        cycle = (s, c, -s, -c) if g == "sin" else (c, -s, -c, s)
+        return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+    if g == "log":
+        head = _apply("log", a0)
+        return [head] + [(-1.0) ** (k + 1) / _nonzero(k * _power(a0, k)) for k in range(1, order + 1)]
+    if g == "1/x":
+        return [(-1.0) ** k / _nonzero(_power(a0, k + 1)) for k in range(order + 1)]
+    if g == "sqrt":
+        out, c = [_apply("sqrt", a0)], 0.5
+    elif isinstance(g, float):
+        out, c = [_power(a0, g)], g
+    else:
+        raise ValueError(f"no series for {g!r}")
+    # binom(c, k) a0^(c - k); once binom(c, k) is 0 (integer c >= 0) no power is taken
+    binom, exponent = 1.0, c
+    for k in range(1, order + 1):
+        binom *= (c - k + 1) / k
+        exponent -= 1.0
+        out.append(binom * _power(a0, exponent) if binom else 0.0)
+    return out
 
 
 # -- substitution -----------------------------------------------------------

@@ -9,7 +9,10 @@ evaluating its expression tree in A with x_i -> xi_i: sums and products
 are A-arithmetic, and each primitive g (sin, cos, exp, log, sqrt, 1/x,
 x^c) acts on a0 + n through its series, which terminates as n is nilpotent:
 
-    g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k.
+    g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k,
+
+with the coefficients in closed form (`expr.series`) and the sum by
+Horner's rule in A.
 
 This is the unique algebra homomorphism extending x_i -> xi_i on the
 implemented function class: forward-mode automatic differentiation on
@@ -28,9 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import (
-    _FUNCTIONS, ONE, Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, UnknownVariable, Var, diff, evaluate,
-)
+from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, UnknownVariable, Var, diff, series
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
@@ -159,11 +160,6 @@ def lift(f: Expr, xi: NearPoint) -> AElement:
     return hit[1]
 
 
-_X = Var(0)
-_RECIPROCAL = Div(ONE, _X)
-_CALLS = {fn: Call(fn, _X) for fn in _FUNCTIONS}
-
-
 def _jet(e: Expr, xi: NearPoint) -> AElement:
     if isinstance(e, Const):
         return xi.algebra.scalar(e.value)
@@ -178,33 +174,36 @@ def _jet(e: Expr, xi: NearPoint) -> AElement:
     if isinstance(e, Mul):
         return _jet(e.left, xi) * _jet(e.right, xi)
     if isinstance(e, Div):
-        return _jet(e.left, xi) * _compose(_RECIPROCAL, _jet(e.right, xi))
+        return _jet(e.left, xi) * _compose("1/x", _jet(e.right, xi))
     if isinstance(e, Neg):
         return -_jet(e.arg, xi)
     if isinstance(e, Pow):
         if isinstance(e.exponent, Const):
-            return _compose(Pow(_X, e.exponent), _jet(e.base, xi))
+            return _compose(float(e.exponent.value), _jet(e.base, xi))
         # general base^exponent = exp(exponent * log(base))
-        return _compose(_CALLS["exp"], _jet(e.exponent, xi) * _compose(_CALLS["log"], _jet(e.base, xi)))
+        return _compose("exp", _jet(e.exponent, xi) * _compose("log", _jet(e.base, xi)))
     if isinstance(e, Call):
-        return _compose(_CALLS[e.fn], _jet(e.arg, xi))
+        return _compose(e.fn, _jet(e.arg, xi))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compose(g: Expr, a: AElement) -> AElement:
-    """g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k for g in x1 and nilpotent n.
+def _compose(g: str | float, a: AElement) -> AElement:
+    """g(a0 + n) = sum_{k <= height} c_k n^k for a primitive g and nilpotent n.
 
-    `diff` and `evaluate` give the coefficients, so `expr` owns every domain check.
+    `expr.series` gives the coefficients c_k = g^(k)(a0) / k! in closed form
+    (and owns every domain check); the sum is Horner's rule on coefficient
+    arrays, c_0 + n (c_1 + n (c_2 + ... + n c_h)): height products in A.
     """
-    at = (a.augmentation,)
-    n = a.nilpotent_part()
-    acc = a.algebra.scalar(evaluate(g, at))
-    nk = a.algebra.unit()
-    for k in range(1, a.algebra.height + 1):
-        g = diff(g, 0)
-        nk = nk * n
-        acc = acc + nk * (evaluate(g, at) / math.factorial(k))
-    return acc
+    algebra = a.algebra
+    c = series(g, a.augmentation, algebra.height)
+    n = a.coeffs.copy()
+    n[0] = 0.0
+    acc = np.zeros(algebra.dim)
+    acc[0] = c[-1]
+    for ck in reversed(c[:-1]):
+        acc = algebra.mul_coeffs(acc, n)
+        acc[0] += ck
+    return AElement(algebra, acc)
 
 
 def lift_map(h: Sequence[Expr], xi: NearPoint, target: Chart) -> NearPoint:

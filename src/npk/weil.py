@@ -227,7 +227,7 @@ class WeilAlgebra:
 
     def __eq__(self, other: object) -> bool:
         # the basis determines the monomial-quotient structure completely
-        return isinstance(other, WeilAlgebra) and self.basis == other.basis
+        return self is other or (isinstance(other, WeilAlgebra) and self.basis == other.basis)
 
     def __hash__(self) -> int:
         return hash(self.basis)

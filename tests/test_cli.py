@@ -243,6 +243,24 @@ def test_lift_domain_error_exit_2(fn, base):
     assert out.stderr.startswith("npk: ") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "fn, base, message",
+    [
+        ("x1^0.5", 0, "0.0^-0.5 undefined"),
+        ("1/x1", 0, "division by zero"),
+        ("log(x1)", -0.5, "log of non-positive value -0.5"),
+        ("1/x1", 1e-200, "division by zero"),  # 1e-200^2 underflows to 0
+    ],
+)
+def test_lift_domain_error_message(capsys, fn, base, message):
+    # the rows lift-domain-error-fn0..3 of scripts/report_matrix.py
+    from npk import cli
+
+    code = cli.main(["lift", "--json", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", json.dumps([[base, 1]])])
+    assert code == cli.USAGE_ERROR == 2
+    assert capsys.readouterr().err == f"npk: {message}\n"
+
+
 def test_nan_residual_json_is_valid(monkeypatch, capsys):
     # json.dumps writes the bare token NaN, which is not JSON; the record spells it "nan"
     from npk import checks, cli

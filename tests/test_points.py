@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npk.expr import Const, DomainError, Expr, diff, evaluate, parse
+from npk.expr import ONE, Call, Const, Div, DomainError, Expr, Pow, Var, diff, evaluate, parse, series
 from npk.weil import build_algebra, parse_presentation
 
 _DUAL_JET = build_algebra(parse_presentation("R[x,y]/(x^3,x^2*y,x*y^2,y^3)"))
@@ -344,7 +344,7 @@ def test_lift_edge_cases_match_taylor_oracle(presentation, text, point):
     _assert_matches_oracle(parse(text, len(point)), xi)
 
 
-@pytest.mark.parametrize("text, base", [("x1^0.5", 0.0), ("log(x1)", -0.5), ("1/x1", 0.0)])
+@pytest.mark.parametrize("text, base", [("x1^0.5", 0.0), ("log(x1)", -0.5), ("1/x1", 0.0), ("1/x1", 1e-200)])
 def test_lift_domain_errors_match_taylor_oracle(dual, text, base):
     # `npk lift` exits 2 on the same inputs: test_cli.py::test_lift_domain_error_exit_2
     chart = Chart.box([(-math.inf, math.inf)])
@@ -370,3 +370,53 @@ def test_general_power_domain_agrees_across_evaluate_lift_diff(dual, base):
         for route in routes:
             with pytest.raises(DomainError):
                 route()
+
+
+# -- closed-form series of the primitives against the symbolic route -----------------------
+
+_PRIMITIVES = [(fn, Call(fn, Var(0))) for fn in ("sin", "cos", "exp", "log", "sqrt")] + [("1/x", Div(ONE, Var(0)))]
+_PRIMITIVES += [(c, Pow(Var(0), Const(c))) for c in (2.0, 3.0, -1.0, 0.5, -1.5, 2.5)]
+
+
+def _symbolic_series(g: Expr, a0: float, order: int) -> list[float]:
+    out = []
+    for k in range(order + 1):
+        out.append(evaluate(g, [a0]) / math.factorial(k))
+        g = diff(g, 0)
+    return out
+
+
+_POSITIVE_ONLY = ("log", "sqrt", 0.5, -1.5, 2.5)
+
+
+@pytest.mark.parametrize(
+    "name, g, a0",
+    [(name, g, a0) for name, g in _PRIMITIVES for a0 in (0.3, 1.7, -0.8) if a0 > 0 or name not in _POSITIVE_ONLY],
+)
+def test_series_matches_symbolic_route(name, g, a0):
+    # orders 0..8 pass the sin/cos cycle twice; R[x]/(x^9) at a0 + x reads the series off the lift
+    x9 = build_algebra(parse_presentation("R[x]/(x^9)"))
+    xi = NearPoint(x9, Chart.box([(-math.inf, math.inf)]), [x9.element([a0, 1.0] + [0.0] * 7)])
+    want = _symbolic_series(g, a0, 8)
+    for got in (series(name, a0, 8), lift(g, xi).coeffs):
+        assert len(got) == 9
+        for k, (u, v) in enumerate(zip(got, want)):
+            assert abs(u - v) <= 1e-12 * abs(v), (k, u, v)
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0])
+def test_series_of_integer_power_at_zero_is_defined(c):
+    # binom(c, k) vanishes for k > c, so the negative powers of 0 are never taken
+    want = [1.0 if k == c else 0.0 for k in range(9)]
+    assert series(c, 0.0, 8) == want
+    assert _symbolic_series(Pow(Var(0), Const(c)), 0.0, 8) == want
+    x9 = build_algebra(parse_presentation("R[x]/(x^9)"))
+    xi = NearPoint(x9, Chart.cube(1), [x9.element([0.0, 1.0] + [0.0] * 7)])
+    assert list(lift(Pow(Var(0), Const(c)), xi).coeffs) == want
+
+
+def test_series_of_height_zero_is_the_value():
+    r = build_algebra(parse_presentation("R"))
+    xi = NearPoint(r, Chart.circle(), [r.element([math.inf])])  # the circle takes any base
+    assert series("log", math.inf, 0) == [math.inf]
+    assert list(lift(parse("log(x1)", 1), xi).coeffs) == [math.inf]

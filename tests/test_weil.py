@@ -432,3 +432,13 @@ def test_validation_covers_every_basis_element(monkeypatch):
     basis = derivation_basis(a)
     assert len(basis) == len(residuals) == 104
     assert all(r == 0.0 for r in residuals)
+
+
+def test_algebra_equality_by_identity_and_by_basis():
+    pres = parse_presentation("R[x,y]/(x^3,x^2*y,x*y^2,y^3)")
+    a, b = build_algebra(pres), build_algebra(pres)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert (a.unit() + b.unit()).coeffs[0] == 2.0  # distinct but equal algebras mix
+    assert a != build_algebra(parse_presentation("R[x]/(x^6)"))
+    a.basis = float("nan")  # unequal to itself, so only the identity check makes a == a
+    assert a == a
