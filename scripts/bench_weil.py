@@ -1,4 +1,4 @@
-"""Time A-arithmetic, the lift of each primitive and Der(A) validation; print one JSON object.
+"""Time A-arithmetic, lifts, A-function operations and Der(A) validation; print one JSON object.
 
 Usage: python scripts/bench_weil.py
 
@@ -8,7 +8,11 @@ and 100 (best of five timing rounds); the per-call microseconds of lift for
 each primitive (sin, cos, exp, log, sqrt, 1/x, x^3, x^2.5) of one variable
 at a near point whose lift memo is emptied before each call, over
 R[x]/(x^2), R[x]/(x^4) and R[x,y,z]/(x^3,y^3,z^3) (best of five rounds);
-and, at dims 27, 48 and 100, the
+the per-call microseconds of the A-function layer at dims 2, 6 and 27 on a
+2-dim chart (best of five rounds): the product of two lifted functions,
+apply_fn of a random field on a random function, the bracket of two random
+fields, and one evaluate of the product of two lifted functions at a near
+point whose lifts are already memoized; and, at dims 27, 48 and 100, the
 seconds of derivation_basis on a fresh algebra (exact solve, rebuild and the
 validation of each element) and of validating that basis again with
 is_derivation (best of three runs, or one run when a run takes over a second).
@@ -34,7 +38,10 @@ if not os.environ.get("PYTHONPATH"):
 import numpy as np  # noqa: E402
 
 from npk.expr import parse  # noqa: E402
+from npk.fields import bracket  # noqa: E402
+from npk.functions import lifted_function  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
+from npk.sampling import random_field, random_function, random_near_point  # noqa: E402
 from npk.weil import build_algebra, derivation_basis, is_derivation, parse_presentation  # noqa: E402
 
 PRODUCT_ALGEBRAS = (
@@ -47,6 +54,7 @@ PRODUCT_ALGEBRAS = (
 )
 LIFT_ALGEBRAS = ("R[x]/(x^2)", "R[x]/(x^4)", "R[x,y,z]/(x^3,y^3,z^3)")
 LIFT_PRIMITIVES = ("sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "1/x1", "x1^3", "x1^2.5")
+AFUNCTION_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x,y,z]/(x^3,y^3,z^3)")
 DERIVATION_ALGEBRAS = ("R[x,y,z]/(x^3,y^3,z^3)", "R[x,y,z]/(x^4,y^4,z^3)", "R[x,y,z]/(x^5,y^5,z^4)")
 
 
@@ -114,6 +122,30 @@ def lifts(text: str) -> dict:
     return out
 
 
+def afunctions(text: str) -> dict:
+    algebra = build_algebra(parse_presentation(text))
+    chart = Chart.cube(2)
+    rng = np.random.default_rng(0)
+    f, g = parse("sin(x1)*x2 + x1^2", 2), parse("exp(x1 - x2)", 2)
+    x, y = random_field(rng, algebra, chart), random_field(rng, algebra, chart)
+    phi = random_function(rng, algebra, chart, max_terms=4, max_monomial=2, transcendental=True)
+    while len(phi.terms) < 3:  # a few generators to act on, the same draw on every checkout
+        phi = random_function(rng, algebra, chart, max_terms=4, max_monomial=2, transcendental=True)
+    product = lifted_function(f, algebra, chart) * lifted_function(g, algebra, chart)
+    xi = random_near_point(rng, algebra, chart)
+    product.evaluate(xi)  # fill the point's lift memo
+    return {
+        "algebra": text,
+        "dim": algebra.dim,
+        "lifted_product_us": per_call_us(
+            lambda: lifted_function(f, algebra, chart) * lifted_function(g, algebra, chart)
+        ),
+        "apply_fn_us": per_call_us(lambda: x.apply_fn(phi)),
+        "bracket_us": per_call_us(lambda: bracket(x, y)),
+        "evaluate_us": per_call_us(lambda: product.evaluate(xi)),
+    }
+
+
 def derivations(text: str) -> dict:
     presentation = parse_presentation(text)
     basis = []
@@ -140,6 +172,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "products": [products(text) for text in PRODUCT_ALGEBRAS],
         "lift": [lifts(text) for text in LIFT_ALGEBRAS],
+        "afunction": [afunctions(text) for text in AFUNCTION_ALGEBRAS],
         "derivation_basis": [derivations(text) for text in DERIVATION_ALGEBRAS],
     }
     print(json.dumps(out, indent=1))

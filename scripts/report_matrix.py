@@ -8,7 +8,10 @@ models with seeds 0-2, and `npk lift --json` of four expressions (sin,
 cos, exp, log, sqrt, constant and general powers, division) on three
 algebras, plus five lifts outside the domain (exit 2): sqrt(x1 - 1) at
 0.3, x1^0.5 and 1/x1 at 0, log(x1) at -0.5, and 1/x1 at 1e-200, where a
-coefficient of the series is out of floating-point range.  Each run is a
+coefficient of the series is out of floating-point range.  Single-point
+evaluation is covered by `npk field --json` and `npk form --json` on the
+README's two examples, and by a field of generator literals over
+R[x,y]/(x^3,x^2*y,x*y^2,y^3), evaluated and applied to an expression.  Each run is a
 fresh `python -m npk` process with the caller's environment, so
 PYTHONPATH picks the checkout under test; without PYTHONPATH it is this
 checkout's `src`.  Each file
@@ -36,6 +39,11 @@ LIFT_FNS = (
     "(x1 + 2)^(x2 + 1)",
 )
 DOMAIN_ERRORS = (("x1^0.5", 0), ("1/x1", 0), ("log(x1)", -0.5), ("1/x1", 1e-200))
+README_POINT = "[[0.5,1],[0.25,2]]"
+GENERATOR_FIELD = (
+    '[1,0,0,0,0,0]*gen(1,"x1")*gen(2,"sin(x2)") + [0,0.5,0,-1,0,0]*gen(0,"x2")*gen(1,"x2") + [0,0,0,0,0,3]; '
+    '[0,0,2,0,0,0]*gen(3,"exp(x1)") + [1,-1,0,0,0.25,0]*gen(0,"x1*x2")*gen(4,"cos(x1)")*gen(5,"x2")'
+)
 
 
 def _point(dim: int) -> str:
@@ -66,6 +74,13 @@ def runs():
     for k, (fn, base) in enumerate(DOMAIN_ERRORS):
         args = ["lift", "--json", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", json.dumps([[base, 1]])]
         yield f"lift-domain-error-fn{k}.txt", args
+    yield "field-readme.txt", ["field", "--json", "--algebra", "R[x]/(x^2)", "--field", 'prolong("x2; x1")',
+                               "--point", README_POINT]
+    yield "form-readme.txt", ["form", "--json", "--algebra", "R[x]/(x^2)", "--form", "x2 dx(1) + x1 dx(2)",
+                              "--field", 'prolong("1; 0")', "--point", README_POINT]
+    args = ["field", "--json", "--algebra", ALGEBRAS[1], "--field", GENERATOR_FIELD, "--point", _point(6)]
+    yield "field-generators.txt", args
+    yield "field-generators-fn.txt", args + ["--fn", "sin(x1)*x2 + x1^2"]
 
 
 def main() -> int:

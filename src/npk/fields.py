@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Const, Expr, Var, VectorField as BaseField, diff
-from .functions import AFunction, ScalarGenerator, coordinate_derive, dual_projection, lifted_function
+from .functions import (
+    AFunction,
+    ScalarGenerator,
+    _canonical,
+    _sum,
+    coordinate_derive,
+    dual_projection,
+    lifted_function,
+)
 from .points import Chart, NearPoint
 from .weil import AElement, AlgebraMismatch, Derivation, WeilAlgebra
 
@@ -58,13 +66,13 @@ class AVectorField:
 
     def apply(self, f: Expr) -> AFunction:
         """X(f) = sum_i lift(d_i f) * c_i."""
-        terms = []
+        parts = []
         for i, c in enumerate(self.components):
             df = diff(f, i)
             if isinstance(df, Const) and df.value == 0.0:
                 continue
-            terms.extend((lifted_function(df, self.algebra, self.chart) * c).terms)
-        return AFunction(self.algebra, self.chart, terms)
+            parts.append(lifted_function(df, self.algebra, self.chart) * c)
+        return _sum(self.algebra, self.chart, parts)
 
     def apply_fn(self, phi: AFunction) -> AFunction:
         """Action of the canonical derivation extension on an A-valued function.
@@ -82,10 +90,10 @@ class AVectorField:
         coord = self._is_coordinate()
         if coord is not None:
             return coordinate_derive(phi, coord)
-        terms = []
         applied: dict[int, AFunction] = {}
         projected: dict[tuple[int, int], AFunction] = {}
-        for coeff, mono in phi.terms:
+        monos, left, right = [], [], []
+        for t, mono in enumerate(phi.monos):
             for j, gen in enumerate(mono):
                 proj = projected.get((id(gen.fn), gen.alpha))
                 if proj is None:
@@ -96,8 +104,14 @@ class AVectorField:
                     proj = dual_projection(image, gen.alpha)
                     projected[(id(gen.fn), gen.alpha)] = proj
                 rest = mono[:j] + mono[j + 1:]
-                terms.extend((coeff * c2, rest + m2) for c2, m2 in proj.terms)
-        return AFunction(self.algebra, self.chart, terms)
+                monos.extend(rest + m2 for m2 in proj.monos)
+                left.extend([t] * len(proj.monos))
+                right.append(proj.coeffs)
+        if not monos:
+            return AFunction.zero(self.algebra, self.chart)
+        # each row of phi times each row of the projection, one batched product
+        rows = self.algebra.mul_rows(phi.coeffs[left], np.concatenate(right))
+        return _canonical(self.algebra, self.chart, monos, rows)
 
     def _is_coordinate(self) -> int | None:
         """Index i when this field is the prolongation of d/dx_i, else None."""
@@ -105,10 +119,10 @@ class AVectorField:
         for i, c in enumerate(self.components):
             if c.is_structurally_zero():
                 continue
-            if found is not None or len(c.terms) != 1:
+            if found is not None or len(c.monos) != 1:
                 return None
-            coeff, mono = c.terms[0]
-            if mono or coeff.coeffs[0] != 1.0 or np.any(coeff.coeffs[1:] != 0.0):
+            row = c.coeffs[0]
+            if c.monos[0] or row[0] != 1.0 or np.any(row[1:] != 0.0):
                 return None
             found = i
         return found
@@ -167,11 +181,8 @@ def from_derivation(d: Derivation, chart: Chart) -> AVectorField:
     comps = []
     for i in range(chart.n):
         xi_expr = Var(i)
-        terms = [
-            (AElement(algebra, -d.matrix[:, alpha]), (ScalarGenerator(alpha, xi_expr),))
-            for alpha in range(algebra.dim)
-        ]
-        comps.append(AFunction(algebra, chart, terms))
+        monos = [(ScalarGenerator(alpha, xi_expr),) for alpha in range(algebra.dim)]
+        comps.append(_canonical(algebra, chart, monos, np.ascontiguousarray(-d.matrix.T)))
     return AVectorField(algebra, chart, tuple(comps))
 
 

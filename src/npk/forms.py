@@ -26,7 +26,7 @@ from .expr import (
     _sort_indices,
 )
 from .fields import AVectorField, bracket, coordinate_prolongation, prolong
-from .functions import AFunction, lifted_function
+from .functions import AFunction, _sum, lifted_function
 from .points import Chart, NearPoint
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
@@ -74,9 +74,7 @@ class AForm:
             grouped.setdefault(idx, []).append(phi)
         kept = []
         for idx, phis in sorted(grouped.items()):
-            phi = phis[0] if len(phis) == 1 else AFunction(
-                self.algebra, self.chart, [t for p in phis for t in p.terms]
-            )
+            phi = phis[0] if len(phis) == 1 else _sum(self.algebra, self.chart, phis)
             if not phi.is_structurally_zero():
                 kept.append((phi, idx))
         object.__setattr__(self, "terms", tuple(kept))
@@ -117,18 +115,18 @@ class AForm:
         for x in fields:
             if x.algebra != self.algebra or x.chart != self.chart:
                 raise AlgebraMismatch("field over a different algebra or chart")
-        terms = []
+        parts = []
         for phi, idx in self.terms:
-            det_terms = []
+            dets = []
             for perm in itertools.permutations(range(self.degree)):
                 prod = AFunction.constant(
                     self.algebra.scalar(float(_perm_sign(perm))), self.chart
                 )
                 for row, col in enumerate(perm):
                     prod = prod * fields[row].components[idx[col]]
-                det_terms.extend(prod.terms)
-            terms.extend((phi * AFunction(self.algebra, self.chart, det_terms)).terms)
-        return AFunction(self.algebra, self.chart, terms)
+                dets.append(prod)
+            parts.append(phi * _sum(self.algebra, self.chart, dets))
+        return _sum(self.algebra, self.chart, parts)
 
     def evaluate(self, fields: Sequence[AVectorField], xi: NearPoint) -> AElement:
         """eta(X_1..X_p)(xi): coefficients times the A-determinant of evaluated components."""

@@ -2,24 +2,30 @@
 
 The class implemented here consists of A-coefficient polynomials in
 scalar generators: a generator (alpha, g) denotes the real-valued
-function xi -> coefficient alpha of lift(g, xi), and a term is an
-A-element coefficient times a finite product of generators.  The class
-is closed under addition, multiplication, scaling by A, post-composition
-with linear maps of A, and the derivation extensions used by vector
-fields; it contains every lifted smooth function and every A-constant,
-which is all the surrounding theory manipulates.
+function xi -> coefficient alpha of lift(g, xi).  A function is stored as
+its canonical monomials (generator tuples sorted by key, each monomial
+once) and one read-only (T, dim) matrix whose row t is the A-coefficient
+of monomial t.  The class is closed under addition, multiplication,
+scaling by A, post-composition with linear maps of A, and the derivation
+extensions used by vector fields; it contains every lifted smooth
+function and every A-constant, which is all the surrounding theory
+manipulates.
 
 Equality of two such functions is decided by evaluation at sampled near
 points, never structurally: distinct term lists routinely denote the
 same function (e.g. the lift of f*g versus the product of the lifts).
-Evaluation keeps no lift cache: lift(g, xi) is memoized on the point xi.
+Evaluation lifts each distinct generator function once, from the point's
+own lift memo, gathers the generator values through an index plan kept
+on the function, and sums the rows in order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +42,8 @@ __all__ = [
     "tangent_apply",
 ]
 
+_ONE = np.ones(1)  # the value of an absent generator in the evaluation plan
+
 
 @dataclass(frozen=True)
 class ScalarGenerator:
@@ -49,54 +57,70 @@ class ScalarGenerator:
         return (self.alpha, expr_key(self.fn))
 
 
-def _mono_key(mono: tuple[ScalarGenerator, ...]) -> tuple:
-    return tuple(g.key for g in mono)
+Monomial = tuple[ScalarGenerator, ...]
 
-
-def _sort_mono(gens: Iterable[ScalarGenerator]) -> tuple[ScalarGenerator, ...]:
-    return tuple(sorted(gens, key=lambda g: g.key))
+_gen_key = attrgetter("key")
 
 
 class AFunction:
-    """A-coefficient polynomial in scalar generators; immutable after construction."""
+    """A-coefficient polynomial in scalar generators; immutable after construction.
 
-    __slots__ = ("algebra", "chart", "terms")
+    monos   canonical monomials in key order, no two equal
+    coeffs  read-only (len(monos), dim) matrix, no zero row
+    """
+
+    __slots__ = ("algebra", "chart", "monos", "coeffs", "_plan")
 
     def __init__(
         self,
         algebra: WeilAlgebra,
         chart: Chart,
-        terms: Iterable[tuple[AElement, tuple[ScalarGenerator, ...]]] = (),
+        terms: Iterable[tuple[AElement, Monomial]] = (),
     ):
-        merged: dict[tuple, list] = {}
+        monos, rows = [], []
         for coeff, mono in terms:
             if coeff.algebra != algebra:
                 raise AlgebraMismatch("coefficient from a different algebra")
-            mono = _sort_mono(mono)
-            key = _mono_key(mono)
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [coeff.coeffs.copy(), mono]
-            else:
-                slot[0] = slot[0] + coeff.coeffs
-        kept = []
-        for key in sorted(merged):
-            coeffs, mono = merged[key]
-            if coeffs.any():
-                kept.append((AElement(algebra, coeffs), mono))
+            monos.append(tuple(mono))
+            rows.append(coeff.coeffs)
+        rows = np.array(rows, dtype=float).reshape(len(rows), algebra.dim)
+        self._set(algebra, chart, *_nonzero(*_merge(algebra.dim, monos, rows)))
+
+    def _set(self, algebra: WeilAlgebra, chart: Chart, monos: Sequence[Monomial], coeffs: np.ndarray, plan):
+        coeffs.flags.writeable = False
         self.algebra = algebra
         self.chart = chart
-        self.terms: tuple[tuple[AElement, tuple[ScalarGenerator, ...]], ...] = tuple(kept)
+        self.monos: tuple[Monomial, ...] = tuple(monos)
+        self.coeffs: np.ndarray = coeffs
+        self._plan = plan
+
+    @classmethod
+    def _of(cls, algebra: WeilAlgebra, chart: Chart, monos: Sequence[Monomial], coeffs: np.ndarray, plan=None):
+        """Build from rows already in canonical form: distinct monomials in key order, no zero row.
+
+        The fast path that __init__, whose (algebra, chart, terms) signature
+        stays public, does not offer.  coeffs becomes the function's own
+        read-only matrix, so the caller passes a fresh array; plan, when
+        given, is the evaluation plan of these monos.
+        """
+        phi = object.__new__(cls)
+        phi._set(algebra, chart, monos, coeffs, plan)
+        return phi
+
+    @property
+    def terms(self) -> tuple[tuple[AElement, Monomial], ...]:
+        """(coefficient, monomial) pairs in canonical order."""
+        return tuple((AElement(self.algebra, row), mono) for row, mono in zip(self.coeffs, self.monos))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(a: AElement, chart: Chart) -> "AFunction":
-        return AFunction(a.algebra, chart, [(a, ())])
+        return AFunction._of(a.algebra, chart, *_nonzero(((),), a.coeffs[None, :].copy()))
 
     @staticmethod
     def zero(algebra: WeilAlgebra, chart: Chart) -> "AFunction":
-        return AFunction(algebra, chart, [])
+        return AFunction._of(algebra, chart, (), np.zeros((0, algebra.dim)))
 
     # -- algebra ------------------------------------------------------------
 
@@ -106,52 +130,136 @@ class AFunction:
 
     def __add__(self, other: "AFunction") -> "AFunction":
         self._check(other)
-        return AFunction(self.algebra, self.chart, self.terms + other.terms)
+        return _sum(self.algebra, self.chart, (self, other))
 
     def __sub__(self, other: "AFunction") -> "AFunction":
-        return self + (-other)
+        self._check(other)
+        rows = np.concatenate([self.coeffs, -other.coeffs])
+        return _canonical(self.algebra, self.chart, self.monos + other.monos, rows)
 
     def __neg__(self) -> "AFunction":
-        return AFunction(self.algebra, self.chart, [(-c, m) for c, m in self.terms])
+        return AFunction._of(self.algebra, self.chart, self.monos, -self.coeffs, self._plan)
 
     def __mul__(self, other: "AFunction") -> "AFunction":
         self._check(other)
-        out = []
-        for c1, m1 in self.terms:
-            for c2, m2 in other.terms:
-                out.append((c1 * c2, m1 + m2))
-        return AFunction(self.algebra, self.chart, out)
+        if not self.monos or not other.monos:
+            return AFunction.zero(self.algebra, self.chart)
+        rows = self.algebra.mul_rows(self.coeffs[:, None, :], other.coeffs[None, :, :])
+        monos = [m1 + m2 for m1 in self.monos for m2 in other.monos]
+        return _canonical(self.algebra, self.chart, monos, rows.reshape(len(monos), self.algebra.dim))
 
     def scale(self, a: AElement | float) -> "AFunction":
         if isinstance(a, AElement):
-            return AFunction(self.algebra, self.chart, [(a * c, m) for c, m in self.terms])
-        return AFunction(self.algebra, self.chart, [(c * float(a), m) for c, m in self.terms])
+            if not self.monos:
+                return self
+            if a.algebra != self.algebra:
+                raise AlgebraMismatch("elements of different Weil algebras")
+            rows = self.algebra.mul_rows(a.coeffs, self.coeffs)
+        else:
+            rows = self.coeffs * float(a)
+        return AFunction._of(self.algebra, self.chart, *_nonzero(self.monos, rows, self._plan))
 
     def is_structurally_zero(self) -> bool:
-        return not self.terms
+        return not self.monos
 
     # -- evaluation -----------------------------------------------------------
+
+    def _evaluation_plan(self) -> tuple[list[Expr], np.ndarray, bool]:
+        """(fns, index, padded), built on first use.
+
+        fns are the distinct generator functions (by identity).  Their lifts,
+        stacked, followed by a 1.0 when padded, form one vector; index[t, j]
+        is the position there of the j-th generator of monomial t, or -1 (the
+        1.0) when monomial t has fewer generators.
+        """
+        if self._plan is None:
+            dim = self.algebra.dim
+            slot: dict[int, int] = {}
+            fns: list[Expr] = []
+            width = max(1, max(map(len, self.monos), default=0))
+            flat: list[int] = []
+            for mono in self.monos:
+                for gen in mono:
+                    s = slot.setdefault(id(gen.fn), len(fns))
+                    if s == len(fns):
+                        fns.append(gen.fn)
+                    flat.append(s * dim + gen.alpha)
+                flat.extend([-1] * (width - len(mono)))
+            index = np.array(flat, dtype=np.intp).reshape(len(self.monos), width)
+            self._plan = (fns, index, not fns or -1 in flat)
+        return self._plan
 
     def evaluate(self, xi: NearPoint) -> AElement:
         """Value at xi; the generators' lifts come from the point's own lift memo."""
         if xi.algebra != self.algebra:
             raise AlgebraMismatch("near point over a different algebra")
-        acc = np.zeros(self.algebra.dim)
-        for coeff, mono in self.terms:
-            scalar = 1.0
-            for gen in mono:
-                scalar *= lift(gen.fn, xi).coefficient(gen.alpha)
-            acc = acc + scalar * coeff.coeffs
-        return AElement(self.algebra, acc)
+        fns, index, padded = self._evaluation_plan()
+        values = [lift(fn, xi).coeffs for fn in fns]
+        if padded:
+            values.append(_ONE)
+        stack = values[0] if len(values) == 1 else np.concatenate(values)
+        gathered = stack[index]
+        scalars = gathered[:, :1]
+        for j in range(1, index.shape[1]):
+            scalars = scalars * gathered[:, j:j + 1]
+        return AElement(self.algebra, self.algebra.sum_rows(scalars * self.coeffs))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.monos:
             return "AFunction(0)"
         parts = []
         for coeff, mono in self.terms:
             gens = "*".join(f"gen({g.alpha},{expr_key(g.fn)!r})" for g in mono)
             parts.append(f"[{coeff!r}]" + (f"*{gens}" if gens else ""))
         return "AFunction(" + " + ".join(parts) + ")"
+
+
+def _merge(dim: int, monos: Sequence[Monomial], rows: np.ndarray) -> tuple[list[Monomial], np.ndarray]:
+    """Canonical rows: each monomial sorted by key, equal monomials summed in input order, key order.
+
+    An equal monomial keeps its first spelling.  Zero rows are left for the caller to drop.
+    """
+    slots: dict[tuple, tuple[int, Monomial]] = {}
+    group: list[int] = []
+    for mono in monos:
+        if len(mono) > 1:
+            mono = tuple(sorted(mono, key=_gen_key))
+        key = tuple([g.key for g in mono])
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = (len(slots), mono)
+        group.append(slot[0])
+    if len(slots) < len(group):
+        # bincount adds each group's rows in input order, from 0.0
+        bins = np.array(group, dtype=np.intp)[:, None] * dim + np.arange(dim)
+        rows = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(slots) * dim)
+        rows = rows.reshape(len(slots), dim)
+    ordered = [slot for _, slot in sorted(slots.items())]
+    order = [s for s, _ in ordered]
+    if order != sorted(order):
+        rows = rows[order]
+    return [mono for _, mono in ordered], rows
+
+
+def _nonzero(monos: Sequence[Monomial], coeffs: np.ndarray, plan=None) -> tuple:
+    """Drop the zero rows (a NaN row stays); an evaluation plan survives only if none is dropped."""
+    keep = coeffs.any(axis=1)
+    if np.count_nonzero(keep) < len(keep):
+        return tuple(itertools.compress(monos, keep)), coeffs[keep], None
+    return monos, coeffs, plan
+
+
+def _canonical(algebra: WeilAlgebra, chart: Chart, monos: Sequence[Monomial], rows: np.ndarray) -> AFunction:
+    """The function sum_t rows[t] * monos[t], in canonical form."""
+    return AFunction._of(algebra, chart, *_nonzero(*_merge(algebra.dim, monos, rows)))
+
+
+def _sum(algebra: WeilAlgebra, chart: Chart, phis: Sequence[AFunction]) -> AFunction:
+    """Sum of functions by one merge of their rows, in order."""
+    if len(phis) < 2:
+        return phis[0] if phis else AFunction.zero(algebra, chart)
+    monos = [m for phi in phis for m in phi.monos]
+    return _canonical(algebra, chart, monos, np.concatenate([phi.coeffs for phi in phis]))
 
 
 def lifted_function(f: Expr, algebra: WeilAlgebra, chart: Chart) -> AFunction:
@@ -163,11 +271,9 @@ def lifted_function(f: Expr, algebra: WeilAlgebra, chart: Chart) -> AFunction:
     """
     if isinstance(f, Const):
         return AFunction.constant(algebra.scalar(f.value), chart)
-    return AFunction(
-        algebra,
-        chart,
-        [(algebra.basis_element(alpha), (ScalarGenerator(alpha, f),)) for alpha in range(algebra.dim)],
-    )
+    monos = tuple((ScalarGenerator(alpha, f),) for alpha in range(algebra.dim))
+    plan = ([f], np.arange(algebra.dim).reshape(algebra.dim, 1), False)
+    return AFunction._of(algebra, chart, monos, np.eye(algebra.dim), plan)
 
 
 def dual_projection(phi: AFunction, alpha: int) -> AFunction:
@@ -176,14 +282,10 @@ def dual_projection(phi: AFunction, alpha: int) -> AFunction:
     This is the coefficient recombination that keeps derivation extensions
     inside the implemented function class; the result is scalar-valued.
     """
-    algebra = phi.algebra
-    unit = algebra.unit()
-    terms = []
-    for coeff, mono in phi.terms:
-        c = coeff.coeffs[alpha]
-        if c != 0.0:
-            terms.append((unit * c, mono))
-    return AFunction(algebra, phi.chart, terms)
+    c = phi.coeffs[:, alpha]
+    keep = c != 0.0
+    rows = c[keep, None] * phi.algebra.unit().coeffs
+    return AFunction._of(phi.algebra, phi.chart, tuple(itertools.compress(phi.monos, keep)), rows)
 
 
 def coordinate_derive(phi: AFunction, i: int) -> AFunction:
@@ -193,22 +295,22 @@ def coordinate_derive(phi: AFunction, i: int) -> AFunction:
     (alpha, d_i g) and constants die.  These operators commute, and they
     agree with the general extension on prolonged coordinate fields.
     """
-    algebra, chart = phi.algebra, phi.chart
-    terms = []
-    for coeff, mono in phi.terms:
+    monos, source, factors = [], [], []
+    for t, mono in enumerate(phi.monos):
         for j, gen in enumerate(mono):
             dg = diff(gen.fn, i)
             rest = mono[:j] + mono[j + 1:]
             if isinstance(dg, Const):
-                if dg.value == 0.0:
-                    continue
                 # constant generator: dual coefficient is c at slot 0, zero elsewhere
-                if gen.alpha != 0:
+                if dg.value == 0.0 or gen.alpha != 0:
                     continue
-                terms.append((coeff * dg.value, rest))
+                monos.append(rest)
+                factors.append(dg.value)
             else:
-                terms.append((coeff, rest + (ScalarGenerator(gen.alpha, dg),)))
-    return AFunction(algebra, chart, terms)
+                monos.append(rest + (ScalarGenerator(gen.alpha, dg),))
+                factors.append(1.0)
+            source.append(t)
+    return _canonical(phi.algebra, phi.chart, monos, phi.coeffs[source] * np.array(factors)[:, None])
 
 
 def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
@@ -222,23 +324,26 @@ def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
     """
     if phi.algebra != v.at.algebra:
         raise AlgebraMismatch("function over a different algebra")
-    algebra = phi.algebra
-    apply_cache: dict[int, AElement] = {}
-
-    def applied(g: Expr) -> AElement:
-        out = apply_cache.get(id(g))
-        if out is None:
-            out = v.apply(g)
-            apply_cache[id(g)] = out
-        return out
-
-    acc = algebra.zero()
-    for coeff, mono in phi.terms:
+    applied: dict[int, list[float]] = {}
+    lifted: dict[int, list[float]] = {}
+    scalars, rows = [], []
+    for t, mono in enumerate(phi.monos):
+        at = []  # the generators' values at the base near point, needed only beside another
+        for gen in mono if len(mono) > 1 else ():
+            c = lifted.get(id(gen.fn))
+            if c is None:
+                c = lifted[id(gen.fn)] = lift(gen.fn, v.at).coeffs.tolist()
+            at.append(c[gen.alpha])
         for j, gen in enumerate(mono):
+            c = applied.get(id(gen.fn))
+            if c is None:
+                c = applied[id(gen.fn)] = v.apply(gen.fn).coeffs.tolist()
             scalar = 1.0
-            for k, other in enumerate(mono):
+            for k, value in enumerate(at):
                 if k != j:
-                    scalar *= lift(other.fn, v.at).coefficient(other.alpha)
-            derived = applied(gen.fn).coefficient(gen.alpha)
-            acc = acc + (scalar * derived) * coeff
-    return acc
+                    scalar *= value
+            scalars.append(scalar * c[gen.alpha])
+            rows.append(t)
+    if not rows:
+        return phi.algebra.zero()
+    return AElement(phi.algebra, phi.algebra.sum_rows(np.array(scalars)[:, None] * phi.coeffs[rows]))

@@ -43,6 +43,7 @@ __all__ = [
 
 DERIVATION_TOL = 1e-10
 INVERT_TOL = 1e-12
+ROWS_BLOCK = 1 << 18  # table terms mul_rows forms at once; larger batches run in slices
 
 
 class PresentationError(ValueError):
@@ -224,6 +225,8 @@ class WeilAlgebra:
         ]
         self._left, self._right, self._prod = np.array(table, dtype=np.intp).T.copy()
         self._index = index
+        # grown on demand: k % dim for sum_rows, and k * dim + prod (row k's bins) for mul_rows
+        self._columns = self._bins = np.zeros(0, dtype=np.intp)
 
     def __eq__(self, other: object) -> bool:
         # the basis determines the monomial-quotient structure completely
@@ -271,6 +274,38 @@ class WeilAlgebra:
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.bincount(self._prod, weights=a[self._left] * b[self._right], minlength=self.dim)
+
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """mul_coeffs of each pair of rows, the leading axes of a and b broadcast, in one bincount.
+
+        Each product sums its table terms in mul_coeffs's order, so the two agree
+        bit for bit.  A batch of more than ROWS_BLOCK table terms runs in slices
+        of the first leading axis, so that memory stays bounded.
+        """
+        if (a.size // self.dim) * (b.size // self.dim) * len(self._prod) > ROWS_BLOCK:
+            lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+            step = max(1, ROWS_BLOCK * lead[0] // (math.prod(lead) * len(self._prod)))
+            if step < lead[0]:
+                a, b = np.broadcast_to(a, (*lead, self.dim)), np.broadcast_to(b, (*lead, self.dim))
+                slices = range(0, lead[0], step)
+                return np.concatenate([self.mul_rows(a[s:s + step], b[s:s + step]) for s in slices])
+        weights = a.take(self._left, axis=-1) * b.take(self._right, axis=-1)
+        lead = weights.shape[:-1]
+        count = math.prod(lead)
+        if len(self._bins) < weights.size:
+            self._bins = (np.arange(2 * count)[:, None] * self.dim + self._prod).ravel()
+        out = np.bincount(self._bins[:weights.size], weights=weights.ravel(), minlength=count * self.dim)
+        return out.reshape(*lead, self.dim)
+
+    def sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Sum of the rows of a C-contiguous (T, dim) array, added in order to 0.0.
+
+        This is what a loop of additions gives; np.add.reduce may add a single
+        column pairwise instead, which rounds differently.
+        """
+        if len(self._columns) < rows.size:
+            self._columns = np.arange(2 * rows.size) % self.dim
+        return np.bincount(self._columns[:rows.size], weights=rows.ravel(), minlength=self.dim)
 
     def left_multiplication(self, a: np.ndarray) -> np.ndarray:
         """Matrix of b -> a*b in the monomial basis."""

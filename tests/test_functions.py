@@ -10,16 +10,54 @@ from npk.functions import (
     lifted_function,
     tangent_apply,
 )
+from npk.fields import bracket
 from npk.points import Chart, lift
 from npk.sampling import (
     random_a_element,
+    random_field,
     random_function,
+    random_lifted_function,
     random_near_point,
     random_tangent_vector,
 )
-from npk.weil import AlgebraMismatch
+import npk.weil
+from npk.weil import AElement, AlgebraMismatch, build_algebra, parse_presentation
 
 CHART = Chart.cube(2)
+
+
+def _evaluate_by_terms(phi, xi):
+    """Reference evaluation: one lift lookup per generator occurrence, one addition per term."""
+    acc = np.zeros(phi.algebra.dim)
+    for coeff, mono in phi.terms:
+        scalar = 1.0
+        for gen in mono:
+            scalar *= lift(gen.fn, xi).coefficient(gen.alpha)
+        acc = acc + scalar * coeff.coeffs
+    return acc
+
+
+def _tangent_apply_by_terms(v, phi):
+    """Reference extension of a tangent vector: one term and generator at a time."""
+    acc = phi.algebra.zero()
+    for coeff, mono in phi.terms:
+        for j, gen in enumerate(mono):
+            scalar = 1.0
+            for k, other in enumerate(mono):
+                if k != j:
+                    scalar *= lift(other.fn, v.at).coefficient(other.alpha)
+            acc = acc + (scalar * v.apply(gen.fn).coefficient(gen.alpha)) * coeff
+    return acc
+
+
+def _oracle_functions(rng, algebra):
+    """Random functions, field components, lifted products and apply_fn images."""
+    x = random_field(rng, algebra, CHART, max_terms=3, max_monomial=2)
+    y = random_field(rng, algebra, CHART)
+    phi = random_function(rng, algebra, CHART, max_terms=4, max_monomial=3, transcendental=True)
+    out = [phi, random_lifted_function(rng, algebra, CHART, factors=3), x.apply_fn(phi)]
+    out += list(x.components) + list(bracket(x, y).components)
+    return out
 
 
 def test_constant_function(dual):
@@ -169,3 +207,64 @@ def test_tangent_apply_gamma_product_example(dual):
     phi = lifted_function(parse("x1", 2), dual, chart) * lifted_function(parse("x2", 2), dual, chart)
     expected = dual.basis_element(1) * lift(parse("x2", 2), xi)
     assert (tangent_apply(v, phi) - expected).max_abs() <= 1e-12
+
+
+def test_evaluate_matches_per_term_loop_bit_for_bit(catalog):
+    rng = np.random.default_rng(10)
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    for algebra in algebras:
+        for _ in range(3):
+            for phi in _oracle_functions(rng, algebra):
+                for _ in range(2):
+                    xi = random_near_point(rng, algebra, CHART)
+                    value = phi.evaluate(xi).coeffs
+                    assert np.array_equal(value, _evaluate_by_terms(phi, xi), equal_nan=True)
+                    v = random_tangent_vector(rng, algebra, CHART)
+                    assert np.array_equal(
+                        tangent_apply(v, phi).coeffs, _tangent_apply_by_terms(v, phi).coeffs, equal_nan=True
+                    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficient_stays_non_finite(plane_jet, bad):
+    rng = np.random.default_rng(11)
+    g, h = ScalarGenerator(1, parse("sin(x1)", 2)), ScalarGenerator(0, parse("x2", 2))
+    coeffs = np.array([1.0, bad, 0.0])
+    phi = AFunction(plane_jet, CHART, [(AElement(plane_jet, coeffs), (g, h)), (plane_jet.unit(), (h,))])
+    with np.errstate(invalid="ignore"):
+        for psi in (phi, phi * lifted_function(parse("x1", 2), plane_jet, CHART)):
+            xi = random_near_point(rng, plane_jet, CHART)
+            value = psi.evaluate(xi).coeffs
+            assert not np.all(np.isfinite(value))
+            assert np.array_equal(value, _evaluate_by_terms(psi, xi), equal_nan=True)
+
+
+def test_construction_contract(plane_jet):
+    rng = np.random.default_rng(12)
+    phi = random_function(rng, plane_jet, CHART, max_terms=4, max_monomial=3, transcendental=True)
+    psi = random_function(rng, plane_jet, CHART, max_terms=3, max_monomial=2)
+    rebuilt = AFunction(plane_jet, CHART, phi.terms)
+    assert rebuilt.monos == phi.monos and np.array_equal(rebuilt.coeffs, phi.coeffs)
+    with pytest.raises(ValueError):
+        phi.coeffs[0, 0] = 1.0
+    keys = [tuple(g.key for g in mono) for _, mono in phi.terms]
+    assert keys == sorted(set(keys))
+    assert all(list(mono) == sorted(mono, key=lambda g: g.key) for mono in phi.monos)
+    assert all(coeff.coeffs.any() for coeff, _ in phi.terms)
+    assert len(phi.terms) == len(phi.monos) == len(phi.coeffs)
+    assert (phi - phi).is_structurally_zero()
+    # the product merges like building from every pair of terms, bit for bit
+    pairs = AFunction(plane_jet, CHART, [(c1 * c2, m1 + m2) for c1, m1 in phi.terms for c2, m2 in psi.terms])
+    product = phi * psi
+    assert product.monos == pairs.monos and np.array_equal(product.coeffs, pairs.coeffs)
+
+
+def test_products_in_slices_match_one_batch(plane_jet, monkeypatch):
+    rng = np.random.default_rng(13)
+    phi = random_function(rng, plane_jet, CHART, max_terms=4, max_monomial=2, transcendental=True)
+    psi = random_lifted_function(rng, plane_jet, CHART, factors=2)
+    a = random_a_element(rng, plane_jet)
+    whole = (phi * psi, psi.scale(a))
+    monkeypatch.setattr(npk.weil, "ROWS_BLOCK", 8)  # a few table terms per slice
+    for one, sliced in zip(whole, (phi * psi, psi.scale(a))):
+        assert one.monos == sliced.monos and np.array_equal(one.coeffs, sliced.coeffs)
