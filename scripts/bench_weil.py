@@ -1,6 +1,10 @@
 """Time A-arithmetic, lifts, A-function operations and Der(A) validation; print one JSON object.
 
-Usage: python scripts/bench_weil.py
+Usage: python scripts/bench_weil.py [--section NAME]
+
+Each section is one key of the output; --section (repeatable) runs only the
+named ones: products, lift, afunction, block, derivation_basis.  A full run
+takes about two minutes.
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
@@ -16,6 +20,11 @@ point whose lifts are already memoized; and, at dims 27, 48 and 100, the
 seconds of derivation_basis on a fresh algebra (exact solve, rebuild and the
 validation of each element) and of validating that basis again with
 is_derivation (best of three runs, or one run when a run takes over a second).
+The block section times, at dims 2, 6 and 27 on a 2-dim chart, one lift and
+one evaluate of the product of two lifted functions on a block of N = 1, 5
+and 10 near points against N single-point calls, each with empty lift memos
+(best of five rounds); on a checkout without blocks (npk.points.NearPoints)
+it times the single-point calls only.
 It also prints the OpenBLAS thread count, read from the library numpy loaded.
 The script does not pin it, so it times what `npk algebra` sees.
 
@@ -24,6 +33,7 @@ src, so the one script times any checkout:
 PYTHONPATH=OTHER/src python scripts/bench_weil.py
 """
 
+import argparse
 import ctypes
 import json
 import os
@@ -40,6 +50,7 @@ import numpy as np  # noqa: E402
 from npk.expr import parse  # noqa: E402
 from npk.fields import bracket  # noqa: E402
 from npk.functions import lifted_function  # noqa: E402
+import npk.points  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
 from npk.sampling import random_field, random_function, random_near_point  # noqa: E402
 from npk.weil import build_algebra, derivation_basis, is_derivation, parse_presentation  # noqa: E402
@@ -55,6 +66,7 @@ PRODUCT_ALGEBRAS = (
 LIFT_ALGEBRAS = ("R[x]/(x^2)", "R[x]/(x^4)", "R[x,y,z]/(x^3,y^3,z^3)")
 LIFT_PRIMITIVES = ("sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "1/x1", "x1^3", "x1^2.5")
 AFUNCTION_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x,y,z]/(x^3,y^3,z^3)")
+BLOCK_SIZES = (1, 5, 10)
 DERIVATION_ALGEBRAS = ("R[x,y,z]/(x^3,y^3,z^3)", "R[x,y,z]/(x^4,y^4,z^3)", "R[x,y,z]/(x^5,y^5,z^4)")
 
 
@@ -146,6 +158,33 @@ def afunctions(text: str) -> dict:
     }
 
 
+def blocks(text: str) -> dict:
+    algebra = build_algebra(parse_presentation(text))
+    chart = Chart.cube(2)
+    rng = np.random.default_rng(0)
+    f, g = parse("sin(x1)*x2 + x1^2", 2), parse("exp(x1 - x2)", 2)
+    product = lifted_function(f, algebra, chart) * lifted_function(g, algebra, chart)
+    out = {"algebra": text, "dim": algebra.dim}
+    for n in BLOCK_SIZES:
+        points = [random_near_point(rng, algebra, chart) for _ in range(n)]
+
+        def fresh(run, *at):
+            for xi in at:
+                xi._lifts.clear()  # a point's or block's lifts are memoized on it
+                run(xi)
+
+        times = {
+            "lift_points_us": per_call_us(lambda: fresh(lambda xi: lift(f, xi), *points)),
+            "evaluate_points_us": per_call_us(lambda: fresh(product.evaluate, *points)),
+        }
+        if hasattr(npk.points, "NearPoints"):
+            block = npk.points.NearPoints.stack(points)
+            times["lift_block_us"] = per_call_us(lambda: fresh(lambda xi: lift(f, xi), block))
+            times["evaluate_block_us"] = per_call_us(lambda: fresh(product.evaluate, block))
+        out[f"n{n}"] = times
+    return out
+
+
 def derivations(text: str) -> dict:
     presentation = parse_presentation(text)
     basis = []
@@ -164,17 +203,30 @@ def derivations(text: str) -> dict:
     }
 
 
+SECTIONS = {
+    "products": (products, PRODUCT_ALGEBRAS),
+    "lift": (lifts, LIFT_ALGEBRAS),
+    "afunction": (afunctions, AFUNCTION_ALGEBRAS),
+    "block": (blocks, AFUNCTION_ALGEBRAS),
+    "derivation_basis": (derivations, DERIVATION_ALGEBRAS),
+}
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Time npk's layers; print one JSON object.")
+    parser.add_argument("--section", action="append", choices=list(SECTIONS),
+                        help="run only this section (repeatable); default: all")
+    chosen = parser.parse_args().section or list(SECTIONS)
     out = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas_threads": blas_threads(),
         "nproc": len(os.sched_getaffinity(0)),
-        "products": [products(text) for text in PRODUCT_ALGEBRAS],
-        "lift": [lifts(text) for text in LIFT_ALGEBRAS],
-        "afunction": [afunctions(text) for text in AFUNCTION_ALGEBRAS],
-        "derivation_basis": [derivations(text) for text in DERIVATION_ALGEBRAS],
     }
+    for name in SECTIONS:
+        if name in chosen:
+            run, algebras = SECTIONS[name]
+            out[name] = [run(text) for text in algebras]
     print(json.dumps(out, indent=1))
     return 0
 

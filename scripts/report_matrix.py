@@ -3,7 +3,9 @@
 Usage: python scripts/report_matrix.py OUTDIR
 
 Runs `npk check --suite all --json --samples 10` for seeds 0 and 1 over
-three algebras and three charts, `npk cohomology --json` for the three
+three algebras and three charts, `npk check --suite all --json --samples
+23` (probe blocks of 10, 10 and 3 near points) on R[x]/(x^2) and on
+R[x,y]/(x^3,x^2*y,x*y^2,y^3) over box:[-1,1]^3, `npk cohomology --json` for the three
 models with seeds 0-2, and `npk lift --json` of four expressions (sin,
 cos, exp, log, sqrt, constant and general powers, division) on three
 algebras, plus five lifts outside the domain (exit 2): sqrt(x1 - 1) at
@@ -60,6 +62,10 @@ def runs():
                 args = ["check", "--suite", "all", "--json", "--samples", "10", "--seed", str(seed),
                         "--algebra", algebra, "--chart", chart]
                 yield f"check-seed{seed}-algebra{a}-chart{c}.txt", args
+    for a in (0, 1):  # 23 samples cross two block boundaries
+        args = ["check", "--suite", "all", "--json", "--samples", "23",
+                "--algebra", ALGEBRAS[a], "--chart", CHARTS[0]]
+        yield f"check-blocks-algebra{a}.txt", args
     for model, algebra, chart in MODELS:
         for seed in (0, 1, 2):
             args = ["cohomology", "--model", model, "--json", "--seed", str(seed),

@@ -12,7 +12,7 @@ from .expr import DifferentialForm, Expr, VectorField, diff, evaluate, parse, un
 from .fields import AVectorField, bracket, from_derivation, prolong
 from .forms import AForm, palais_eval, prolong_form, wedge
 from .functions import AFunction, ScalarGenerator, lifted_function
-from .points import Chart, NearPoint, TangentVector, lift, lift_map
+from .points import Chart, NearPoint, NearPoints, TangentVector, lift, lift_map
 from .weil import (
     AElement,
     Derivation,
@@ -39,6 +39,7 @@ __all__ = [
     "Expr",
     "LinearEndo",
     "NearPoint",
+    "NearPoints",
     "Presentation",
     "ScalarGenerator",
     "TangentVector",

@@ -47,7 +47,7 @@ from .expr import (
 from .fields import AVectorField, bracket, from_derivation, prolong
 from .functions import AFunction, lifted_function
 from .forms import AForm, exterior_derivative as d_a, palais_eval, prolong_form, wedge
-from .points import Chart, NearPoint, lift, lift_map
+from .points import Chart, NearPoint, NearPoints, lift, lift_map
 from .weil import WeilAlgebra, build_algebra, parse_presentation
 
 __all__ = [
@@ -173,44 +173,50 @@ def _gap(lhs, rhs) -> float:
     return abs(delta) if isinstance(delta, float) else delta.max_abs()
 
 
-def _field_residual(
-    x: AVectorField, y: AVectorField, points: Sequence[NearPoint]
-) -> float:
-    out = 0.0
-    for xi in points:
-        for cx, cy in zip(x.components, y.components):
-            out = _worst(out, (cx.evaluate(xi) - cy.evaluate(xi)).max_abs())
-    return out
+def _gaps(lhs: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:
+    """_gap at each point of a block, for (N,) numbers or (dim, N) values."""
+    delta = lhs if rhs is None else lhs - rhs
+    return np.abs(delta).reshape(-1, delta.shape[-1]).max(axis=0)
 
 
-def _field_zero_residual(x: AVectorField, points: Sequence[NearPoint]) -> float:
-    out = 0.0
-    for xi in points:
-        for c in x.components:
-            out = _worst(out, c.evaluate(xi).max_abs())
-    return out
+def _fold(values: Sequence[float]) -> float:
+    """The NaN-sticky max of values, taken in order from 0.0."""
+    return reduce(_worst, values, 0.0)
 
 
-def _form_residual(e1: AForm, e2: AForm, rng, algebra, chart, points) -> float:
-    """Compare on fresh prolonged probe fields, drawn per point after the points."""
+def _field_residual(x: AVectorField, y: AVectorField | None, block: NearPoints) -> float:
+    """Largest componentwise deviation of x from y (None: zero) on a block, folded point by point."""
+    ys = [None] * len(x.components) if y is None else y.components
+    gaps = [_gaps(cx.evaluate(block), None if cy is None else cy.evaluate(block)) for cx, cy in zip(x.components, ys)]
+    return _fold(np.stack(gaps, axis=-1).ravel().tolist())
+
+
+def _field_zero_residual(x: AVectorField, block: NearPoints) -> float:
+    return _field_residual(x, None, block)
+
+
+def _form_residual(e1: AForm, e2: AForm, rng, algebra, chart, points, block: NearPoints) -> float:
+    """Compare on fresh prolonged probe fields, drawn per point after the points.
+
+    Evaluation draws nothing, so all probes are drawn first; each is evaluated
+    at its own point, and both forms on the block of the points.
+    """
     if e1.degree != e2.degree:
         raise ValueError("degree mismatch in form comparison")
-    residual = 0.0
-    for xi in points:
-        probes = [
-            prolong(sp.random_base_field(rng, chart), algebra, chart) for _ in range(e1.degree)
-        ]
-        residual = _worst(residual, (e1.evaluate(probes, xi) - e2.evaluate(probes, xi)).max_abs())
-    return residual
+    probes = [
+        [prolong(sp.random_base_field(rng, chart), algebra, chart) for _ in range(e1.degree)]
+        for _ in points
+    ]
+    values = [
+        [np.stack([p[r].components[i].evaluate(xi).coeffs for p, xi in zip(probes, points)], axis=-1)
+         for i in range(chart.n)]
+        for r in range(e1.degree)
+    ]
+    return _fold(_gaps(e1.on_values(values, block), e2.on_values(values, block)).tolist())
 
 
 def _points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> list[NearPoint]:
     return [sp.random_near_point(rng, algebra, chart) for _ in range(k)]
-
-
-def _each(fn: Callable[[NearPoint], object]) -> Callable[[Sequence[NearPoint]], list]:
-    """A per-point side of a "points" identity, mapped over the drawn points."""
-    return lambda points: [fn(xi) for xi in points]
 
 
 # -- the driver -----------------------------------------------------------------
@@ -223,12 +229,15 @@ class _Identity:
     fields     -- A-vector fields, componentwise at the near points (rhs None: zero);
     functions  -- A-functions at the near points;
     forms      -- A-forms on fresh prolonged probe fields at each near point;
-    points     -- sides map the list of near points to A-elements or numbers;
+    points     -- sides map a block of near points to its (dim, N) A-values
+                  or (N,) numbers;
     samples    -- A-elements (or numbers) per sample; no near points are drawn.
 
     All kinds but "samples" draw probe data once per block of PROBE_BLOCK
-    samples and then the block's near points, in that order.  If skip(algebra,
-    chart) holds, the identity is vacuous there and reports 0.0.
+    samples and then the block's near points, in that order, and evaluate
+    both sides on the whole block at once; the deviations are folded in point
+    order.  If skip(algebra, chart) holds, the identity is vacuous there and
+    reports 0.0.
     """
 
     kind: str
@@ -248,23 +257,19 @@ class _Identity:
         for block in _blocks(samples):
             pairs = self.sample(rng, algebra, chart)
             points = _points(rng, algebra, chart, block)
+            stacked = NearPoints.stack(points)  # one lift memo for all the pairs
             for lhs, rhs in pairs:
-                residual = _worst(residual, self._compare(lhs, rhs, points, rng, algebra, chart))
+                residual = _worst(residual, self._compare(lhs, rhs, points, stacked, rng, algebra, chart))
         return residual
 
-    def _compare(self, lhs, rhs, points, rng, algebra, chart) -> float:
-        if self.kind == "fields":
-            if rhs is None:
-                return _field_zero_residual(lhs, points)
-            return _field_residual(lhs, rhs, points)
+    def _compare(self, lhs, rhs, points, block, rng, algebra, chart) -> float:
         if self.kind == "forms":
-            return _form_residual(lhs, rhs, rng, algebra, chart, points)
+            return _form_residual(lhs, rhs, rng, algebra, chart, points, block)
+        if self.kind == "fields":
+            return _field_zero_residual(lhs, block) if rhs is None else _field_residual(lhs, rhs, block)
         if self.kind == "functions":
-            lhs, rhs = _each(lhs.evaluate), _each(rhs.evaluate)
-        out = 0.0
-        for left, right in zip(lhs(points), rhs(points)):
-            out = _worst(out, _gap(left, right))
-        return out
+            return _fold(_gaps(lhs.evaluate(block), rhs.evaluate(block)).tolist())
+        return _fold(_gaps(lhs(block), rhs(block)).tolist())
 
 
 def _below(n: int) -> Callable[[WeilAlgebra, Chart], bool]:
@@ -375,24 +380,24 @@ LIE_SUITE = {
 
 def _lift_add(rng, algebra, chart):
     f, g = (sp.random_chart_expr(rng, chart) for _ in range(2))
-    return [(_each(lambda xi: lift(f + g, xi)), _each(lambda xi: lift(f, xi) + lift(g, xi)))]
+    return [(lambda b: lift(f + g, b), lambda b: lift(f, b) + lift(g, b))]
 
 
 def _lift_mul(rng, algebra, chart):
     f, g = (sp.random_chart_expr(rng, chart) for _ in range(2))
-    return [(_each(lambda xi: lift(mul(f, g), xi)), _each(lambda xi: lift(f, xi) * lift(g, xi)))]
+    return [(lambda b: lift(mul(f, g), b), lambda b: algebra.mul_coeffs(lift(f, b), lift(g, b)))]
 
 
 def _lift_scale(rng, algebra, chart):
     f = sp.random_chart_expr(rng, chart)
     lam = float(rng.uniform(-2.0, 2.0))
     scaled = mul(const(lam), f)
-    return [(_each(lambda xi: lift(scaled, xi)), _each(lambda xi: lam * lift(f, xi)))]
+    return [(lambda b: lift(scaled, b), lambda b: lift(f, b) * lam)]
 
 
 def _lift_base(rng, algebra, chart):
     f = sp.random_chart_expr(rng, chart)
-    return [(_each(lambda xi: lift(f, xi).augmentation), _each(lambda xi: evaluate(f, xi.base())))]
+    return [(lambda b: lift(f, b)[0], lambda b: np.array([evaluate(f, base) for base in b.base().T]))]
 
 
 def _lift_map_compose(rng, algebra, chart):
@@ -400,8 +405,7 @@ def _lift_map_compose(rng, algebra, chart):
     h = [sp.random_polynomial(rng, chart.n) for _ in range(chart.n)]
     phi = sp.random_polynomial(rng, chart.n)
     composed = _substitute(phi, h)
-    rhs = _each(lambda xi: lift(phi, lift_map(h, xi, target)))
-    return [(_each(lambda xi: lift(composed, xi)), rhs)]
+    return [(lambda b: lift(composed, b), lambda b: lift(phi, lift_map(h, b, target)))]
 
 
 def _lift_dual_derivative(rng, algebra, chart):
@@ -409,20 +413,20 @@ def _lift_dual_derivative(rng, algebra, chart):
     f = sp.random_chart_expr(rng, chart)
     partials = [diff(f, i) for i in range(chart.n)]
 
-    def expected(xi):
-        base = xi.base()
-        slope = sum(
-            evaluate(p, base) * xi.coords[i].coefficient(1) for i, p in enumerate(partials)
-        )
-        return algebra.element([evaluate(f, base), slope])
+    def expected(b):
+        values = []
+        for base, eps in zip(b.base().T, b.values[:, 1].T):
+            slope = sum(evaluate(p, base) * eps[i] for i, p in enumerate(partials))
+            values.append([evaluate(f, base), slope])
+        return np.array(values).T
 
-    return [(_each(lambda xi: lift(f, xi)), _each(expected))]
+    return [(lambda b: lift(f, b), expected)]
 
 
 def _gamma_agrees(rng, algebra, chart):
     f = sp.random_chart_expr(rng, chart)
     phi = lifted_function(f, algebra, chart)
-    return [(_each(phi.evaluate), _each(lambda xi: lift(f, xi)))]
+    return [(phi.evaluate, lambda b: lift(f, b))]
 
 
 def _gamma_morphism(rng, algebra, chart):
@@ -484,8 +488,11 @@ def _thm20(degree, rng, algebra, chart):
         for t, f in zip(thetas, fs)
     ]
     base_value = contract_form(omega, thetas)
-    rhs = _each(lambda xi: reduce(lambda acc, f: acc * lift(f, xi), fs, lift(base_value, xi)))
-    return [(_each(lambda xi: eta.evaluate(args, xi)), rhs)]
+
+    def rhs(b):
+        return reduce(lambda acc, f: algebra.mul_coeffs(acc, lift(f, b)), fs, lift(base_value, b))
+
+    return [(lambda b: eta.evaluate(args, b), rhs)]
 
 
 def _da_naturality(rng, algebra, chart):
@@ -518,8 +525,7 @@ def _palais_route(rng, algebra, chart):
     deta = d_a(eta)
     thetas = [sp.random_base_field(rng, chart) for _ in range(degree + 1)]
     lifted = [prolong(t, algebra, chart) for t in thetas]
-    rhs = _each(lambda xi: deta.evaluate(lifted, xi))
-    return [(lambda points: palais_eval(eta, thetas, points), rhs)]
+    return [(lambda b: palais_eval(eta, thetas, b), lambda b: deta.evaluate(lifted, b))]
 
 
 def _wedge_commutativity(rng, algebra, chart):
@@ -630,9 +636,9 @@ def _poincare_model(algebra, chart, rng, seed, samples, tol):
             primitive = a_primitive(eta, chart, tol=1e-10)
             lhs = d_a(primitive.to_aform(chart))
             rhs = eta.to_aform(chart)
+            points = _points(rng, algebra, chart, 3)
             residual = _worst(
-                residual,
-                _form_residual(lhs, rhs, rng, algebra, chart, _points(rng, algebra, chart, 3)),
+                residual, _form_residual(lhs, rhs, rng, algebra, chart, points, NearPoints.stack(points))
             )
         out.append((f"poincare-primitive-p{degree}", residual, tol))
     return out

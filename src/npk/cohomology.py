@@ -45,7 +45,7 @@ from .expr import (
 from .fields import coordinate_prolongation
 from .forms import AForm
 from .functions import AFunction, lifted_function
-from .points import Chart
+from .points import Chart, NearPoints
 from .weil import AElement, WeilAlgebra
 
 __all__ = [
@@ -435,15 +435,14 @@ def h0_check(
 
     algebra, chart = phi.algebra, phi.chart
     rng = np.random.default_rng(seed)
-    points = [random_near_point(rng, algebra, chart) for _ in range(max(1, samples))]
+    block = NearPoints.stack([random_near_point(rng, algebra, chart) for _ in range(max(1, samples))])
     partials = [coordinate_prolongation(algebra, chart, i).apply_fn(phi) for i in range(chart.n)]
     # np.max keeps a NaN, and `not x <= tol` fails it, so a NaN never passes
-    residual = np.max([dphi.evaluate(xi).max_abs() for xi in points for dphi in partials])
+    residual = np.max([np.max(np.abs(dphi.evaluate(block))) for dphi in partials])
     if not residual <= closed_tol:
         raise NotClosed(f"differential residual {residual:.3e} exceeds {closed_tol:.1e}")
-    values = [phi.evaluate(xi) for xi in points]
-    first = values[0]
-    spread = np.max([(v - first).max_abs() for v in values])
+    values = phi.evaluate(block)
+    spread = np.max(np.abs(values - values[:, :1]))
     if not spread <= constant_tol:
         raise NotConstant(f"value spread {spread:.3e} exceeds {constant_tol:.1e}")
-    return first
+    return AElement(algebra, values[:, 0].copy())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Sequence
 
 __all__ = [
@@ -461,10 +461,26 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     if isinstance(e, Neg):
         return -evaluate(e.arg, point)
     if isinstance(e, Pow):
-        return _power(evaluate(e.base, point), evaluate(e.exponent, point), isinstance(e.exponent, Const))
+        return _power(evaluate(e.base, point), evaluate(e.exponent, point), constant_exponent(e))
     if isinstance(e, Call):
         return _apply(e.fn, evaluate(e.arg, point))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def constant_exponent(e: Pow) -> bool:
+    """Whether e's exponent has no variable, so that e is the power x^c of `series`.
+
+    evaluate, diff and lift all decide by this test, so that spellings with one
+    key, such as Pow(x, Const(-2.0)) and Pow(x, Neg(Const(2.0))), behave alike.
+    """
+    stack = [e.exponent]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return False
+        if not isinstance(node, Const):  # every other field is a subexpression, or Call's name
+            stack += [c for c in (getattr(node, f.name) for f in dataclass_fields(node)) if isinstance(c, Expr)]
+    return True
 
 
 # the three places where a value can leave the domain, shared by evaluate and series
@@ -587,9 +603,9 @@ def _diff(e: Expr, i: int) -> Expr:
     if isinstance(e, Neg):
         return neg(diff(e.arg, i))
     if isinstance(e, Pow):
-        if isinstance(e.exponent, Const):
-            c = e.exponent.value
-            return mul(mul(Const(c), power(e.base, Const(c - 1.0))), diff(e.base, i))
+        if constant_exponent(e):
+            c = e.exponent
+            return mul(mul(c, power(e.base, sub(c, ONE))), diff(e.base, i))
         # general base^exponent via exp(exponent * log(base))
         term1 = mul(diff(e.exponent, i), call("log", e.base))
         term2 = div(mul(e.exponent, diff(e.base, i)), e.base)

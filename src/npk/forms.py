@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .expr import (
     DifferentialForm,
     VectorField as BaseField,
@@ -27,7 +29,7 @@ from .expr import (
 )
 from .fields import AVectorField, bracket, coordinate_prolongation, prolong
 from .functions import AFunction, _sum, lifted_function
-from .points import Chart, NearPoint
+from .points import Chart, NearPoint, NearPoints
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
@@ -128,20 +130,28 @@ class AForm:
             parts.append(phi * _sum(self.algebra, self.chart, dets))
         return _sum(self.algebra, self.chart, parts)
 
-    def evaluate(self, fields: Sequence[AVectorField], xi: NearPoint) -> AElement:
-        """eta(X_1..X_p)(xi): coefficients times the A-determinant of evaluated components."""
+    def evaluate(self, fields: Sequence[AVectorField], xi: NearPoint | NearPoints) -> AElement | np.ndarray:
+        """eta(X_1..X_p) at a near point, or its (dim, N) values at a block of N points."""
         if len(fields) != self.degree:
             raise ArityMismatch(f"degree {self.degree} form applied to {len(fields)} fields")
-        values = [[c.evaluate(xi) for c in x.components] for x in fields]
-        acc = self.algebra.zero()
+        values = [[xi._unwrap(c.evaluate(xi)) for c in x.components] for x in fields]
+        return xi._wrap(self.on_values(values, xi))
+
+    def on_values(self, values: Sequence[Sequence[np.ndarray]], xi: NearPoint | NearPoints) -> np.ndarray:
+        """eta(X_1..X_p) at xi from the coefficients values[r][i] of component i of X_r there,
+        (dim,) at a point and (dim, N) at a block: coefficients times A-determinants."""
+        mul = self.algebra.mul_coeffs
+        shape = xi.values[0].shape  # the layout of every value at xi
+        acc = np.zeros(shape)
         for phi, idx in self.terms:
-            det = self.algebra.zero()
+            det = np.zeros(shape)
             for perm in itertools.permutations(range(self.degree)):
-                prod = self.algebra.scalar(float(_perm_sign(perm)))
+                prod = np.zeros(shape)
+                prod[0] = float(_perm_sign(perm))
                 for row, col in enumerate(perm):
-                    prod = prod * values[row][idx[col]]
+                    prod = mul(prod, values[row][idx[col]])
                 det = det + prod
-            acc = acc + phi.evaluate(xi) * det
+            acc = acc + mul(xi._unwrap(phi.evaluate(xi)), det)
         return acc
 
     @staticmethod
@@ -196,31 +206,26 @@ def exterior_derivative(eta: AForm) -> AForm:
 
 
 def palais_eval(
-    eta: AForm, thetas: Sequence[BaseField], points: Sequence[NearPoint]
-) -> list[AElement]:
+    eta: AForm, thetas: Sequence[BaseField], xi: NearPoint | NearPoints
+) -> AElement | np.ndarray:
     """Global formula for the derivative of eta on prolonged base fields.
 
     sum_i (-1)^(i-1) Xi~[eta(.. hat i ..)] + sum_{i<j} (-1)^(i+j) eta([Xi,Xj], .. hats ..)
-    evaluated at each near point, where Xi is the prolongation of thetas[i].
-    Independent of the coefficientwise route, which it must match.  The
-    extensions and brackets do not depend on the point, so they are built once.
+    evaluated at a near point, or at each point of a block of N at once (a
+    (dim, N) array), where Xi is the prolongation of thetas[i].  Independent of
+    the coefficientwise route, which it must match.
     """
     if len(thetas) != eta.degree + 1:
         raise ArityMismatch(f"need {eta.degree + 1} fields, got {len(thetas)}")
     algebra, chart = eta.algebra, eta.chart
     lifted = [prolong(t, algebra, chart) for t in thetas]
     extended = [x.apply_fn(eta.contract(lifted[:i] + lifted[i + 1:])) for i, x in enumerate(lifted)]
-    corrections = []
+    acc = np.zeros(xi.values[0].shape)
+    for i, phi in enumerate(extended):
+        acc = acc + xi._unwrap(phi.evaluate(xi)) * ((-1.0) ** i)
     for i in range(len(lifted)):
         for j in range(i + 1, len(lifted)):
             rest = [lifted[k] for k in range(len(lifted)) if k not in (i, j)]
-            corrections.append((i + j, [bracket(lifted[i], lifted[j])] + rest))
-    values = []
-    for xi in points:
-        acc = algebra.zero()
-        for i, phi in enumerate(extended):
-            acc = acc + ((-1.0) ** i) * phi.evaluate(xi)
-        for exponent, fields in corrections:
-            acc = acc + ((-1.0) ** exponent) * eta.evaluate(fields, xi)
-        values.append(acc)
-    return values
+            fields = [bracket(lifted[i], lifted[j])] + rest
+            acc = acc + xi._unwrap(eta.evaluate(fields, xi)) * ((-1.0) ** (i + j))
+    return xi._wrap(acc)

@@ -14,9 +14,12 @@ manipulates.
 Equality of two such functions is decided by evaluation at sampled near
 points, never structurally: distinct term lists routinely denote the
 same function (e.g. the lift of f*g versus the product of the lifts).
-Evaluation lifts each distinct generator function once, from the point's
-own lift memo, gathers the generator values through an index plan kept
-on the function, and sums the rows in order.
+Evaluation runs at a near point or at a block of N of them in one pass; a
+near point is a block of one, with (dim,) values instead of (dim, N).  It
+lifts each distinct generator function once, from the block's own lift
+memo, gathers the generator values through an index plan kept on the
+function, takes the product along each monomial and sums the rows per
+point in order.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, diff, expr_key
-from .points import Chart, NearPoint, TangentVector, lift
+from .expr import ONE, Const, Expr, diff, expr_key
+from .points import Chart, NearPoint, NearPoints, TangentVector, lift
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
@@ -41,8 +44,6 @@ __all__ = [
     "lifted_function",
     "tangent_apply",
 ]
-
-_ONE = np.ones(1)  # the value of an absent generator in the evaluation plan
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,10 @@ class AFunction:
         """(fns, index, padded), built on first use.
 
         fns are the distinct generator functions (by identity).  Their lifts,
-        stacked, followed by a 1.0 when padded, form one vector; index[t, j]
-        is the position there of the j-th generator of monomial t, or -1 (the
-        1.0) when monomial t has fewer generators.
+        stacked, followed by a 1.0 when padded, form one vector (one row per
+        coefficient at a block); index[t, j] is the position there of the j-th
+        generator of monomial t, or -1 (the 1.0) when monomial t has fewer
+        generators.
         """
         if self._plan is None:
             dim = self.algebra.dim
@@ -189,20 +191,25 @@ class AFunction:
             self._plan = (fns, index, not fns or -1 in flat)
         return self._plan
 
-    def evaluate(self, xi: NearPoint) -> AElement:
-        """Value at xi; the generators' lifts come from the point's own lift memo."""
+    def evaluate(self, xi: NearPoint | NearPoints) -> AElement | np.ndarray:
+        """Value at a near point, or the (dim, N) values at a block of N points.
+
+        The generators' lifts come from the point's or block's own lift memo.
+        """
         if xi.algebra != self.algebra:
             raise AlgebraMismatch("near point over a different algebra")
         fns, index, padded = self._evaluation_plan()
-        values = [lift(fn, xi).coeffs for fn in fns]
+        values = [xi._unwrap(lift(fn, xi)) for fn in fns]
         if padded:
-            values.append(_ONE)
+            values.append(xi._unwrap(lift(ONE, xi))[:1])  # an absent generator is the constant 1
         stack = values[0] if len(values) == 1 else np.concatenate(values)
-        gathered = stack[index]
-        scalars = gathered[:, :1]
+        gathered = stack[index]  # (T, width) or (T, width, N)
+        scalars = gathered[:, 0]
         for j in range(1, index.shape[1]):
-            scalars = scalars * gathered[:, j:j + 1]
-        return AElement(self.algebra, self.algebra.sum_rows(scalars * self.coeffs))
+            scalars = scalars * gathered[:, j]
+        # row t of point j is coeffs[t] * scalars[t, j]; sum_rows adds the rows per point in order
+        rows = self.coeffs.reshape(self.coeffs.shape + (1,) * (scalars.ndim - 1)) * scalars[:, None]
+        return xi._wrap(self.algebra.sum_rows(rows))
 
     def __repr__(self) -> str:
         if not self.monos:

@@ -16,9 +16,14 @@ Horner's rule in A.
 
 This is the unique algebra homomorphism extending x_i -> xi_i on the
 implemented function class: forward-mode automatic differentiation on
-the dual numbers, Taylor (jet) arithmetic in general.  A near point is
-the homomorphism f -> lift(f, xi), so it memoizes its own lifts, shared
-by everything evaluated at it and freed with it.
+the dual numbers, Taylor (jet) arithmetic in general.
+
+A block of N near points (`NearPoints`) is one coefficient-major (n, dim, N)
+array; the tree is evaluated once per node for the whole block, on raw
+(dim, N) arrays, column j being point j.  A `NearPoint` is a block of one
+that runs the same code on (dim,) arrays and hands out `AElement`s.  A point
+or a block is the homomorphism f -> lift(f, xi), so it memoizes its own
+lifts, shared by everything evaluated on it and freed with it.
 """
 
 from __future__ import annotations
@@ -31,13 +36,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, UnknownVariable, Var, diff, series
+from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, UnknownVariable, Var, diff, evaluate, series
+from .expr import constant_exponent
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
     "BasePointOutsideTarget",
     "Chart",
     "NearPoint",
+    "NearPoints",
     "TangentVector",
     "lift",
     "lift_map",
@@ -115,9 +122,13 @@ class Chart:
 
 
 class NearPoint:
-    """Point of the near-point manifold: one A-element per chart coordinate."""
+    """Point of the near-point manifold: one A-element per chart coordinate.
 
-    __slots__ = ("algebra", "chart", "coords", "_lifts")
+    values[i] is the (dim,) coefficients of coordinate i; _wrap and _unwrap
+    turn the coefficients of a value here into an AElement and back.
+    """
+
+    __slots__ = ("algebra", "chart", "coords", "values", "_lifts")
 
     def __init__(self, algebra: WeilAlgebra, chart: Chart, coords: Sequence[AElement]):
         coords = tuple(coords)
@@ -132,10 +143,18 @@ class NearPoint:
         self.algebra = algebra
         self.chart = chart
         self.coords = coords
+        self.values = tuple(c.coeffs for c in coords)
         self._lifts: dict[int, tuple[Expr, AElement]] = {}  # id(f) -> (f, lift); f pins its id
 
     def base(self) -> np.ndarray:
         return np.array([c.augmentation for c in self.coords])
+
+    def _wrap(self, coeffs: np.ndarray) -> AElement:
+        return AElement(self.algebra, coeffs)
+
+    @staticmethod
+    def _unwrap(value: AElement) -> np.ndarray:
+        return value.coeffs
 
     def to_json(self) -> str:
         return json.dumps([list(c.coeffs) for c in self.coords])
@@ -149,72 +168,134 @@ class NearPoint:
         return f"NearPoint({', '.join(repr(c) for c in self.coords)})"
 
 
-def lift(f: Expr, xi: NearPoint) -> AElement:
+class NearPoints:
+    """A block of N near points over one algebra and chart, held coefficient-major.
+
+    values is a read-only (n, dim, N) array: values[i] is the (dim, N)
+    coefficient array of coordinate i, column j that of point j.  A value at
+    the block, such as a lift, is a read-only (dim, N) array whose column j is
+    the value at point j, so _wrap and _unwrap hand the array on.
+    """
+
+    __slots__ = ("algebra", "chart", "values", "_lifts")
+
+    def __init__(self, algebra: WeilAlgebra, chart: Chart, values: Sequence[np.ndarray]):
+        values = np.array(values, dtype=float)
+        if values.ndim != 3 or values.shape[:2] != (chart.n, algebra.dim) or not values.shape[2]:
+            raise ValueError(f"expected an ({chart.n}, {algebra.dim}, N) array, N >= 1, got shape {values.shape}")
+        for base in _bases(values):
+            if not chart.contains(base):
+                raise ValueError(f"base point {base} outside chart {chart.text()}")
+        values.flags.writeable = False
+        self.algebra = algebra
+        self.chart = chart
+        self.values = values
+        self._lifts: dict[int, tuple[Expr, np.ndarray]] = {}  # id(f) -> (f, lift); f pins its id
+
+    @staticmethod
+    def stack(points: Sequence[NearPoint]) -> "NearPoints":
+        """The block whose column j is points[j]."""
+        if not points:
+            raise ValueError("a block needs at least one point")
+        algebra, chart = points[0].algebra, points[0].chart
+        if any(p.algebra != algebra or p.chart != chart for p in points):
+            raise AlgebraMismatch("points over different algebras or charts")
+        return NearPoints(algebra, chart, np.stack([p.values for p in points], axis=-1))
+
+    def base(self) -> np.ndarray:
+        """The (n, N) array of base points, column j that of point j."""
+        return self.values[:, 0, :]
+
+    @staticmethod
+    def _wrap(coeffs: np.ndarray) -> np.ndarray:
+        coeffs.flags.writeable = False
+        return coeffs
+
+    @staticmethod
+    def _unwrap(value: np.ndarray) -> np.ndarray:
+        return value
+
+
+def _bases(values: Sequence[np.ndarray]) -> list[list[float]]:
+    """The base point of each point, from the coordinates' (dim,) or (dim, N) coefficient arrays."""
+    return np.array([v[0] for v in values]).reshape(len(values), -1).T.tolist()
+
+
+def lift(f: Expr, xi: NearPoint | NearPoints) -> AElement | np.ndarray:
     """Push f through the near point: evaluate the tree of f in A, with x_i -> xi_i.
 
-    Memoized on xi, so the result is shared: callers must not mutate it in place.
+    At a NearPoint the lift is an AElement; at a block of N points it is the
+    (dim, N) array whose column j is the lift at point j.  Memoized on xi, so
+    the result is shared: callers must not mutate it in place.
     """
     hit = xi._lifts.get(id(f))
     if hit is None:
-        hit = xi._lifts[id(f)] = (f, _jet(f, xi))
+        hit = xi._lifts[id(f)] = (f, xi._wrap(_jet(f, xi)))
     return hit[1]
 
 
-def _jet(e: Expr, xi: NearPoint) -> AElement:
+def _jet(e: Expr, xi: NearPoint | NearPoints) -> np.ndarray:
+    """Coefficients of the lift of e: (dim,) at a point, (dim, N) at a block, column by column."""
     if isinstance(e, Const):
-        return xi.algebra.scalar(e.value)
+        out = np.zeros(xi.values[0].shape)
+        out[0] = e.value
+        return out
     if isinstance(e, Var):
-        if e.index >= len(xi.coords):
+        if e.index >= len(xi.values):
             raise UnknownVariable(f"x{e.index + 1}")
-        return xi.coords[e.index]
+        return xi.values[e.index]
     if isinstance(e, Add):
         return _jet(e.left, xi) + _jet(e.right, xi)
+    if isinstance(e, Mul):
+        return xi.algebra.mul_coeffs(_jet(e.left, xi), _jet(e.right, xi))
+    if isinstance(e, Pow):
+        if constant_exponent(e):  # x^c with c a number, however it is spelled
+            c = e.exponent.value if isinstance(e.exponent, Const) else evaluate(e.exponent, ())
+            return _compose(float(c), _jet(e.base, xi), xi.algebra)
+        # general base^exponent = exp(exponent * log(base))
+        exponent, log = _jet(e.exponent, xi), _compose("log", _jet(e.base, xi), xi.algebra)
+        return _compose("exp", xi.algebra.mul_coeffs(exponent, log), xi.algebra)
+    if isinstance(e, Call):
+        return _compose(e.fn, _jet(e.arg, xi), xi.algebra)
     if isinstance(e, Sub):
         return _jet(e.left, xi) - _jet(e.right, xi)
-    if isinstance(e, Mul):
-        return _jet(e.left, xi) * _jet(e.right, xi)
-    if isinstance(e, Div):
-        return _jet(e.left, xi) * _compose("1/x", _jet(e.right, xi))
     if isinstance(e, Neg):
         return -_jet(e.arg, xi)
-    if isinstance(e, Pow):
-        if isinstance(e.exponent, Const):
-            return _compose(float(e.exponent.value), _jet(e.base, xi))
-        # general base^exponent = exp(exponent * log(base))
-        return _compose("exp", _jet(e.exponent, xi) * _compose("log", _jet(e.base, xi)))
-    if isinstance(e, Call):
-        return _compose(e.fn, _jet(e.arg, xi))
+    if isinstance(e, Div):
+        return xi.algebra.mul_coeffs(_jet(e.left, xi), _compose("1/x", _jet(e.right, xi), xi.algebra))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compose(g: str | float, a: AElement) -> AElement:
-    """g(a0 + n) = sum_{k <= height} c_k n^k for a primitive g and nilpotent n.
+def _compose(g: str | float, a: np.ndarray, algebra: WeilAlgebra) -> np.ndarray:
+    """g(a0 + n) = sum_{k <= height} c_k n^k for a primitive g and nilpotent n, column by column.
 
     `expr.series` gives the coefficients c_k = g^(k)(a0) / k! in closed form
-    (and owns every domain check); the sum is Horner's rule on coefficient
-    arrays, c_0 + n (c_1 + n (c_2 + ... + n c_h)): height products in A.
+    (and owns every domain check), once per column; the sum is Horner's rule
+    on coefficient arrays, c_0 + n (c_1 + n (c_2 + ... + n c_h)): height
+    products in A.  c[k] has the shape of a[0], so one code serves a point
+    and a block.
     """
-    algebra = a.algebra
-    c = series(g, a.augmentation, algebra.height)
-    n = a.coeffs.copy()
+    h = algebra.height
+    c = np.array([series(g, a0, h) for a0 in a[:1].ravel().tolist()]).T.reshape((h + 1,) + a.shape[1:])
+    n = a.copy()
     n[0] = 0.0
-    acc = np.zeros(algebra.dim)
-    acc[0] = c[-1]
-    for ck in reversed(c[:-1]):
+    acc = np.zeros(a.shape)
+    acc[0] = c[h]
+    for k in range(h - 1, -1, -1):
         acc = algebra.mul_coeffs(acc, n)
-        acc[0] += ck
-    return AElement(algebra, acc)
+        acc[0] += c[k]
+    return acc
 
 
-def lift_map(h: Sequence[Expr], xi: NearPoint, target: Chart) -> NearPoint:
-    """Lift of the smooth map with components h: coordinates lift(h_j, xi)."""
+def lift_map(h: Sequence[Expr], xi: NearPoint | NearPoints, target: Chart) -> NearPoint | NearPoints:
+    """Lift of the smooth map with components h: coordinates lift(h_j, xi), at a point or a block."""
     if len(h) != target.n:
         raise ValueError(f"map has {len(h)} components, target chart has {target.n}")
     coords = [lift(hj, xi) for hj in h]
-    base = [c.augmentation for c in coords]
-    if not target.contains(base):
-        raise BasePointOutsideTarget(f"image base point {base} outside {target.text()}")
-    return NearPoint(xi.algebra, target, coords)
+    for base in _bases([xi._unwrap(c) for c in coords]):
+        if not target.contains(base):
+            raise BasePointOutsideTarget(f"image base point {base} outside {target.text()}")
+    return type(xi)(xi.algebra, target, coords)  # NearPoint and NearPoints take their coordinates alike
 
 
 @dataclass(frozen=True)

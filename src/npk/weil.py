@@ -225,8 +225,11 @@ class WeilAlgebra:
         ]
         self._left, self._right, self._prod = np.array(table, dtype=np.intp).T.copy()
         self._index = index
-        # grown on demand: k % dim for sum_rows, and k * dim + prod (row k's bins) for mul_rows
-        self._columns = self._bins = np.zeros(0, dtype=np.intp)
+        # on demand: prod * N + j for a (dim, N) mul_coeffs, k % width for sum_rows of rows of each
+        # shape, and k * dim + prod (row k's bins, grown) for mul_rows
+        self._block_bins: dict[int, np.ndarray] = {}
+        self._columns: dict[tuple[int, ...], np.ndarray] = {}
+        self._bins = np.zeros(0, dtype=np.intp)
 
     def __eq__(self, other: object) -> bool:
         # the basis determines the monomial-quotient structure completely
@@ -273,7 +276,14 @@ class WeilAlgebra:
     # -- products ---------------------------------------------------------
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.bincount(self._prod, weights=a[self._left] * b[self._right], minlength=self.dim)
+        """a * b for coefficient vectors (dim,), or column by column, bit for bit, for (dim, N) blocks."""
+        weights = a[self._left] * b[self._right]
+        if weights.ndim == 1:
+            return np.bincount(self._prod, weights=weights, minlength=self.dim)
+        n = weights.shape[1]
+        if n not in self._block_bins:
+            self._block_bins[n] = (self._prod[:, None] * n + np.arange(n)).ravel()
+        return np.bincount(self._block_bins[n], weights=weights.ravel(), minlength=a.size).reshape(a.shape)
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """mul_coeffs of each pair of rows, the leading axes of a and b broadcast, in one bincount.
@@ -298,14 +308,18 @@ class WeilAlgebra:
         return out.reshape(*lead, self.dim)
 
     def sum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Sum of the rows of a C-contiguous (T, dim) array, added in order to 0.0.
+        """Sum over the first axis of a C-contiguous (T, dim) or (T, dim, N) array, in order from 0.0.
 
         This is what a loop of additions gives; np.add.reduce may add a single
         column pairwise instead, which rounds differently.
         """
-        if len(self._columns) < rows.size:
-            self._columns = np.arange(2 * rows.size) % self.dim
-        return np.bincount(self._columns[:rows.size], weights=rows.ravel(), minlength=self.dim)
+        shape = rows.shape[1:]
+        columns = self._columns.get(shape)
+        if columns is None or len(columns) < rows.size:
+            columns = self._columns[shape] = np.arange(2 * rows.size) % math.prod(shape)
+        out = np.bincount(columns[:rows.size], weights=rows.ravel(), minlength=math.prod(shape))
+        out.shape = shape
+        return out
 
     def left_multiplication(self, a: np.ndarray) -> np.ndarray:
         """Matrix of b -> a*b in the monomial basis."""

@@ -18,7 +18,7 @@ from npk.forms import (
     wedge,
 )
 from npk.functions import AFunction, lifted_function
-from npk.points import Chart, lift
+from npk.points import Chart, NearPoints, lift
 from npk.sampling import (
     random_a_element,
     random_base_field,
@@ -188,7 +188,7 @@ def test_palais_degree_zero(dual):
     theta = VectorField((parse("x2", 2), parse("x1", 2)))
     for _ in range(10):
         xi = random_near_point(rng, dual, CHART)
-        out = palais_eval(eta, [theta], [xi])[0]
+        out = palais_eval(eta, [theta], xi)
         expected = lift(theta.apply(f), xi)
         assert (out - expected).max_abs() <= 1e-10
 
@@ -204,7 +204,7 @@ def test_palais_matches_coefficient_route(plane_jet):
     lifted = [prolong(t, plane_jet, CHART) for t in thetas]
     for _ in range(20):
         xi = random_near_point(rng, plane_jet, CHART)
-        assert (palais_eval(eta, thetas, [xi])[0] - deta.evaluate(lifted, xi)).max_abs() <= 1e-9
+        assert (palais_eval(eta, thetas, xi) - deta.evaluate(lifted, xi)).max_abs() <= 1e-9
 
 
 def test_palais_constant_coefficients_on_coordinates(plane_jet):
@@ -215,7 +215,7 @@ def test_palais_constant_coefficients_on_coordinates(plane_jet):
         VectorField((Const(0.0), Const(1.0))),
     ]
     xi = random_near_point(np.random.default_rng(10), plane_jet, CHART)
-    assert palais_eval(eta, thetas, [xi])[0].max_abs() <= 1e-12
+    assert palais_eval(eta, thetas, xi).max_abs() <= 1e-12
 
 
 def test_exterior_operator_three_dimensional(dual, plane_jet):
@@ -229,6 +229,32 @@ def test_exterior_operator_three_dimensional(dual, plane_jet):
             assert record.passed, f"{name}: {record.max_residual:.3e}"
 
 
+def test_block_evaluation_matches_single_points_bit_for_bit(catalog):
+    rng = np.random.default_rng(15)
+    chart = Chart.cube(3)
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    for algebra in algebras:
+        for degree, size in ((1, 1), (2, 3), (3, 5), (2, 10)):
+            terms = [(random_function(rng, algebra, chart, max_terms=2), idx)
+                     for idx in itertools.combinations(range(3), degree)]
+            eta = AForm(algebra, chart, degree, tuple(terms))
+            fields = [random_field(rng, algebra, chart) for _ in range(degree)]
+            points = [random_near_point(rng, algebra, chart) for _ in range(size)]
+            block = NearPoints.stack(points)
+            got = eta.evaluate(fields, block)
+            assert got.shape == (algebra.dim, size)
+            expected = np.stack([eta.evaluate(fields, xi).coeffs for xi in points], axis=-1)
+            assert np.array_equal(got, expected, equal_nan=True)
+            if algebra.dim < 20:
+                lifted = AForm(algebra, chart, degree - 1, tuple(
+                    (random_lifted_function(rng, algebra, chart), idx)
+                    for idx in itertools.combinations(range(3), degree - 1)))
+                thetas = [random_base_field(rng, chart) for _ in range(degree)]
+                got = palais_eval(lifted, thetas, block)
+                expected = np.stack([palais_eval(lifted, thetas, xi).coeffs for xi in points], axis=-1)
+                assert np.array_equal(got, expected, equal_nan=True)
+
+
 def test_arity_and_degree_errors(dual):
     eta = prolong_form(form(2, 1, {(0,): Const(1.0)}), dual, CHART)
     with pytest.raises(ArityMismatch):
@@ -237,7 +263,7 @@ def test_arity_and_degree_errors(dual):
     with pytest.raises(DegreeOverflow):
         exterior_derivative(area)
     with pytest.raises(ArityMismatch):
-        palais_eval(eta, [], [random_near_point(np.random.default_rng(12), dual, CHART)])
+        palais_eval(eta, [], random_near_point(np.random.default_rng(12), dual, CHART))
 
 
 # -- one canonicalization per operation reproduces the pairwise fold --------------

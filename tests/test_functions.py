@@ -11,7 +11,7 @@ from npk.functions import (
     tangent_apply,
 )
 from npk.fields import bracket
-from npk.points import Chart, lift
+from npk.points import Chart, NearPoints, lift
 from npk.sampling import (
     random_a_element,
     random_field,
@@ -225,6 +225,22 @@ def test_evaluate_matches_per_term_loop_bit_for_bit(catalog):
                     )
 
 
+def test_block_evaluate_matches_single_points_bit_for_bit(catalog):
+    rng = np.random.default_rng(14)
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    for algebra in algebras:
+        functions = _oracle_functions(rng, algebra)
+        functions += [AFunction.zero(algebra, CHART), AFunction.constant(random_a_element(rng, algebra), CHART)]
+        for size in (1, 3, 5, 10):
+            points = [random_near_point(rng, algebra, CHART) for _ in range(size)]
+            block = NearPoints.stack(points)
+            for phi in functions:
+                got = phi.evaluate(block)
+                assert got.shape == (algebra.dim, size)
+                expected = np.stack([phi.evaluate(xi).coeffs for xi in points], axis=-1)
+                assert np.array_equal(got, expected, equal_nan=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_coefficient_stays_non_finite(plane_jet, bad):
     rng = np.random.default_rng(11)
@@ -237,6 +253,10 @@ def test_non_finite_coefficient_stays_non_finite(plane_jet, bad):
             value = psi.evaluate(xi).coeffs
             assert not np.all(np.isfinite(value))
             assert np.array_equal(value, _evaluate_by_terms(psi, xi), equal_nan=True)
+            points = [xi, random_near_point(rng, plane_jet, CHART)]
+            block = psi.evaluate(NearPoints.stack(points))
+            assert np.array_equal(block[:, 0], value, equal_nan=True)
+            assert np.array_equal(block[:, 1], psi.evaluate(points[1]).coeffs, equal_nan=True)
 
 
 def test_construction_contract(plane_jet):

@@ -6,7 +6,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npk.expr import ONE, Call, Const, Div, DomainError, Expr, Pow, Var, diff, evaluate, parse, series
+from npk.expr import (
+    ONE,
+    Call,
+    Const,
+    Div,
+    DomainError,
+    Expr,
+    Neg,
+    Pow,
+    UnknownVariable,
+    Var,
+    diff,
+    evaluate,
+    expr_key,
+    parse,
+    series,
+)
 from npk.weil import build_algebra, parse_presentation
 
 _DUAL_JET = build_algebra(parse_presentation("R[x,y]/(x^3,x^2*y,x*y^2,y^3)"))
@@ -14,6 +30,7 @@ from npk.points import (
     BasePointOutsideTarget,
     Chart,
     NearPoint,
+    NearPoints,
     TangentVector,
     lift,
     lift_map,
@@ -258,6 +275,117 @@ def test_field_and_form_at_one_point_share_lifts():
     assert set(expansions) == distinct
 
 
+# -- a block of near points against the stacked single points -------------------------------
+
+BLOCK_SIZES = (1, 3, 5, 10)
+_DIM27 = build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))
+
+
+def _stacked(values):
+    """The (dim, N) block layout of per-point values: column j is values[j]."""
+    return np.stack([v.coeffs for v in values], axis=-1)
+
+
+def test_block_lift_matches_single_points_bit_for_bit(catalog):
+    rng = np.random.default_rng(41)
+    chart = Chart.cube(3)
+    for algebra in [*catalog, _DIM27]:
+        for size in BLOCK_SIZES:
+            points = [random_near_point(rng, algebra, chart) for _ in range(size)]
+            block = NearPoints.stack(points)
+            assert block.values.shape[2] == size
+            fs = [random_expr(rng, 3) for _ in range(2 if algebra.dim > 20 else 6)]
+            fs += [parse("(x1 + 2)^x2 + 1/(x3 + 2) - sqrt(x1 + 2)", 3), Const(1.5), parse("x2", 3)]
+            for f in fs:
+                got = lift(f, block)
+                assert got.shape == (algebra.dim, size)
+                assert np.array_equal(got, _stacked([lift(f, xi) for xi in points]), equal_nan=True)
+
+
+def test_block_lift_map_matches_single_points(plane_jet):
+    rng = np.random.default_rng(42)
+    chart, wide = Chart.cube(2), Chart.box([(-math.inf, math.inf)] * 2)
+    h = [parse("x1 + x2", 2), parse("x1*x2", 2)]
+    points = [random_near_point(rng, plane_jet, chart) for _ in range(5)]
+    image = lift_map(h, NearPoints.stack(points), wide)
+    for i in range(2):
+        assert np.array_equal(image.values[i], _stacked([lift_map(h, xi, wide).coords[i] for xi in points]))
+    with pytest.raises(BasePointOutsideTarget):
+        lift_map([parse("x1 + 10", 2), parse("x2", 2)], NearPoints.stack(points), chart)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coordinate_stays_in_its_column(catalog, bad):
+    rng = np.random.default_rng(43)
+    chart = Chart.cube(2)
+    f = parse("x1*x2 + exp(x1)*x2^2 - 3*x1", 2)
+    for algebra in catalog[1:]:  # a non-finite nilpotent part needs dim > 1
+        points = [random_near_point(rng, algebra, chart) for _ in range(5)]
+        coords = list(points[2].coords)
+        coords[1] = algebra.element([coords[1].augmentation, bad] + [0.0] * (algebra.dim - 2))
+        points[2] = NearPoint(algebra, chart, coords)
+        with np.errstate(invalid="ignore"):
+            got = lift(f, NearPoints.stack(points))
+            expected = _stacked([lift(f, xi) for xi in points])
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert not np.all(np.isfinite(got[:, 2]))
+        assert np.all(np.isfinite(np.delete(got, 2, axis=1)))
+
+
+@pytest.mark.parametrize("text, error", [("log(x1)", DomainError), ("1/x1", DomainError), ("x1 + x3", UnknownVariable)])
+def test_block_raises_like_the_per_point_loop(dual, text, error):
+    chart = Chart.box([(-math.inf, math.inf)] * 2)
+    f = parse(text, 3)
+    bases = [0.5, -0.25, 0.0, 0.75] if error is DomainError else [0.5, 0.25]
+    points = [NearPoint(dual, chart, [dual.element([b, 1.0]), dual.element([b, 2.0])]) for b in bases]
+    with pytest.raises(error):
+        for xi in points:
+            lift(f, xi)
+    with pytest.raises(error):
+        lift(f, NearPoints.stack(points))
+
+
+def test_block_memo_is_shared_and_freed_with_the_block():
+    import gc
+    import weakref
+
+    from npk.fields import prolong
+    from npk.forms import prolong_form
+    from npk.sampling import random_base_field, random_base_form
+
+    rng = np.random.default_rng(44)
+    chart = Chart.cube(2)
+    fields = [prolong(random_base_field(rng, chart), _DUAL_JET, chart) for _ in range(2)]
+    eta = prolong_form(random_base_form(rng, chart, 2), _DUAL_JET, chart)
+    block = NearPoints.stack([random_near_point(rng, _DUAL_JET, chart) for _ in range(5)])
+    functions = [c for x in fields for c in x.components] + [phi for phi, _ in eta.terms]
+    distinct = {id(g.fn) for phi in functions for _, mono in phi.terms for g in mono}
+    block._lifts = expansions = _CountingDict()  # one expansion per distinct expression
+    for x in fields:
+        x.evaluate(block)
+    eta.evaluate(fields, block)
+    assert distinct and expansions.stores == len(expansions)
+    assert distinct <= set(expansions) <= distinct | {id(ONE)}  # ONE stands for an absent generator
+    f = next(iter(expansions.values()))[0]
+    value = lift(f, block)
+    assert lift(f, block) is value and not value.flags.writeable
+    ref = weakref.ref(value)
+    del block, expansions, value
+    gc.collect()
+    assert ref() is None
+
+
+def test_block_validation(dual):
+    chart = Chart.cube(1)
+    xi = NearPoint(dual, chart, [dual.element([0.5, 1.0])])
+    with pytest.raises(ValueError):
+        NearPoints.stack([])
+    with pytest.raises(ValueError):
+        NearPoints(dual, chart, np.array([[[2.0], [1.0]]]))  # base outside the box
+    with pytest.raises(AlgebraMismatch):
+        NearPoints.stack([xi, NearPoint(dual, Chart.cube(1, -2.0, 2.0), xi.coords)])
+
+
 # -- the symbolic multi-index Taylor formula, kept as an independent oracle for lift --------
 
 
@@ -370,6 +498,27 @@ def test_general_power_domain_agrees_across_evaluate_lift_diff(dual, base):
         for route in routes:
             with pytest.raises(DomainError):
                 route()
+
+
+def test_equal_keys_evaluate_and_lift_alike():
+    # both spellings key as x1^-2; a variable-free exponent is a constant power in every route
+    from npk.functions import AFunction, ScalarGenerator
+
+    jet = build_algebra(parse_presentation("R[x]/(x^3)"))
+    chart = Chart.box([(-math.inf, math.inf)])
+    folded, spelled = Pow(Var(0), Const(-2.0)), Pow(Var(0), Neg(Const(2.0)))
+    assert expr_key(folded) == expr_key(spelled) == "x1^-2"
+    xi = NearPoint(jet, chart, [jet.element([-0.5, 1.0, 0.0])])
+    for f in (folded, spelled):
+        assert evaluate(f, [-0.5]) == 4.0
+        assert evaluate(diff(f, 0), [-0.5]) == 16.0
+        assert list(lift(f, xi).coeffs) == [4.0, 16.0, 48.0]
+    a, b = jet.element([1.0, 2.0, 0.0]), jet.element([0.5, 0.0, -1.0])
+    phi = AFunction(jet, chart, [(a, (ScalarGenerator(1, spelled),)), (b, (ScalarGenerator(1, folded),))])
+    assert len(phi.monos) == 1  # the two generators merge by key
+    assert np.array_equal(phi.evaluate(xi).coeffs, (16.0 * (a + b)).coeffs)
+    with pytest.raises(DomainError):  # an exponent with a variable stays a general power
+        lift(Pow(Var(0), Neg(Var(0))), xi)
 
 
 # -- closed-form series of the primitives against the symbolic route -----------------------
