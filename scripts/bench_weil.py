@@ -17,9 +17,10 @@ the per-call microseconds of the A-function layer at dims 2, 6 and 27 on a
 apply_fn of a random field on a random function, the bracket of two random
 fields, and one evaluate of the product of two lifted functions at a near
 point whose lifts are already memoized; and, at dims 27, 48 and 100, the
-seconds of derivation_basis on a fresh algebra (exact solve, rebuild and the
-validation of each element) and of validating that basis again with
-is_derivation (best of three runs, or one run when a run takes over a second).
+seconds of build_algebra, of derivation_basis on a fresh algebra (exact
+solve, assembly and validation) and of validating that basis again element
+by element with is_derivation (best of three runs, or one run when a run
+takes over a second).
 The block section times, at dims 2, 6 and 27 on a 2-dim chart, one lift and
 one evaluate of the product of two lifted functions on a block of N = 1, 5
 and 10 near points against N single-point calls, each with empty lift memos
@@ -95,11 +96,13 @@ def per_call_us(fn) -> float:
     return min(timer.repeat(repeat=5, number=number)) / number * 1e6
 
 
-def best_seconds(fn) -> float:
+def best_seconds(fn, fresh=lambda: None) -> float:
+    """Fastest of three runs of fn(fresh()), or one run when a run takes over a second; fresh is not timed."""
     times = []
     while len(times) < 3 and sum(times) <= 1.0:
+        arg = fresh()
         start = time.perf_counter()
-        fn()
+        fn(arg)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -187,19 +190,15 @@ def blocks(text: str) -> dict:
 
 def derivations(text: str) -> dict:
     presentation = parse_presentation(text)
-    basis = []
-
-    def solve():
-        basis[:] = derivation_basis(build_algebra(presentation))
-
-    solve_s = best_seconds(solve)
-    algebra = basis[0].algebra
+    algebra = build_algebra(presentation)
+    basis = derivation_basis(algebra)
     return {
         "algebra": text,
         "dim": algebra.dim,
         "derivations": len(basis),
-        "derivation_basis_s": solve_s,
-        "validation_s": best_seconds(lambda: all(is_derivation(algebra, d.endo) for d in basis)),
+        "build_s": best_seconds(lambda _: build_algebra(presentation)),
+        "derivation_basis_s": best_seconds(derivation_basis, lambda: build_algebra(presentation)),
+        "validation_s": best_seconds(lambda _: all(is_derivation(algebra, d.endo) for d in basis)),
     }
 
 

@@ -13,7 +13,9 @@ algebras, plus five lifts outside the domain (exit 2): sqrt(x1 - 1) at
 coefficient of the series is out of floating-point range.  Single-point
 evaluation is covered by `npk field --json` and `npk form --json` on the
 README's two examples, and by a field of generator literals over
-R[x,y]/(x^3,x^2*y,x*y^2,y^3), evaluated and applied to an expression.  Each run is a
+R[x,y]/(x^3,x^2*y,x*y^2,y^3), evaluated and applied to an expression.
+`npk algebra --json` prints the basis and the integer Der(A) matrices of six
+presentations of dims 2 to 48.  Each run is a
 fresh `python -m npk` process with the caller's environment, so
 PYTHONPATH picks the checkout under test; without PYTHONPATH it is this
 checkout's `src`.  Each file
@@ -41,6 +43,14 @@ LIFT_FNS = (
     "(x1 + 2)^(x2 + 1)",
 )
 DOMAIN_ERRORS = (("x1^0.5", 0), ("1/x1", 0), ("log(x1)", -0.5), ("1/x1", 1e-200))
+DERIVATION_ALGEBRAS = (
+    "R[x]/(x^2)",
+    "R[x,y]/(x^3,x^2*y,x*y^2,y^3)",
+    "R[x,y,z]/(x^2,y^2,z^2)",
+    "R[x,y]/(x^4,y^4)",
+    "R[x,y,z]/(x^3,y^3,z^3)",
+    "R[x,y,z]/(x^4,y^4,z^3)",
+)
 README_POINT = "[[0.5,1],[0.25,2]]"
 GENERATOR_FIELD = (
     '[1,0,0,0,0,0]*gen(1,"x1")*gen(2,"sin(x2)") + [0,0.5,0,-1,0,0]*gen(0,"x2")*gen(1,"x2") + [0,0,0,0,0,3]; '
@@ -87,6 +97,8 @@ def runs():
     args = ["field", "--json", "--algebra", ALGEBRAS[1], "--field", GENERATOR_FIELD, "--point", _point(6)]
     yield "field-generators.txt", args
     yield "field-generators-fn.txt", args + ["--fn", "sin(x1)*x2 + x1^2"]
+    for a, algebra in enumerate(DERIVATION_ALGEBRAS):
+        yield f"algebra{a}.txt", ["algebra", "--json", "--algebra", algebra]
 
 
 def main() -> int:

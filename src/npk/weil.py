@@ -12,7 +12,6 @@ all the small desk examples are of this form.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -44,6 +43,10 @@ __all__ = [
 DERIVATION_TOL = 1e-10
 INVERT_TOL = 1e-12
 ROWS_BLOCK = 1 << 18  # table terms mul_rows forms at once; larger batches run in slices
+# Leibniz terms a batched check gathers at once from a group of elements: about two elements
+# of a dim-16 algebra, so that batching adds next to no memory.  One element with more terms
+# than ROWS_BLOCK is checked in slices of its triples.
+LEIBNIZ_BLOCK = 1 << 12
 
 
 class PresentationError(ValueError):
@@ -178,6 +181,44 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(len(names), tuple(gens), names)
 
 
+def _standard_monomials(num_vars: int, gens: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The monomials divisible by no generator, found degree by degree.
+
+    A monomial is one of them exactly when it is no generator and each
+    monomial x^m / x_j below it is one, so each degree is grown from the one
+    before: the walk visits the basis and its neighbours only, not the whole
+    box of pure-power bounds (2^40 tuples for 40 variables).
+    """
+    gens = set(gens)
+    layer = {(0,) * num_vars}
+    found = list(layer)
+    while layer:
+        grown = {_shift(m, i, 1) for m in layer for i in range(num_vars)}
+        layer = {m for m in grown - gens if all(_shift(m, j, -1) in layer for j in range(num_vars) if m[j])}
+        found += layer
+    return found
+
+
+def _product_table(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (a, b, g) of the products e_a e_b = e_g in the basis, ordered by a, then b.
+
+    exps holds one exponent row per basis monomial.  All dim^2 sums of two
+    rows are formed in one broadcast and looked up exactly, by their bytes,
+    in the sorted rows; each row is led by its total degree so that no row
+    is empty (R has no variables).
+    """
+    dim = len(exps)
+    rows = np.column_stack((exps.sum(axis=1), exps))
+    key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    keys = rows.view(key).ravel()
+    order = np.argsort(keys)
+    sums = (rows[:, None, :] + rows[None, :, :]).reshape(dim * dim, -1).view(key).ravel()
+    at = np.minimum(np.searchsorted(keys[order], sums), dim - 1)
+    hit = keys[order[at]] == sums
+    left, right = np.divmod(np.flatnonzero(hit), dim)
+    return left, right, order[at[hit]]
+
+
 class WeilAlgebra:
     """Quotient R[x1..xk]/I for a monomial ideal I, with precomputed basis and products.
 
@@ -187,8 +228,9 @@ class WeilAlgebra:
 
     The product of two basis monomials is one basis monomial or zero, so the
     multiplication table is stored sparsely, once: the nonzero products
-    e_a * e_b = e_g as three index arrays (a, b) -> g, ordered by a, then b.
-    Every product, left multiplication, inverse and Leibniz check reads them.
+    e_a * e_b = e_g as three index arrays (a, b) -> g, ordered by a, then b,
+    built by one broadcast of the basis exponents (dim^2 x k).  Every product,
+    left multiplication, inverse and Leibniz check reads them.
     ``structure``, the dense 0/1 tensor c[a, b, g], is built from the table
     only on request; no computation here uses it.
     """
@@ -201,15 +243,7 @@ class WeilAlgebra:
                 raise InfiniteDimensional(
                     f"variable {pres.var_names[i]!r} has no pure-power generator"
                 )
-        bounds = [
-            min(g[i] for g in gens if g[i] > 0 and all(g[j] == 0 for j in range(pres.num_vars) if j != i))
-            for i in range(pres.num_vars)
-        ]
-        basis = [
-            exps
-            for exps in itertools.product(*(range(b) for b in bounds))
-            if not any(_divides(g, exps) for g in gens)
-        ]
+        basis = _standard_monomials(pres.num_vars, gens)
         basis.sort(key=_grlex_key)
         self.presentation = pres
         self.basis: tuple[tuple[int, ...], ...] = tuple(basis)
@@ -217,13 +251,8 @@ class WeilAlgebra:
         self.num_vars = pres.num_vars
         self.height = max((_total_degree(b) for b in basis), default=0)
         index = {b: i for i, b in enumerate(basis)}
-        table = [
-            (a, b, g)
-            for a, ea in enumerate(basis)
-            for b, eb in enumerate(basis)
-            if (g := index.get(tuple(x + y for x, y in zip(ea, eb)))) is not None
-        ]
-        self._left, self._right, self._prod = np.array(table, dtype=np.intp).T.copy()
+        self._exps = np.array(basis, dtype=np.intp).reshape(self.dim, self.num_vars)
+        self._left, self._right, self._prod = _product_table(self._exps)
         self._index = index
         # on demand: prod * N + j for a (dim, N) mul_coeffs, k % width for sum_rows of rows of each
         # shape, and k * dim + prod (row k's bins, grown) for mul_rows
@@ -335,6 +364,15 @@ class WeilAlgebra:
         return c
 
     @functools.cached_property
+    def _product_quotient(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table as dense (dim, dim) indices: product[a, b] = ab, quotient[s, b] = s/b, -1 outside A."""
+        product = np.full((self.dim, self.dim), -1)
+        product[self._left, self._right] = self._prod
+        quotient = np.full((self.dim, self.dim), -1)
+        quotient[self._prod, self._right] = self._left
+        return product, quotient
+
+    @functools.cached_property
     def _leibniz_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where the Leibniz terms of each triple (a, b, s) sit in a flattened D.
 
@@ -347,10 +385,7 @@ class WeilAlgebra:
         with s/b in the basis.
         """
         dim, left, right, prod = self.dim, self._left, self._right, self._prod
-        product = np.full((dim, dim), -1)
-        product[left, right] = prod  # product[a, b] = ab
-        quotient = np.full((dim, dim), -1)
-        quotient[prod, right] = left  # quotient[s, b] = s/b
+        product, quotient = self._product_quotient
         every = np.arange(dim)
         half = left <= right
         # ab in the basis and a <= b, every s
@@ -479,18 +514,46 @@ class LinearEndo:
         return AElement(self.algebra, self.matrix @ a.coeffs)
 
 
-def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
-    """max over (a, b, s) of |coefficient s of d(e_a e_b) - d(e_a) e_b - e_a d(e_b)|."""
+def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float | np.ndarray:
+    """max over (a, b, s) of |coefficient s of d(e_a e_b) - d(e_a) e_b - e_a d(e_b)|.
+
+    matrix is one (dim, dim) D, giving one float, or a (k, dim, dim) stack,
+    giving the k residuals, each bit for bit what its element gives alone.
+    One element gathers from a flat vector, the cheapest form per call; a
+    stack gathers row-wise, in groups of elements of at most LEIBNIZ_BLOCK
+    terms and slices of at most ROWS_BLOCK triples, so that memory stays
+    bounded.
+    """
     lhs, left, right = algebra._leibniz_index
-    flat = np.append(matrix, 0.0)
-    residual = flat[lhs]
-    residual -= flat[left] + flat[right]
-    return float(np.abs(residual, out=residual).max())
+    if matrix.ndim == 2:
+        flat = np.concatenate((matrix.ravel(), (0.0,)))
+        residual, rhs = flat[lhs], flat[left]
+        rhs += flat[right]
+        residual -= rhs
+        return float(np.abs(residual, out=residual).max())
+    step = max(1, LEIBNIZ_BLOCK // len(lhs))
+    if len(matrix) > step:
+        slices = range(0, len(matrix), step)
+        return np.concatenate([_leibniz_residual(algebra, matrix[k:k + step]) for k in slices])
+    flat = np.concatenate((matrix.reshape(len(matrix), algebra.dim**2), np.zeros((len(matrix), 1))), axis=1)
+    out = np.zeros(len(matrix))
+    for t in range(0, len(lhs), ROWS_BLOCK):  # one element has about dim^3 / 3 terms
+        part = slice(t, t + ROWS_BLOCK)
+        residual, rhs = flat.take(lhs[part], axis=1), flat.take(left[part], axis=1)
+        rhs += flat.take(right[part], axis=1)
+        residual -= rhs
+        np.maximum(out, np.abs(residual, out=residual).max(axis=1), out=out)
+    return out
 
 
 def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray, tol: float = DERIVATION_TOL) -> bool:
-    """Leibniz check d(e_a e_b) = d(e_a) e_b + e_a d(e_b) on all basis pairs."""
+    """Leibniz check d(e_a e_b) = d(e_a) e_b + e_a d(e_b) on all basis pairs.
+
+    Raises DimensionMismatch unless the matrix is dim x dim.
+    """
     matrix = endo.matrix if isinstance(endo, LinearEndo) else np.asarray(endo, dtype=float)
+    if matrix.shape != (algebra.dim, algebra.dim):
+        raise DimensionMismatch(f"derivation matrix must be {algebra.dim} square, got shape {matrix.shape}")
     return _leibniz_residual(algebra, matrix) <= tol
 
 
@@ -503,6 +566,16 @@ class Derivation:
     def __post_init__(self) -> None:
         if not is_derivation(self.endo.algebra, self.endo):
             raise NotADerivation("endomorphism fails the Leibniz rule")
+
+    @classmethod
+    def _of(cls, algebra: WeilAlgebra, matrix: np.ndarray) -> "Derivation":
+        """Wrap a float (dim, dim) matrix whose Leibniz residual the caller has already checked."""
+        endo = object.__new__(LinearEndo)
+        object.__setattr__(endo, "algebra", algebra)
+        object.__setattr__(endo, "matrix", matrix)
+        d = object.__new__(cls)
+        object.__setattr__(d, "endo", endo)
+        return d
 
     @property
     def algebra(self) -> WeilAlgebra:
@@ -541,11 +614,45 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     index i * dim + a, gives one basis element: that unknown set to 1, the
     other free ones to 0, then scaled to the smallest integer vector, so that
     every matrix entry is an integer.  Column b of the matrix is
-    d(x^b) = sum_i b_i x^(b-e_i) d(x_i).  Cached per algebra instance.
+    d(x^b) = sum_i b_i x^(b-e_i) d(x_i).  All matrices are assembled in one
+    scatter and validated by one batched Leibniz check.  Cached per algebra
+    instance.
     """
     cached = getattr(algebra, "_derivation_basis", None)
     if cached is not None:
         return list(cached)
+    algebra._leibniz_index  # built first, so that its transient arrays are freed before the matrices exist
+    matrices = _assemble(algebra, _derivation_values(algebra))
+    if not (_leibniz_residual(algebra, matrices) <= DERIVATION_TOL).all():
+        raise NotADerivation("a solved basis element fails the Leibniz rule")
+    out = [Derivation._of(algebra, m) for m in matrices]
+    algebra._derivation_basis = tuple(out)
+    return out
+
+
+def _assemble(algebra: WeilAlgebra, values: list[list[tuple[int, int, int]]]) -> np.ndarray:
+    """The (k, dim, dim) matrices of derivations given by their values (i, a, u[i, a]), in one bincount.
+
+    Column b is d(x^b) = sum_i b_i x^(b-e_i) d(x_i): entry (e_a x^(b-e_i), b)
+    gains b_i * u[i, a] for every value and every b with b_i > 0.
+    """
+    dim = algebra.dim
+    element, var, a, v = np.array(
+        [(n, *entry) for n, entries in enumerate(values) for entry in entries], dtype=np.int64
+    ).reshape(-1, 4).T
+    product, quotient = algebra._product_quotient
+    xs = [algebra._index[_shift((0,) * algebra.num_vars, i, 1)] for i in range(algebra.num_vars)]
+    lower = quotient[:, xs].T[var]  # x^(b-e_i) for every b, -1 where b_i = 0
+    s = np.where(lower >= 0, product[a[:, None], lower], -1)
+    keep = s >= 0
+    position = (element[:, None] * dim + s) * dim + np.arange(dim)
+    weights = algebra._exps.T[var] * v[:, None]
+    size = len(values) * dim * dim
+    return np.bincount(position[keep], weights[keep], minlength=size).reshape(len(values), dim, dim)
+
+
+def _derivation_values(algebra: WeilAlgebra) -> list[list[tuple[int, int, int]]]:
+    """The exact solve behind derivation_basis: per basis element, its integer values (i, a, u[i, a]) != 0."""
     dim, basis, index = algebra.dim, algebra.basis, algebra._index
     blocks: dict[tuple[int, ...], list[dict[int, Fraction]]] = {}
     for g in algebra.presentation.normalized_generators():
@@ -570,19 +677,9 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     for free in range(algebra.num_vars * dim):
         if free in pivots:
             continue
-        values = [(free, Fraction(1)), *dependents.get(free, ())]
+        values = [(free, 1), *dependents.get(free, ())]
         scale = math.lcm(*(v.denominator for _, v in values))
-        matrix = np.zeros((dim, dim))
-        for col, v in values:
-            i, a = divmod(col, dim)
-            v = int(v * scale)
-            for b, mb in enumerate(basis):  # d(x^b) gains b_i x^(b-e_i) * v e_a
-                if mb[i]:
-                    s = index.get(_shift(tuple(x + y for x, y in zip(mb, basis[a])), i, -1))
-                    if s is not None:
-                        matrix[s, b] += mb[i] * v
-        out.append(Derivation(LinearEndo(algebra, matrix)))
-    algebra._derivation_basis = tuple(out)
+        out.append([(*divmod(col, dim), v.numerator * (scale // v.denominator)) for col, v in values])
     return out
 
 

@@ -422,16 +422,28 @@ def test_non_finite_matrix_is_not_a_derivation(catalog, dim27, bad):
 def test_validation_covers_every_basis_element(monkeypatch):
     a = build_algebra(parse_presentation("R[x,y,z]/(x^4,y^4,z^3)"))
     assert a.dim == 48
-    residuals = []
+    residuals, depth = [], [0]
+    batched = weil._leibniz_residual
 
-    def counting(algebra, endo, tol=weil.DERIVATION_TOL):
-        residuals.append(_leibniz_residual(algebra, endo.matrix))
-        return residuals[-1] <= tol
+    def spy(algebra, matrix):
+        depth[0] += 1  # a stack of more than LEIBNIZ_BLOCK terms is checked in recursive slices
+        try:
+            out = batched(algebra, matrix)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            residuals.append(out)
+        return out
 
-    monkeypatch.setattr(weil, "is_derivation", counting)
+    def per_element(*args, **kwargs):
+        raise AssertionError("derivation_basis validates through the batched check only")
+
+    monkeypatch.setattr(weil, "_leibniz_residual", spy)
+    monkeypatch.setattr(weil, "is_derivation", per_element)
     basis = derivation_basis(a)
-    assert len(basis) == len(residuals) == 104
-    assert all(r == 0.0 for r in residuals)
+    (checked,) = residuals
+    assert len(basis) == len(checked) == 104
+    assert all(r == 0.0 for r in checked)
 
 
 def test_algebra_equality_by_identity_and_by_basis():
@@ -442,3 +454,148 @@ def test_algebra_equality_by_identity_and_by_basis():
     assert a != build_algebra(parse_presentation("R[x]/(x^6)"))
     a.basis = float("nan")  # unequal to itself, so only the identity check makes a == a
     assert a == a
+
+
+# -- whole-array table, assembly and validation against the pair-by-pair loops --------
+
+
+def reference_standard_monomials(algebra):
+    """The basis by enumerating the whole box of pure-power bounds, in basis order."""
+    pres = algebra.presentation
+    gens = pres.normalized_generators()
+    bounds = [min(g[i] for g in gens if g[i] == sum(g)) for i in range(pres.num_vars)]
+    box = itertools.product(*(range(b) for b in bounds))
+    return tuple(sorted((m for m in box if not any(all(x <= y for x, y in zip(g, m)) for g in gens)),
+                        key=weil._grlex_key))
+
+
+def reference_product_table(algebra):
+    """(a, b, g) of every nonzero product e_a e_b = e_g, pair by pair, ordered by a, then b."""
+    index = {b: i for i, b in enumerate(algebra.basis)}
+    table = [
+        (a, b, g)
+        for a, ea in enumerate(algebra.basis)
+        for b, eb in enumerate(algebra.basis)
+        if (g := index.get(tuple(x + y for x, y in zip(ea, eb)))) is not None
+    ]
+    return np.array(table, dtype=np.intp).T.copy()
+
+
+def reference_derivation_matrices(algebra):
+    """The Der(A) matrices assembled element by element and entry by entry from the exact solve."""
+    basis, index = algebra.basis, algebra._index
+    out = []
+    for values in weil._derivation_values(algebra):
+        matrix = np.zeros((algebra.dim, algebra.dim))
+        for i, a, v in values:
+            for b, mb in enumerate(basis):  # d(x^b) gains b_i x^(b-e_i) * v e_a
+                if mb[i]:
+                    s = index.get(tuple(x + y - (j == i) for j, (x, y) in enumerate(zip(mb, basis[a]))))
+                    if s is not None:
+                        matrix[s, b] += mb[i] * v
+        out.append(matrix)
+    return out
+
+
+def seeded_presentations(count, seed):
+    """Monomial presentations in 1-3 variables: a pure power of each and up to two more generators."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        gens = [tuple(int(rng.integers(2, 6)) if j == i else 0 for j in range(k)) for i in range(k)]
+        more = (tuple(int(e) for e in rng.integers(0, 4, k)) for _ in range(int(rng.integers(0, 3))))
+        out.append(Presentation(k, tuple(gens) + tuple(g for g in more if sum(g) >= 2), tuple("xyz"[:k])))
+    return out
+
+
+# 40 variables, every product of two of them zero: exponent sums reach 3^40 > 2^63 codes
+FORTY_VARIABLES = "R[{}]/({})".format(
+    ",".join(f"a{i}" for i in range(1, 41)),
+    ",".join(f"a{i}*a{j}" if i != j else f"a{i}^2" for i in range(1, 41) for j in range(i, 41)),
+)
+
+
+@pytest.fixture(scope="module")
+def dim48():
+    return build_algebra(parse_presentation("R[x,y,z]/(x^4,y^4,z^3)"))
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras(catalog, dim27, dim48):
+    seeded = [build_algebra(p) for p in seeded_presentations(20, seed=23)]
+    return [*catalog, dim27, dim48, *seeded, build_algebra(parse_presentation(FORTY_VARIABLES))]
+
+
+def test_forty_variable_algebra(oracle_algebras):
+    a = oracle_algebras[-1]
+    assert a.num_vars == 40 and a.dim == 41 and a.height == 1
+    assert len(a._prod) == 2 * 40 + 1  # 1 * 1 and 1 * a_i both ways
+    assert len(derivation_basis(a)) == 40 * 40  # d(a_i) is any element of m
+
+
+def test_basis_matches_box_enumeration(oracle_algebras):
+    for a in oracle_algebras[:-1]:  # the 40-variable box has 2^40 points
+        assert a.basis == reference_standard_monomials(a), a.text
+
+
+def test_product_table_matches_pairwise_reference(oracle_algebras):
+    for a in oracle_algebras:
+        for got, want in zip((a._left, a._right, a._prod), reference_product_table(a), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.text
+
+
+def test_derivation_matrices_match_elementwise_reference(oracle_algebras):
+    # tobytes, not array_equal: -0.0 and 0.0 print differently in `npk algebra --json`
+    for a in oracle_algebras:
+        basis, reference = derivation_basis(a), reference_derivation_matrices(a)
+        assert len(basis) == len(reference), a.text
+        for d, want in zip(basis, reference):
+            assert d.matrix.dtype == want.dtype and d.matrix.shape == want.shape
+            assert d.matrix.tobytes() == want.tobytes(), a.text
+            assert isinstance(d.endo, LinearEndo) and d.endo.algebra is a
+
+
+def _residual_stack(a, rng):
+    """The basis, a perturbed copy of it and three random matrices, as one (k, dim, dim) stack."""
+    exact = [d.matrix for d in derivation_basis(a)]
+    perturbed = [m + 1e-3 * rng.standard_normal(m.shape) for m in exact]
+    return np.array([*exact, *perturbed, *rng.standard_normal((3, a.dim, a.dim))])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_batched_residual_matches_each_element(catalog, dim27, dim48):
+    rng = np.random.default_rng(19)
+    for a in [*catalog, dim27, dim48]:
+        stack = _residual_stack(a, rng)
+        each = np.array([_leibniz_residual(a, m) for m in stack])
+        assert _leibniz_residual(a, stack).tobytes() == each.tobytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            k = len(stack) // 2
+            spoiled = stack.copy()
+            spoiled[k, rng.integers(a.dim), rng.integers(a.dim)] = bad
+            got = _leibniz_residual(a, spoiled)
+            assert not np.isfinite(got[k]) and not is_derivation(a, spoiled[k])
+            assert np.isnan(got[k]) == np.isnan(_leibniz_residual(a, spoiled[k]))
+            rest = np.arange(len(stack)) != k
+            assert np.isfinite(got[rest]).all() and got[rest].tobytes() == each[rest].tobytes()
+
+
+def test_batched_residual_in_slices(monkeypatch, dim27):
+    stack = _residual_stack(dim27, np.random.default_rng(29))
+    whole = _leibniz_residual(dim27, stack).tobytes()
+    solved = [d.matrix.tobytes() for d in derivation_basis(build_algebra(dim27.presentation))]
+    terms = len(dim27._leibniz_index[0])
+    # a third of one element's triples at a time, then groups of 2 and 7 elements; each last slice is short
+    for group, block in ((1, terms // 3 + 1), (2 * terms, terms), (7 * terms, terms)):
+        monkeypatch.setattr(weil, "LEIBNIZ_BLOCK", group)
+        monkeypatch.setattr(weil, "ROWS_BLOCK", block)
+        assert _leibniz_residual(dim27, stack).tobytes() == whole
+        assert [d.matrix.tobytes() for d in derivation_basis(build_algebra(dim27.presentation))] == solved
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 1), (1, 4), (2, 2, 1), (1, 1), (1, 2, 2), (4,)])
+def test_is_derivation_rejects_wrong_shape(shape):
+    a = build_algebra(parse_presentation("R[x]/(x^2)"))
+    with pytest.raises(DimensionMismatch):
+        is_derivation(a, np.zeros(shape))
