@@ -15,8 +15,10 @@ R[x]/(x^2), R[x]/(x^4) and R[x,y,z]/(x^3,y^3,z^3) (best of five rounds);
 the per-call microseconds of the A-function layer at dims 2, 6 and 27 on a
 2-dim chart (best of five rounds): the product of two lifted functions,
 apply_fn of a random field on a random function, the bracket of two random
-fields, and one evaluate of the product of two lifted functions at a near
-point whose lifts are already memoized; and, at dims 27, 48 and 100, the
+fields (each call on fresh copies of the fields), and one evaluate of the product of two lifted functions at a near
+point whose lifts are already memoized; the per-call microseconds of building
+(through the public constructor), evaluating and squaring a function of one row
+and one of two rows, whose cost is mostly fixed; and, at dims 27, 48 and 100, the
 seconds of build_algebra, of derivation_basis on a fresh algebra (exact
 solve, assembly and validation) and of validating that basis again element
 by element with is_derivation (best of three runs, or one run when a run
@@ -49,8 +51,8 @@ if not os.environ.get("PYTHONPATH"):
 import numpy as np  # noqa: E402
 
 from npk.expr import parse  # noqa: E402
-from npk.fields import bracket  # noqa: E402
-from npk.functions import lifted_function  # noqa: E402
+from npk.fields import AVectorField, bracket  # noqa: E402
+from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E402
 import npk.points  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
 from npk.sampling import random_field, random_function, random_near_point  # noqa: E402
@@ -137,6 +139,10 @@ def lifts(text: str) -> dict:
     return out
 
 
+def fresh(x: AVectorField) -> AVectorField:
+    return AVectorField(x.algebra, x.chart, x.components)
+
+
 def afunctions(text: str) -> dict:
     algebra = build_algebra(parse_presentation(text))
     chart = Chart.cube(2)
@@ -149,15 +155,28 @@ def afunctions(text: str) -> dict:
     product = lifted_function(f, algebra, chart) * lifted_function(g, algebra, chart)
     xi = random_near_point(rng, algebra, chart)
     product.evaluate(xi)  # fill the point's lift memo
+    # one- and two-row functions, whose cost is mostly fixed
+    u, v = ScalarGenerator(1 % algebra.dim, parse("sin(x1)", 2)), ScalarGenerator(0, parse("x2", 2))
+    a, b = (algebra.element(rng.uniform(-1, 1, algebra.dim)) for _ in range(2))
+    one_terms, two_terms = [(a, (u,))], [(a, (u,)), (b, (v, u))]
+    one, two = AFunction(algebra, chart, one_terms), AFunction(algebra, chart, two_terms)
+    one.evaluate(xi), two.evaluate(xi)
     return {
         "algebra": text,
         "dim": algebra.dim,
         "lifted_product_us": per_call_us(
             lambda: lifted_function(f, algebra, chart) * lifted_function(g, algebra, chart)
         ),
-        "apply_fn_us": per_call_us(lambda: x.apply_fn(phi)),
-        "bracket_us": per_call_us(lambda: bracket(x, y)),
+        # a fresh copy of each field per call, so that no call reuses a field's memo of its images
+        "apply_fn_us": per_call_us(lambda: fresh(x).apply_fn(phi)),
+        "bracket_us": per_call_us(lambda: bracket(fresh(x), fresh(y))),
         "evaluate_us": per_call_us(lambda: product.evaluate(xi)),
+        "build_one_row_us": per_call_us(lambda: AFunction(algebra, chart, one_terms)),
+        "build_two_rows_us": per_call_us(lambda: AFunction(algebra, chart, two_terms)),
+        "evaluate_one_row_us": per_call_us(lambda: one.evaluate(xi)),
+        "evaluate_two_rows_us": per_call_us(lambda: two.evaluate(xi)),
+        "multiply_one_row_us": per_call_us(lambda: one * one),
+        "multiply_two_rows_us": per_call_us(lambda: two * two),
     }
 
 

@@ -511,6 +511,14 @@ def _apply(fn: str, arg: float) -> float:
         raise DomainError(f"{fn}({arg}) undefined") from exc
 
 
+def _divisor_power(a0: float, k: int) -> float:
+    """a0^k, the divisor of a coefficient; if it underflows, the coefficient a0^-k is out of range, as in x^c."""
+    power = _power(a0, k)
+    if power == 0.0 and a0 != 0.0:
+        raise DomainError(f"{a0}^{-float(k)} undefined")
+    return power
+
+
 def series(g: str | float, a0: float, order: int) -> list[float]:
     """Taylor coefficients g^(k)(a0) / k!, k = 0..order, of a primitive g of one variable.
 
@@ -528,9 +536,9 @@ def series(g: str | float, a0: float, order: int) -> list[float]:
         return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
     if g == "log":
         head = _apply("log", a0)
-        return [head] + [(-1.0) ** (k + 1) / _nonzero(k * _power(a0, k)) for k in range(1, order + 1)]
+        return [head] + [(-1.0) ** (k + 1) / _nonzero(k * _divisor_power(a0, k)) for k in range(1, order + 1)]
     if g == "1/x":
-        return [(-1.0) ** k / _nonzero(_power(a0, k + 1)) for k in range(order + 1)]
+        return [(-1.0) ** k / _nonzero(_divisor_power(a0, k + 1)) for k in range(order + 1)]
     if g == "sqrt":
         out, c = [_apply("sqrt", a0)], 0.5
     elif isinstance(g, float):

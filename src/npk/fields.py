@@ -20,19 +20,12 @@ see apply_fn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .expr import Const, Expr, Var, VectorField as BaseField, diff
-from .functions import (
-    AFunction,
-    ScalarGenerator,
-    _canonical,
-    _sum,
-    coordinate_derive,
-    dual_projection,
-    lifted_function,
-)
+from .functions import AFunction, _expansion, _extension, _sum, coordinate_derive, lifted_function
 from .points import Chart, NearPoint
 from .weil import AElement, AlgebraMismatch, Derivation, WeilAlgebra
 
@@ -57,22 +50,29 @@ class AVectorField:
         if len(self.components) != self.chart.n:
             raise ValueError("component count differs from chart dimension")
         for c in self.components:
-            if c.algebra != self.algebra or c.chart != self.chart:
+            if (c.algebra is not self.algebra or c.chart is not self.chart) and (
+                c.algebra != self.algebra or c.chart != self.chart
+            ):
                 raise AlgebraMismatch("component over a different algebra or chart")
+        object.__setattr__(self, "_images", {})  # apply's memo: id(f) -> (f, X(f)); f pins its id
 
     def _check(self, other: "AVectorField") -> None:
         if self.algebra != other.algebra or self.chart != other.chart:
             raise AlgebraMismatch("fields over different algebras or charts")
 
     def apply(self, f: Expr) -> AFunction:
-        """X(f) = sum_i lift(d_i f) * c_i."""
+        """X(f) = sum_i lift(d_i f) * c_i, built once per expression object."""
+        hit = self._images.get(id(f))
+        if hit is not None:
+            return hit[1]
         parts = []
         for i, c in enumerate(self.components):
             df = diff(f, i)
             if isinstance(df, Const) and df.value == 0.0:
                 continue
             parts.append(lifted_function(df, self.algebra, self.chart) * c)
-        return _sum(self.algebra, self.chart, parts)
+        self._images[id(f)] = (f, _sum(self.algebra, self.chart, parts))
+        return self._images[id(f)][1]
 
     def apply_fn(self, phi: AFunction) -> AFunction:
         """Action of the canonical derivation extension on an A-valued function.
@@ -87,42 +87,26 @@ class AVectorField:
         """
         if phi.algebra != self.algebra or phi.chart != self.chart:
             raise AlgebraMismatch("function over a different algebra or chart")
-        coord = self._is_coordinate()
+        coord = self._coordinate
         if coord is not None:
             return coordinate_derive(phi, coord)
-        applied: dict[int, AFunction] = {}
-        projected: dict[tuple[int, int], AFunction] = {}
-        monos, left, right = [], [], []
-        for t, mono in enumerate(phi.monos):
-            for j, gen in enumerate(mono):
-                proj = projected.get((id(gen.fn), gen.alpha))
-                if proj is None:
-                    image = applied.get(id(gen.fn))
-                    if image is None:
-                        image = self.apply(gen.fn)
-                        applied[id(gen.fn)] = image
-                    proj = dual_projection(image, gen.alpha)
-                    projected[(id(gen.fn), gen.alpha)] = proj
-                rest = mono[:j] + mono[j + 1:]
-                monos.extend(rest + m2 for m2 in proj.monos)
-                left.extend([t] * len(proj.monos))
-                right.append(proj.coeffs)
-        if not monos:
-            return AFunction.zero(self.algebra, self.chart)
-        # each row of phi times each row of the projection, one batched product
-        rows = self.algebra.mul_rows(phi.coeffs[left], np.concatenate(right))
-        return _canonical(self.algebra, self.chart, monos, rows)
+        images: dict[int, AFunction] = {}  # X(g) per distinct generator function g
+        for gen in phi.gens:
+            if id(gen.fn) not in images:
+                images[id(gen.fn)] = self.apply(gen.fn)
+        return _extension(phi, images)
 
-    def _is_coordinate(self) -> int | None:
+    @cached_property
+    def _coordinate(self) -> int | None:
         """Index i when this field is the prolongation of d/dx_i, else None."""
         found = None
         for i, c in enumerate(self.components):
             if c.is_structurally_zero():
                 continue
-            if found is not None or len(c.monos) != 1:
+            if found is not None or len(c.indices) != 1:
                 return None
             row = c.coeffs[0]
-            if c.monos[0] or row[0] != 1.0 or np.any(row[1:] != 0.0):
+            if c.indices[0] or row[0] != 1.0 or np.any(row[1:] != 0.0):
                 return None
             found = i
         return found
@@ -178,11 +162,7 @@ def from_derivation(d: Derivation, chart: Chart) -> AVectorField:
     Component i is sum_alpha (coefficient alpha of the coordinate lift) * (-d(e_alpha)).
     """
     algebra = d.algebra
-    comps = []
-    for i in range(chart.n):
-        xi_expr = Var(i)
-        monos = [(ScalarGenerator(alpha, xi_expr),) for alpha in range(algebra.dim)]
-        comps.append(_canonical(algebra, chart, monos, np.ascontiguousarray(-d.matrix.T)))
+    comps = (_expansion(Var(i), algebra, chart, np.ascontiguousarray(-d.matrix.T)) for i in range(chart.n))
     return AVectorField(algebra, chart, tuple(comps))
 
 

@@ -3,13 +3,18 @@
 The class implemented here consists of A-coefficient polynomials in
 scalar generators: a generator (alpha, g) denotes the real-valued
 function xi -> coefficient alpha of lift(g, xi).  A function is stored as
-its canonical monomials (generator tuples sorted by key, each monomial
-once) and one read-only (T, dim) matrix whose row t is the A-coefficient
-of monomial t.  The class is closed under addition, multiplication,
-scaling by A, post-composition with linear maps of A, and the derivation
-extensions used by vector fields; it contains every lifted smooth
-function and every A-constant, which is all the surrounding theory
-manipulates.
+a small table of its distinct generators in key order (an equal key
+keeps its first spelling, and every generator is used), its canonical
+monomials as sorted tuples of positions into that table (each monomial
+once, in key order: position order is key order, so comparing the int
+tuples compares the key tuples), and one read-only (T, dim) matrix whose
+row t is the A-coefficient of monomial t.  A product or sum merges the
+operands' tables and remaps their positions through a monotone array;
+the derivation extensions work once per table generator.  The class is
+closed under addition, multiplication, scaling by A, post-composition
+with linear maps of A, and the derivation extensions used by vector
+fields; it contains every lifted smooth function and every A-constant,
+which is all the surrounding theory manipulates.
 
 Equality of two such functions is decided by evaluation at sampled near
 points, never structurally: distinct term lists routinely denote the
@@ -17,17 +22,17 @@ same function (e.g. the lift of f*g versus the product of the lifts).
 Evaluation runs at a near point or at a block of N of them in one pass; a
 near point is a block of one, with (dim,) values instead of (dim, N).  It
 lifts each distinct generator function once, from the block's own lift
-memo, gathers the generator values through an index plan kept on the
-function, takes the product along each monomial and sums the rows per
-point in order.
+memo, gathers the generator values through an index plan read off the
+table (generator k sits at slot(fn)*dim + alpha of the stacked lifts),
+takes the product along each monomial and sums the rows per point in
+order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,18 +64,19 @@ class ScalarGenerator:
 
 
 Monomial = tuple[ScalarGenerator, ...]
-
-_gen_key = attrgetter("key")
+Index = tuple[int, ...]  # a monomial as sorted positions into a generator table
 
 
 class AFunction:
     """A-coefficient polynomial in scalar generators; immutable after construction.
 
-    monos   canonical monomials in key order, no two equal
-    coeffs  read-only (len(monos), dim) matrix, no zero row
+    gens     distinct generators in key order, each used by some monomial
+    indices  canonical monomials as sorted positions into gens, in key order, no two equal
+    coeffs   read-only (len(indices), dim) matrix, no zero row
+    monos and terms are read-only views of the same monomials spelled with generators.
     """
 
-    __slots__ = ("algebra", "chart", "monos", "coeffs", "_plan")
+    __slots__ = ("algebra", "chart", "gens", "indices", "coeffs", "_plan")
 
     def __init__(
         self,
@@ -80,33 +86,45 @@ class AFunction:
     ):
         monos, rows = [], []
         for coeff, mono in terms:
-            if coeff.algebra != algebra:
+            if coeff.algebra is not algebra and coeff.algebra != algebra:
                 raise AlgebraMismatch("coefficient from a different algebra")
             monos.append(tuple(mono))
             rows.append(coeff.coeffs)
-        rows = np.array(rows, dtype=float).reshape(len(rows), algebra.dim)
-        self._set(algebra, chart, *_nonzero(*_merge(algebra.dim, monos, rows)))
+        gens, new = _table([g for mono in monos for g in mono])
+        indices, at = [], 0
+        for mono in monos:
+            indices.append(tuple(sorted(new[at:at + len(mono)])))
+            at += len(mono)
+        rows = np.array(rows, dtype=float) if rows else np.zeros((0, algebra.dim))
+        self._set(algebra, chart, *_nonzero(gens, *_canonical_rows(algebra.dim, indices, rows)))
 
-    def _set(self, algebra: WeilAlgebra, chart: Chart, monos: Sequence[Monomial], coeffs: np.ndarray, plan):
+    def _set(self, algebra: WeilAlgebra, chart: Chart, gens, indices: Sequence[Index], coeffs: np.ndarray, plan):
         coeffs.flags.writeable = False
         self.algebra = algebra
         self.chart = chart
-        self.monos: tuple[Monomial, ...] = tuple(monos)
+        self.gens: tuple[ScalarGenerator, ...] = gens
+        self.indices: tuple[Index, ...] = tuple(indices)
         self.coeffs: np.ndarray = coeffs
         self._plan = plan
 
     @classmethod
-    def _of(cls, algebra: WeilAlgebra, chart: Chart, monos: Sequence[Monomial], coeffs: np.ndarray, plan=None):
-        """Build from rows already in canonical form: distinct monomials in key order, no zero row.
+    def _of(cls, algebra: WeilAlgebra, chart: Chart, gens, indices: Sequence[Index], coeffs: np.ndarray, plan=None):
+        """Build from rows already in canonical form: a used table, distinct sorted indices in key order, no zero row.
 
         The fast path that __init__, whose (algebra, chart, terms) signature
-        stays public, does not offer.  coeffs becomes the function's own
-        read-only matrix, so the caller passes a fresh array; plan, when
-        given, is the evaluation plan of these monos.
+        stays public, does not offer.  coeffs becomes the function's read-only
+        matrix, so the caller passes a fresh array or a read-only one; plan,
+        when given, is the evaluation plan of this table and these indices.
         """
         phi = object.__new__(cls)
-        phi._set(algebra, chart, monos, coeffs, plan)
+        phi._set(algebra, chart, gens, indices, coeffs, plan)
         return phi
+
+    @property
+    def monos(self) -> tuple[Monomial, ...]:
+        """Canonical monomials spelled with generators, in key order."""
+        gens = self.gens
+        return tuple(tuple([gens[k] for k in m]) for m in self.indices)
 
     @property
     def terms(self) -> tuple[tuple[AElement, Monomial], ...]:
@@ -117,17 +135,18 @@ class AFunction:
 
     @staticmethod
     def constant(a: AElement, chart: Chart) -> "AFunction":
-        return AFunction._of(a.algebra, chart, *_nonzero(((),), a.coeffs[None, :].copy()))
+        return AFunction._of(a.algebra, chart, *_nonzero((), ((),), a.coeffs[None, :].copy()))
 
     @staticmethod
     def zero(algebra: WeilAlgebra, chart: Chart) -> "AFunction":
-        return AFunction._of(algebra, chart, (), np.zeros((0, algebra.dim)))
+        return AFunction._of(algebra, chart, (), (), np.zeros((0, algebra.dim)))
 
     # -- algebra ------------------------------------------------------------
 
     def _check(self, other: "AFunction") -> None:
-        if self.algebra != other.algebra or self.chart != other.chart:
-            raise AlgebraMismatch("functions over different algebras or charts")
+        if self.algebra is not other.algebra or self.chart is not other.chart:  # the common case, decided cheaply
+            if self.algebra != other.algebra or self.chart != other.chart:
+                raise AlgebraMismatch("functions over different algebras or charts")
 
     def __add__(self, other: "AFunction") -> "AFunction":
         self._check(other)
@@ -135,70 +154,47 @@ class AFunction:
 
     def __sub__(self, other: "AFunction") -> "AFunction":
         self._check(other)
-        rows = np.concatenate([self.coeffs, -other.coeffs])
-        return _canonical(self.algebra, self.chart, self.monos + other.monos, rows)
+        return _sum(self.algebra, self.chart, (self, -other))
 
     def __neg__(self) -> "AFunction":
-        return AFunction._of(self.algebra, self.chart, self.monos, -self.coeffs, self._plan)
+        return AFunction._of(self.algebra, self.chart, self.gens, self.indices, -self.coeffs, self._plan)
 
     def __mul__(self, other: "AFunction") -> "AFunction":
         self._check(other)
-        if not self.monos or not other.monos:
+        if not self.indices or not other.indices:
             return AFunction.zero(self.algebra, self.chart)
         rows = self.algebra.mul_rows(self.coeffs[:, None, :], other.coeffs[None, :, :])
-        monos = [m1 + m2 for m1 in self.monos for m2 in other.monos]
-        return _canonical(self.algebra, self.chart, monos, rows.reshape(len(monos), self.algebra.dim))
+        gens, (left, right) = _merged((self, other))
+        monos = [tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2 for m1 in left for m2 in right]
+        rows = rows.reshape(len(monos), self.algebra.dim)
+        return AFunction._of(self.algebra, self.chart, *_nonzero(gens, *_canonical_rows(self.algebra.dim, monos, rows)))
 
     def scale(self, a: AElement | float) -> "AFunction":
         if isinstance(a, AElement):
-            if not self.monos:
+            if not self.indices:
                 return self
             if a.algebra != self.algebra:
                 raise AlgebraMismatch("elements of different Weil algebras")
             rows = self.algebra.mul_rows(a.coeffs, self.coeffs)
         else:
             rows = self.coeffs * float(a)
-        return AFunction._of(self.algebra, self.chart, *_nonzero(self.monos, rows, self._plan))
+        return AFunction._of(self.algebra, self.chart, *_nonzero(self.gens, self.indices, rows, self._plan))
 
     def is_structurally_zero(self) -> bool:
-        return not self.monos
+        return not self.indices
 
     # -- evaluation -----------------------------------------------------------
-
-    def _evaluation_plan(self) -> tuple[list[Expr], np.ndarray, bool]:
-        """(fns, index, padded), built on first use.
-
-        fns are the distinct generator functions (by identity).  Their lifts,
-        stacked, followed by a 1.0 when padded, form one vector (one row per
-        coefficient at a block); index[t, j] is the position there of the j-th
-        generator of monomial t, or -1 (the 1.0) when monomial t has fewer
-        generators.
-        """
-        if self._plan is None:
-            dim = self.algebra.dim
-            slot: dict[int, int] = {}
-            fns: list[Expr] = []
-            width = max(1, max(map(len, self.monos), default=0))
-            flat: list[int] = []
-            for mono in self.monos:
-                for gen in mono:
-                    s = slot.setdefault(id(gen.fn), len(fns))
-                    if s == len(fns):
-                        fns.append(gen.fn)
-                    flat.append(s * dim + gen.alpha)
-                flat.extend([-1] * (width - len(mono)))
-            index = np.array(flat, dtype=np.intp).reshape(len(self.monos), width)
-            self._plan = (fns, index, not fns or -1 in flat)
-        return self._plan
 
     def evaluate(self, xi: NearPoint | NearPoints) -> AElement | np.ndarray:
         """Value at a near point, or the (dim, N) values at a block of N points.
 
         The generators' lifts come from the point's or block's own lift memo.
         """
-        if xi.algebra != self.algebra:
+        if xi.algebra is not self.algebra and xi.algebra != self.algebra:
             raise AlgebraMismatch("near point over a different algebra")
-        fns, index, padded = self._evaluation_plan()
+        if self._plan is None:
+            self._plan = _gather_plan(self.algebra.dim, self.gens, self.indices)
+        fns, index, padded = self._plan
         values = [xi._unwrap(lift(fn, xi)) for fn in fns]
         if padded:
             values.append(xi._unwrap(lift(ONE, xi))[:1])  # an absent generator is the constant 1
@@ -212,7 +208,7 @@ class AFunction:
         return xi._wrap(self.algebra.sum_rows(rows))
 
     def __repr__(self) -> str:
-        if not self.monos:
+        if not self.indices:
             return "AFunction(0)"
         parts = []
         for coeff, mono in self.terms:
@@ -221,52 +217,110 @@ class AFunction:
         return "AFunction(" + " + ".join(parts) + ")"
 
 
-def _merge(dim: int, monos: Sequence[Monomial], rows: np.ndarray) -> tuple[list[Monomial], np.ndarray]:
-    """Canonical rows: each monomial sorted by key, equal monomials summed in input order, key order.
+def _gather_plan(dim: int, gens: Sequence[ScalarGenerator], indices: Sequence[Index]) -> tuple:
+    """(fns, index, padded) for evaluation, read off the generator table.
 
-    An equal monomial keeps its first spelling.  Zero rows are left for the caller to drop.
+    fns are the distinct generator functions (by identity).  Their lifts,
+    stacked, followed by a 1.0 when padded, form one vector (one row per
+    coefficient at a block), where generator k sits at slot(fn)*dim + alpha;
+    index[t, j] is the position of the j-th generator of monomial t, or -1
+    (the 1.0) when monomial t has fewer generators.
     """
-    slots: dict[tuple, tuple[int, Monomial]] = {}
-    group: list[int] = []
-    for mono in monos:
-        if len(mono) > 1:
-            mono = tuple(sorted(mono, key=_gen_key))
-        key = tuple([g.key for g in mono])
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = (len(slots), mono)
-        group.append(slot[0])
-    if len(slots) < len(group):
-        # bincount adds each group's rows in input order, from 0.0
-        bins = np.array(group, dtype=np.intp)[:, None] * dim + np.arange(dim)
-        rows = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(slots) * dim)
-        rows = rows.reshape(len(slots), dim)
-    ordered = [slot for _, slot in sorted(slots.items())]
-    order = [s for s, _ in ordered]
-    if order != sorted(order):
-        rows = rows[order]
-    return [mono for _, mono in ordered], rows
+    fns = list({id(g.fn): g.fn for g in gens}.values())
+    slot = {id(fn): s for s, fn in enumerate(fns)}
+    position = [slot[id(g.fn)] * dim + g.alpha for g in gens] + [-1]
+    width = max(1, max(map(len, indices), default=0))
+    pad = [(len(gens),) * (width - n) for n in range(width + 1)]
+    flat = list(itertools.chain.from_iterable(m + pad[len(m)] for m in indices))
+    index = np.array(position, dtype=np.intp)[np.array(flat, dtype=np.intp).reshape(len(indices), width)]
+    return fns, index, not fns or any(len(m) < width for m in indices)
 
 
-def _nonzero(monos: Sequence[Monomial], coeffs: np.ndarray, plan=None) -> tuple:
-    """Drop the zero rows (a NaN row stays); an evaluation plan survives only if none is dropped."""
+def _table(gens: Sequence[ScalarGenerator]) -> tuple[tuple[ScalarGenerator, ...], list[int]]:
+    """The distinct generators in key order, an equal key keeping its first spelling, and each input's position."""
+    keys = [g.key for g in gens]
+    table, new, last = [], [0] * len(keys), None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):  # stable: the first of equal keys comes first
+        if keys[i] != last:
+            last = keys[i]
+            table.append(gens[i])
+        new[i] = len(table) - 1
+    return tuple(table), new
+
+
+def _merged(phis: Sequence[AFunction]) -> tuple[tuple[ScalarGenerator, ...], list[Sequence[Index]]]:
+    """The union of the functions' generator tables, and each one's monomials as positions into it."""
+    tables = [phi.gens for phi in phis if phi.gens]
+    if all(table is tables[0] for table in tables):  # at most one table: every position stays
+        return (tables[0] if tables else ()), [phi.indices for phi in phis]
+    gens, new = _table([g for phi in phis for g in phi.gens])
+    parts, start = [], 0
+    for phi in phis:
+        parts.append(_remap(phi.indices, new[start:start + len(phi.gens)]))
+        start += len(phi.gens)
+    return gens, parts
+
+
+def _remap(indices: Sequence[Index], new: Sequence[int]) -> Sequence[Index]:
+    """Monomials through the position map new of their table; new is monotone, so they stay sorted."""
+    if not new or new[-1] == len(new) - 1:  # a monotone map onto 0..n-1 is the identity
+        return indices
+    return [tuple([new[k] for k in m]) for m in indices]
+
+
+def _canonical_rows(dim: int, monos: Sequence[Index], rows: np.ndarray) -> tuple[list[Index], np.ndarray]:
+    """Canonical rows: equal (sorted) monomials summed in input order, in key order.
+
+    Zero rows are left for the caller to drop.
+    """
+    first = dict(zip(reversed(monos), range(len(monos) - 1, -1, -1)))  # each monomial's first row
+    keys = sorted(first)
+    order = list(map(first.__getitem__, keys))
+    if len(first) < len(monos):
+        # bincount adds each monomial's rows in input order, from 0.0, into its first row
+        bins = np.array(list(map(first.__getitem__, monos)), dtype=np.intp)[:, None] * dim + np.arange(dim)
+        rows = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=rows.size).reshape(rows.shape)
+        rows = rows.take(order, axis=0)
+    elif order != list(range(len(order))):
+        rows = rows.take(order, axis=0)
+    return keys, rows
+
+
+def _nonzero(gens, indices: Sequence[Index], coeffs: np.ndarray, plan=None) -> tuple:
+    """Drop the zero rows (a NaN row stays) and the generators they leave unused; see _pruned."""
     keep = coeffs.any(axis=1)
-    if np.count_nonzero(keep) < len(keep):
-        return tuple(itertools.compress(monos, keep)), coeffs[keep], None
-    return monos, coeffs, plan
+    if np.count_nonzero(keep) == len(keep):
+        return gens, indices, coeffs, plan
+    return _pruned(gens, tuple(itertools.compress(indices, keep)), coeffs.compress(keep, axis=0))
 
 
-def _canonical(algebra: WeilAlgebra, chart: Chart, monos: Sequence[Monomial], rows: np.ndarray) -> AFunction:
-    """The function sum_t rows[t] * monos[t], in canonical form."""
-    return AFunction._of(algebra, chart, *_nonzero(*_merge(algebra.dim, monos, rows)))
+def _pruned(gens, indices: Sequence[Index], coeffs: np.ndarray, plan=None) -> tuple:
+    """Drop the generators no monomial uses, so that evaluation never lifts them; a plan survives only if none is dropped."""
+    used = set().union(*indices)
+    if len(used) == len(gens):
+        return gens, indices, coeffs, plan
+    kept = sorted(used)
+    new = dict(zip(kept, range(len(kept))))
+    return tuple(map(gens.__getitem__, kept)), [tuple([new[k] for k in m]) for m in indices], coeffs, None
+
+
+def _canonical(algebra: WeilAlgebra, chart: Chart, gens, monos: Sequence[Index], rows: np.ndarray) -> AFunction:
+    """The function sum_t rows[t] * monos[t], monomials given as sorted positions into gens, in canonical form.
+
+    gens may hold generators that no monomial uses, as the derivation extensions' tables do; products
+    and sums, whose monomials use every generator, skip that pass.
+    """
+    return AFunction._of(algebra, chart, *_pruned(*_nonzero(gens, *_canonical_rows(algebra.dim, monos, rows))))
 
 
 def _sum(algebra: WeilAlgebra, chart: Chart, phis: Sequence[AFunction]) -> AFunction:
     """Sum of functions by one merge of their rows, in order."""
     if len(phis) < 2:
         return phis[0] if phis else AFunction.zero(algebra, chart)
-    monos = [m for phi in phis for m in phi.monos]
-    return _canonical(algebra, chart, monos, np.concatenate([phi.coeffs for phi in phis]))
+    gens, parts = _merged(phis)
+    monos = [m for part in parts for m in part]
+    rows = np.concatenate([phi.coeffs for phi in phis])
+    return AFunction._of(algebra, chart, *_nonzero(gens, *_canonical_rows(algebra.dim, monos, rows)))
 
 
 def lifted_function(f: Expr, algebra: WeilAlgebra, chart: Chart) -> AFunction:
@@ -278,9 +332,23 @@ def lifted_function(f: Expr, algebra: WeilAlgebra, chart: Chart) -> AFunction:
     """
     if isinstance(f, Const):
         return AFunction.constant(algebra.scalar(f.value), chart)
-    monos = tuple((ScalarGenerator(alpha, f),) for alpha in range(algebra.dim))
-    plan = ([f], np.arange(algebra.dim).reshape(algebra.dim, 1), False)
-    return AFunction._of(algebra, chart, monos, np.eye(algebra.dim), plan)
+    eye, singles, index = _lift_parts(algebra.dim)
+    gens = tuple([ScalarGenerator(alpha, f) for alpha in range(algebra.dim)])
+    return AFunction._of(algebra, chart, gens, singles, eye, ([f], index, False))
+
+
+def _expansion(f: Expr, algebra: WeilAlgebra, chart: Chart, rows: np.ndarray) -> AFunction:
+    """sum_alpha rows[alpha] * (coefficient alpha of the lift of f): lifted_function with other coefficient rows."""
+    gens = tuple([ScalarGenerator(alpha, f) for alpha in range(algebra.dim)])
+    return AFunction._of(algebra, chart, *_nonzero(gens, _lift_parts(algebra.dim)[1], rows))
+
+
+@lru_cache(maxsize=None)
+def _lift_parts(dim: int) -> tuple[np.ndarray, tuple[Index, ...], np.ndarray]:
+    """What every lifted function at this dim shares: its read-only identity coefficients, its monomials, its plan index."""
+    eye, index = np.eye(dim), np.arange(dim).reshape(dim, 1)
+    eye.flags.writeable = index.flags.writeable = False
+    return eye, tuple(zip(range(dim))), index
 
 
 def dual_projection(phi: AFunction, alpha: int) -> AFunction:
@@ -291,8 +359,8 @@ def dual_projection(phi: AFunction, alpha: int) -> AFunction:
     """
     c = phi.coeffs[:, alpha]
     keep = c != 0.0
-    rows = c[keep, None] * phi.algebra.unit().coeffs
-    return AFunction._of(phi.algebra, phi.chart, tuple(itertools.compress(phi.monos, keep)), rows)
+    rows = c.compress(keep)[:, None] * phi.algebra.unit().coeffs
+    return AFunction._of(phi.algebra, phi.chart, *_pruned(phi.gens, tuple(itertools.compress(phi.indices, keep)), rows))
 
 
 def coordinate_derive(phi: AFunction, i: int) -> AFunction:
@@ -302,22 +370,69 @@ def coordinate_derive(phi: AFunction, i: int) -> AFunction:
     (alpha, d_i g) and constants die.  These operators commute, and they
     agree with the general extension on prolonged coordinate fields.
     """
+    # one table for the generators a rest can keep (those beside another) and the non-constant derivatives
+    multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
+    gens = [phi.gens[k] for k in multi]
+    derived: list[tuple[int, float] | None] = []  # per generator of phi: (its derivative's place in gens, factor)
+    for gen in phi.gens:
+        dg = diff(gen.fn, i)
+        if isinstance(dg, Const):
+            # constant generator: dual coefficient is c at slot 0, zero elsewhere
+            derived.append(None if dg.value == 0.0 or gen.alpha != 0 else (-1, dg.value))
+        else:
+            derived.append((len(gens), 1.0))
+            gens.append(ScalarGenerator(gen.alpha, dg))
+    table, new = _table(gens)
+    own = dict(zip(multi, new))
+    images = [d and ((new[d[0]],) if d[0] >= 0 else (), d[1]) for d in derived]  # as positions into table
     monos, source, factors = [], [], []
-    for t, mono in enumerate(phi.monos):
-        for j, gen in enumerate(mono):
-            dg = diff(gen.fn, i)
-            rest = mono[:j] + mono[j + 1:]
-            if isinstance(dg, Const):
-                # constant generator: dual coefficient is c at slot 0, zero elsewhere
-                if dg.value == 0.0 or gen.alpha != 0:
-                    continue
-                monos.append(rest)
-                factors.append(dg.value)
-            else:
-                monos.append(rest + (ScalarGenerator(gen.alpha, dg),))
-                factors.append(1.0)
+    for t, mono in enumerate(phi.indices):
+        for j, k in enumerate(mono):
+            if images[k] is None:
+                continue
+            image, factor = images[k]
+            if len(mono) > 1:
+                image = tuple(sorted([*map(own.__getitem__, mono[:j] + mono[j + 1:]), *image]))
+            monos.append(image)
+            factors.append(factor)
             source.append(t)
-    return _canonical(phi.algebra, phi.chart, monos, phi.coeffs[source] * np.array(factors)[:, None])
+    return _canonical(phi.algebra, phi.chart, table, monos, phi.coeffs[source] * np.array(factors)[:, None])
+
+
+def _extension(phi: AFunction, images: dict[int, AFunction]) -> AFunction:
+    """The Leibniz extension sending generator (alpha, g) of phi to images[id(g)] projected onto slot alpha.
+
+    This is a vector field's derivation extension, given the field's image X(g) of each generator function.
+    """
+    # one table for the generators a rest can keep (those beside another) and the images' generators
+    multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
+    gens, new = _table([phi.gens[k] for k in multi] + [g for image in images.values() for g in image.gens])
+    own = dict(zip(multi, new))
+    start, moved = len(multi), {}
+    for key, image in images.items():
+        moved[key] = _remap(image.indices, new[start:start + len(image.gens)])
+        start += len(image.gens)
+    # per generator (alpha, g) of phi: X(g) projected onto slot alpha, as in dual_projection
+    unit, projections = phi.algebra.unit().coeffs, []
+    for gen in phi.gens:
+        c = images[id(gen.fn)].coeffs[:, gen.alpha]
+        keep = c != 0.0
+        projections.append((list(itertools.compress(moved[id(gen.fn)], keep)), c.compress(keep)[:, None] * unit))
+    monos, left, right = [], [], []
+    for t, mono in enumerate(phi.indices):
+        for j, k in enumerate(mono):
+            image, rows = projections[k]
+            if len(mono) > 1:
+                rest = tuple(map(own.__getitem__, mono[:j] + mono[j + 1:]))
+                image = [tuple(sorted(rest + m2)) if m2 else rest for m2 in image]
+            monos += image
+            left.extend([t] * len(image))
+            right.append(rows)
+    if not monos:
+        return AFunction.zero(phi.algebra, phi.chart)
+    # each row of phi times each row of the projection, one batched product
+    rows = phi.algebra.mul_rows(phi.coeffs[left], np.concatenate(right))
+    return _canonical(phi.algebra, phi.chart, gens, monos, rows)
 
 
 def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
@@ -333,21 +448,24 @@ def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
         raise AlgebraMismatch("function over a different algebra")
     applied: dict[int, list[float]] = {}
     lifted: dict[int, list[float]] = {}
+    gens = phi.gens
     scalars, rows = [], []
-    for t, mono in enumerate(phi.monos):
+    for t, mono in enumerate(phi.indices):
         at = []  # the generators' values at the base near point, needed only beside another
-        for gen in mono if len(mono) > 1 else ():
+        for k in mono if len(mono) > 1 else ():
+            gen = gens[k]
             c = lifted.get(id(gen.fn))
             if c is None:
                 c = lifted[id(gen.fn)] = lift(gen.fn, v.at).coeffs.tolist()
             at.append(c[gen.alpha])
-        for j, gen in enumerate(mono):
+        for j, k in enumerate(mono):
+            gen = gens[k]
             c = applied.get(id(gen.fn))
             if c is None:
                 c = applied[id(gen.fn)] = v.apply(gen.fn).coeffs.tolist()
             scalar = 1.0
-            for k, value in enumerate(at):
-                if k != j:
+            for l, value in enumerate(at):
+                if l != j:
                     scalar *= value
             scalars.append(scalar * c[gen.alpha])
             rows.append(t)

@@ -116,7 +116,14 @@ class Presentation:
                 raise PresentationError(f"generator {g} has total degree < 2")
 
     def normalized_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal generating set: drop generators divisible by another generator."""
+        """Minimal generating set: drop generators divisible by another generator.
+
+        The test is quadratic in the number of generators, so it runs once per presentation.
+        """
+        return self._normalized
+
+    @functools.cached_property
+    def _normalized(self) -> tuple[tuple[int, ...], ...]:
         gens = sorted(set(self.generators), key=_grlex_key)
         kept: list[tuple[int, ...]] = []
         for g in gens:
@@ -521,16 +528,16 @@ def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float | np.nd
     giving the k residuals, each bit for bit what its element gives alone.
     One element gathers from a flat vector, the cheapest form per call; a
     stack gathers row-wise, in groups of elements of at most LEIBNIZ_BLOCK
-    terms and slices of at most ROWS_BLOCK triples, so that memory stays
-    bounded.
+    terms.  Both run in slices of at most ROWS_BLOCK triples, so that memory
+    stays bounded and a large element's arrays stay in cache.
     """
     lhs, left, right = algebra._leibniz_index
     if matrix.ndim == 2:
         flat = np.concatenate((matrix.ravel(), (0.0,)))
-        residual, rhs = flat[lhs], flat[left]
-        rhs += flat[right]
-        residual -= rhs
-        return float(np.abs(residual, out=residual).max())
+        if len(lhs) <= ROWS_BLOCK:
+            return _flat_residual(flat, lhs, left, right)
+        parts = [slice(t, t + ROWS_BLOCK) for t in range(0, len(lhs), ROWS_BLOCK)]
+        return float(np.max([_flat_residual(flat, lhs[p], left[p], right[p]) for p in parts]))  # NaN-sticky
     step = max(1, LEIBNIZ_BLOCK // len(lhs))
     if len(matrix) > step:
         slices = range(0, len(matrix), step)
@@ -544,6 +551,14 @@ def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float | np.nd
         residual -= rhs
         np.maximum(out, np.abs(residual, out=residual).max(axis=1), out=out)
     return out
+
+
+def _flat_residual(flat: np.ndarray, lhs: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """max |flat[lhs] - flat[left] - flat[right]|, in one gather each."""
+    residual, rhs = flat[lhs], flat[left]
+    rhs += flat[right]
+    residual -= rhs
+    return float(np.abs(residual, out=residual).max())
 
 
 def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray, tol: float = DERIVATION_TOL) -> bool:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from npk.expr import Const, parse
+from npk.expr import Const, DomainError, Neg, Pow, Var, diff, parse
 from npk.functions import (
     AFunction,
     ScalarGenerator,
@@ -11,7 +11,7 @@ from npk.functions import (
     tangent_apply,
 )
 from npk.fields import bracket
-from npk.points import Chart, NearPoints, lift
+from npk.points import Chart, NearPoint, NearPoints, lift
 from npk.sampling import (
     random_a_element,
     random_field,
@@ -288,3 +288,194 @@ def test_products_in_slices_match_one_batch(plane_jet, monkeypatch):
     monkeypatch.setattr(npk.weil, "ROWS_BLOCK", 8)  # a few table terms per slice
     for one, sliced in zip(whole, (phi * psi, psi.scale(a))):
         assert one.monos == sliced.monos and np.array_equal(one.coeffs, sliced.coeffs)
+
+
+# -- generator tables against the string-key canonicaliser they replaced ---------------------
+
+
+def _merge_reference(dim, monos, rows):
+    """Canonical rows keyed by generator strings: each monomial sorted by key, equal monomials
+    summed in input order (the first spelling kept), key order, zero rows dropped."""
+    slots, group = {}, []
+    for mono in monos:
+        mono = tuple(sorted(mono, key=lambda g: g.key))
+        slot = slots.setdefault(tuple(g.key for g in mono), (len(slots), mono))
+        group.append(slot[0])
+    if len(slots) < len(group):
+        bins = np.array(group, dtype=np.intp)[:, None] * dim + np.arange(dim)
+        rows = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(slots) * dim).reshape(len(slots), dim)
+    ordered = [slot for _, slot in sorted(slots.items())]
+    rows = rows[[s for s, _ in ordered]]
+    keep = rows.any(axis=1)
+    return [mono for (_, mono), k in zip(ordered, keep) if k], rows[keep]
+
+
+def _evaluation_plan_reference(phi):
+    """(fns, index, padded) read off the monomials: one slot per distinct generator function."""
+    dim, slot, fns, flat = phi.algebra.dim, {}, [], []
+    width = max(1, max(map(len, phi.monos), default=0))
+    for mono in phi.monos:
+        for gen in mono:
+            s = slot.setdefault(id(gen.fn), len(fns))
+            if s == len(fns):
+                fns.append(gen.fn)
+            flat.append(s * dim + gen.alpha)
+        flat.extend([-1] * (width - len(mono)))
+    return fns, np.array(flat, dtype=np.intp).reshape(len(phi.monos), width), not fns or -1 in flat
+
+
+def _reference_product(phi, psi):
+    rows = phi.algebra.mul_rows(phi.coeffs[:, None, :], psi.coeffs[None, :, :]).reshape(-1, phi.algebra.dim)
+    return _merge_reference(phi.algebra.dim, [m1 + m2 for m1 in phi.monos for m2 in psi.monos], rows)
+
+
+def _reference_sum(phis, signs=None):
+    signs = signs or [1.0] * len(phis)
+    rows = np.concatenate([phi.coeffs if s > 0 else -phi.coeffs for phi, s in zip(phis, signs)])
+    return _merge_reference(phis[0].algebra.dim, [m for phi in phis for m in phi.monos], rows)
+
+
+def _reference_derive(phi, i):
+    monos, rows = [], []
+    for coeff, mono in zip(phi.coeffs, phi.monos):
+        for j, gen in enumerate(mono):
+            dg = diff(gen.fn, i)
+            rest = mono[:j] + mono[j + 1:]
+            if isinstance(dg, Const):
+                if dg.value != 0.0 and gen.alpha == 0:
+                    monos.append(rest)
+                    rows.append(coeff * dg.value)
+            else:
+                monos.append(rest + (ScalarGenerator(gen.alpha, dg),))
+                rows.append(coeff * 1.0)
+    return _merge_reference(phi.algebra.dim, monos, np.array(rows).reshape(len(rows), phi.algebra.dim))
+
+
+def _reference_apply_fn(x, phi):
+    monos, left, right = [], [], []
+    for t, mono in enumerate(phi.monos):
+        for j, gen in enumerate(mono):
+            proj = dual_projection(x.apply(gen.fn), gen.alpha)
+            monos += [mono[:j] + mono[j + 1:] + m2 for m2 in proj.monos]
+            left += [t] * len(proj.monos)
+            right.append(proj.coeffs)
+    if not monos:
+        return [], np.zeros((0, phi.algebra.dim))
+    rows = phi.algebra.mul_rows(phi.coeffs[left], np.concatenate(right))
+    return _merge_reference(phi.algebra.dim, monos, rows)
+
+
+def _as_function(algebra, ref):
+    monos, rows = ref
+    return AFunction(algebra, CHART, [(AElement(algebra, r), m) for m, r in zip(monos, rows)])
+
+
+def _matches(phi, ref, spelled=True):
+    """phi's monomials and coefficients are the reference's, bit for bit; its table is exactly what it uses."""
+    monos, rows = ref
+    keys = [[g.key for g in m] for m in phi.monos]
+    assert keys == [[g.key for g in m] for m in monos]
+    assert not spelled or phi.monos == tuple(monos)
+    assert phi.coeffs.tobytes() == np.ascontiguousarray(rows).tobytes()
+    assert [g.key for g in phi.gens] == sorted({g.key for m in phi.monos for g in m})
+    assert all(list(m) == sorted(m) for m in phi.indices)
+
+
+def _check_plan(phi, xi):
+    fns, index, padded = _evaluation_plan_reference(phi)
+    values = [lift(fn, xi).coeffs for fn in fns] + ([np.ones(1)] if padded else [])
+    gathered = np.concatenate(values)[index]
+    expected = np.zeros(phi.algebra.dim)
+    for row, factors in zip(phi.coeffs, gathered):
+        scalar = factors[0]
+        for factor in factors[1:]:
+            scalar = scalar * factor
+        expected = expected + row * scalar
+    assert np.array_equal(phi.evaluate(xi).coeffs, expected, equal_nan=True)
+    assert {id(f) for f in fns} == {id(g.fn) for g in phi.gens}
+
+
+@pytest.mark.parametrize("oracle_algebra", ["catalog", "dim27"])
+def test_generator_tables_match_string_key_merge(oracle_algebra, catalog):
+    from npk.fields import from_derivation
+    from npk.sampling import random_derivation
+
+    algebras = list(catalog) if oracle_algebra == "catalog" else [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    rng = np.random.default_rng(14)
+    for algebra in algebras:
+        for _ in range(2):
+            x, y = random_field(rng, algebra, CHART, max_terms=3, max_monomial=2), random_field(rng, algebra, CHART)
+            phi = random_function(rng, algebra, CHART, max_terms=4, max_monomial=3, transcendental=True)
+            psi = random_lifted_function(rng, algebra, CHART, factors=2)
+            a = random_a_element(rng, algebra)
+            _matches(phi * psi, _reference_product(phi, psi))
+            _matches(psi * phi, _reference_product(psi, phi))
+            _matches(phi + psi, _reference_sum([phi, psi]))
+            _matches(phi - psi, _reference_sum([phi, psi], [1.0, -1.0]))
+            _matches(phi.scale(a), _merge_reference(algebra.dim, phi.monos, algebra.mul_rows(a.coeffs, phi.coeffs)))
+            for alpha in range(algebra.dim):
+                c = phi.coeffs[:, alpha]
+                ref = ([m for m, k in zip(phi.monos, c != 0.0) if k], c[c != 0.0, None] * algebra.unit().coeffs)
+                _matches(dual_projection(phi, alpha), ref)
+            for i in range(CHART.n):
+                _matches(coordinate_derive(phi, i), _reference_derive(phi, i))
+            for field, f in ((x, phi), (y, psi), (x, x.components[0])):
+                _matches(field.apply_fn(f), _reference_apply_fn(field, f))
+            for i, component in enumerate(bracket(x, y).components):
+                lhs, rhs = _reference_apply_fn(x, y.components[i]), _reference_apply_fn(y, x.components[i])
+                _matches(component, _reference_sum([_as_function(algebra, lhs), _as_function(algebra, rhs)], [1.0, -1.0]))
+            d = random_derivation(rng, algebra)
+            for i, component in enumerate(from_derivation(d, CHART).components):
+                gens = [(ScalarGenerator(alpha, Var(i)),) for alpha in range(algebra.dim)]
+                _matches(component, _merge_reference(algebra.dim, gens, -d.matrix.T), spelled=False)
+            xi = random_near_point(rng, algebra, CHART)
+            for f in (phi * psi, phi - psi, x.apply_fn(phi), coordinate_derive(phi, 0)):
+                _check_plan(f, xi)
+
+
+def test_equal_keys_with_different_spellings_share_one_generator(plane_jet):
+    # both spellings key as x1^-2 and lift alike; a table keeps the first, the reference the first per monomial
+    folded, spelled = Pow(Var(0), Const(-2.0)), Pow(Var(0), Neg(Const(2.0)))
+    h = parse("sin(x2)", 2)
+    rng = np.random.default_rng(15)
+    a, b, c = (random_a_element(rng, plane_jet) for _ in range(3))
+    phi = AFunction(plane_jet, CHART, [(a, (ScalarGenerator(1, spelled),)), (b, (ScalarGenerator(1, folded), ScalarGenerator(0, h)))])
+    psi = AFunction(plane_jet, CHART, [(c, (ScalarGenerator(1, folded),)), (a, (ScalarGenerator(0, h),))])
+    assert [g.fn for g in phi.gens if g.alpha == 1] == [spelled] and [g.fn for g in psi.gens if g.alpha == 1] == [folded]
+    x = random_field(rng, plane_jet, CHART)
+    xi = random_near_point(rng, plane_jet, CHART)
+    cases = [
+        (phi * psi, _reference_product(phi, psi)),
+        (psi * phi, _reference_product(psi, phi)),
+        (phi + psi, _reference_sum([phi, psi])),
+        (phi - psi, _reference_sum([phi, psi], [1.0, -1.0])),
+        (coordinate_derive(phi, 0), _reference_derive(phi, 0)),
+        (x.apply_fn(phi * psi), _reference_apply_fn(x, phi * psi)),
+    ]
+    for got, ref in cases:
+        _matches(got, ref, spelled=False)
+        assert len({g.key for g in got.gens}) == len(got.gens)
+        assert np.array_equal(got.evaluate(xi).coeffs, _as_function(plane_jet, ref).evaluate(xi).coeffs)
+
+
+def test_dropped_rows_take_their_generators_along(dual):
+    # a generator that no row uses is pruned, so evaluation never lifts log at x1 < 0
+    log_x1, x2 = parse("log(x1)", 2), parse("x2", 2)
+    phi = lifted_function(log_x1, dual, CHART)
+    one = AFunction.constant(dual.unit(), CHART)
+    xi = NearPoint(dual, Chart.box([(-5.0, 5.0)] * 2), [dual.element([-1.0, 1.0]), dual.element([0.5, 0.0])])
+    with pytest.raises(DomainError):
+        phi.evaluate(xi)
+    mixed = AFunction(dual, CHART, [(dual.basis_element(1), (ScalarGenerator(0, log_x1),)), (dual.unit(), (ScalarGenerator(0, x2),))])
+    survivors = [
+        (phi - phi) + one,
+        (phi + lifted_function(x2, dual, CHART)) - phi,
+        dual_projection(mixed, 0),
+        mixed.scale(dual.basis_element(1)),
+        coordinate_derive(mixed, 1),
+    ]
+    for psi in survivors:
+        assert all(g.fn is not log_x1 for g in psi.gens), psi
+        assert not psi.is_structurally_zero()
+        value = psi.evaluate(xi)
+        assert np.all(np.isfinite(value.coeffs))

@@ -564,6 +564,19 @@ def test_series_of_integer_power_at_zero_is_defined(c):
     assert list(lift(Pow(Var(0), Const(c)), xi).coeffs) == want
 
 
+@pytest.mark.parametrize(
+    "g, order, message",
+    [("1/x", 1, "1e-200^-2.0 undefined"), ("log", 2, "1e-200^-2.0 undefined"),
+     ("sqrt", 3, "1e-200^-2.5 undefined"), (-1.0, 1, "1e-200^-2.0 undefined")],
+)
+def test_series_out_of_range_reads_alike(g, order, message):
+    # a coefficient c * a0^-k beyond float range: 1/x and log divide by an underflowed a0^k, sqrt and x^c overflow
+    with pytest.raises(DomainError) as caught:
+        series(g, 1e-200, order)
+    assert str(caught.value) == message
+    assert series(g, 1e-200, order - 1)[-1] != 0.0  # one order lower is still in range
+
+
 def test_series_of_height_zero_is_the_value():
     r = build_algebra(parse_presentation("R"))
     xi = NearPoint(r, Chart.circle(), [r.element([math.inf])])  # the circle takes any base

@@ -599,3 +599,53 @@ def test_is_derivation_rejects_wrong_shape(shape):
     a = build_algebra(parse_presentation("R[x]/(x^2)"))
     with pytest.raises(DimensionMismatch):
         is_derivation(a, np.zeros(shape))
+
+
+def _minimal_generators(generators):
+    """The generators that no other generator divides, in grlex order, by the pairwise test."""
+    gens = sorted(set(generators), key=weil._grlex_key)
+    return tuple(g for i, g in enumerate(gens) if not any(weil._divides(k, g) for k in gens[:i]))
+
+
+def test_normalized_generators_are_computed_once(monkeypatch):
+    # the pairwise test is quadratic in the generators: building, Der(A) and text() share one run of it
+    names = [f"a{i}" for i in range(1, 13)]
+    products = [f"{u}*{v}" for i, u in enumerate(names) for v in names[i + 1:]]
+    text = "R[{}]/({})".format(",".join(names), ",".join([f"{u}^2" for u in names] + products + ["a1^3", "a2^2*a3"]))
+    minimal = _minimal_generators(parse_presentation(text).generators)
+    assert len(minimal) == 78 and len(parse_presentation(text).generators) == 80
+    plain = Presentation(12, minimal, tuple(names))  # nothing to drop
+    plain_text, plain_algebra = plain.text(), build_algebra(plain)
+    tests = []
+    divides = weil._divides
+    monkeypatch.setattr(weil, "_divides", lambda a, b: tests.append(None) or divides(a, b))
+    parse_presentation(text).normalized_generators()
+    once, tests[:] = len(tests), []
+    pres = parse_presentation(text)
+    algebra = build_algebra(pres)
+    basis = derivation_basis(algebra)
+    assert pres.text() == plain_text and pres.text().startswith("R[a1,") and "a1^3" not in pres.text()
+    assert once > 0 and len(tests) == once
+    assert pres.normalized_generators() == minimal and len(tests) == once
+    assert algebra.basis == plain_algebra.basis
+    assert [d.matrix.tobytes() for d in basis] == [d.matrix.tobytes() for d in derivation_basis(plain_algebra)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_single_element_residual_in_slices(monkeypatch, catalog, dim27):
+    # one element's flat gather in slices of ROWS_BLOCK triples gives its one-gather residual, bit for bit
+    rng = np.random.default_rng(31)
+    for a in [*catalog, dim27]:
+        stack = list(_residual_stack(a, rng))
+        spoiled = stack[-1].copy()
+        spoiled[rng.integers(a.dim), rng.integers(a.dim)] = np.nan
+        stack.append(spoiled)
+        whole = [_leibniz_residual(a, m) for m in stack]
+        terms = len(a._leibniz_index[0])
+        for block in {max(1, terms // 7), terms // 3 + 1, max(1, terms - 1)}:
+            monkeypatch.setattr(weil, "ROWS_BLOCK", block)
+            sliced = [_leibniz_residual(a, m) for m in stack]
+            assert np.array(sliced).tobytes() == np.array(whole).tobytes(), (a.text, block)
+            assert [is_derivation(a, m) for m in stack] == [r <= weil.DERIVATION_TOL for r in whole]
+        monkeypatch.undo()
+    assert np.isnan(whole[-1])
