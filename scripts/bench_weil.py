@@ -3,8 +3,8 @@
 Usage: python scripts/bench_weil.py [--section NAME]
 
 Each section is one key of the output; --section (repeatable) runs only the
-named ones: products, lift, afunction, block, derivation_basis.  A full run
-takes about two minutes.
+named ones: products, lift, afunction, block, derivation_basis, sampling.  A
+full run takes about two minutes.
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
@@ -28,6 +28,11 @@ one evaluate of the product of two lifted functions on a block of N = 1, 5
 and 10 near points against N single-point calls, each with empty lift memos
 (best of five rounds); on a checkout without blocks (npk.points.NearPoints)
 it times the single-point calls only.
+The sampling section times, at dims 2, 6 and 27 on a 2-dim chart, drawing
+one random near point, a block of 5 (five single draws on a checkout without
+npk.sampling.random_near_points), one random_polynomial in 2 variables (the
+same one on every call, the generator's state reset before each), and
+WeilAlgebra.element of a coefficient array (best of five rounds).
 It also prints the OpenBLAS thread count, read from the library numpy loaded.
 The script does not pin it, so it times what `npk algebra` sees.
 
@@ -54,8 +59,9 @@ from npk.expr import parse  # noqa: E402
 from npk.fields import AVectorField, bracket  # noqa: E402
 from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E402
 import npk.points  # noqa: E402
+import npk.sampling  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
-from npk.sampling import random_field, random_function, random_near_point  # noqa: E402
+from npk.sampling import random_field, random_function, random_near_point, random_polynomial  # noqa: E402
 from npk.weil import build_algebra, derivation_basis, is_derivation, parse_presentation  # noqa: E402
 
 PRODUCT_ALGEBRAS = (
@@ -221,12 +227,38 @@ def derivations(text: str) -> dict:
     }
 
 
+def samplings(text: str) -> dict:
+    algebra = build_algebra(parse_presentation(text))
+    chart = Chart.cube(2)
+    rng = np.random.default_rng(0)
+    coeffs = rng.uniform(-1, 1, algebra.dim)
+    block = getattr(npk.sampling, "random_near_points", None)
+    if block is None:
+        def block(rng, algebra, chart, k):
+            return [random_near_point(rng, algebra, chart) for _ in range(k)]
+    state = rng.bit_generator.state
+
+    def polynomial():
+        rng.bit_generator.state = state  # the same polynomial on every call and every checkout
+        return random_polynomial(rng, chart.n)
+
+    return {
+        "algebra": text,
+        "dim": algebra.dim,
+        "near_point_us": per_call_us(lambda: random_near_point(rng, algebra, chart)),
+        "near_points_5_us": per_call_us(lambda: block(rng, algebra, chart, 5)),
+        "polynomial_us": per_call_us(polynomial),
+        "element_us": per_call_us(lambda: algebra.element(coeffs)),
+    }
+
+
 SECTIONS = {
     "products": (products, PRODUCT_ALGEBRAS),
     "lift": (lifts, LIFT_ALGEBRAS),
     "afunction": (afunctions, AFUNCTION_ALGEBRAS),
     "block": (blocks, AFUNCTION_ALGEBRAS),
     "derivation_basis": (derivations, DERIVATION_ALGEBRAS),
+    "sampling": (samplings, AFUNCTION_ALGEBRAS),
 }
 
 

@@ -33,6 +33,7 @@ from .cohomology import (
     h0_check,
 )
 from .expr import (
+    VectorField,
     _substitute,
     const,
     contract_form,
@@ -198,25 +199,32 @@ def _field_zero_residual(x: AVectorField, block: NearPoints) -> float:
 def _form_residual(e1: AForm, e2: AForm, rng, algebra, chart, points, block: NearPoints) -> float:
     """Compare on fresh prolonged probe fields, drawn per point after the points.
 
-    Evaluation draws nothing, so all probes are drawn first; each is evaluated
-    at its own point, and both forms on the block of the points.
+    Evaluation draws nothing, so all probes are drawn first; each is valued at
+    its own point, and both forms on the block of the points.
     """
     if e1.degree != e2.degree:
         raise ValueError("degree mismatch in form comparison")
-    probes = [
-        [prolong(sp.random_base_field(rng, chart), algebra, chart) for _ in range(e1.degree)]
-        for _ in points
-    ]
-    values = [
-        [np.stack([p[r].components[i].evaluate(xi).coeffs for p, xi in zip(probes, points)], axis=-1)
-         for i in range(chart.n)]
-        for r in range(e1.degree)
-    ]
+    probes = [[sp.random_base_field(rng, chart) for _ in range(e1.degree)] for _ in points]
+    values = _probe_values(probes, points, e1.degree, chart.n)
     return _fold(_gaps(e1.on_values(values, block), e2.on_values(values, block)).tolist())
 
 
+def _probe_values(probes: Sequence[Sequence[VectorField]], points: Sequence[NearPoint], degree: int, n: int) -> list:
+    """values[r][i]: the (dim, N) values of component i of the prolongation of probes[j][r] at points[j].
+
+    A prolonged field's value at a point is the lift of its base components
+    there; + 0.0 because the prolongation sums its rows from 0.0, so it never
+    gives a -0.0.
+    """
+    return [
+        [np.stack([lift(p[r].components[i], xi).coeffs for p, xi in zip(probes, points)], axis=-1) + 0.0
+         for i in range(n)]
+        for r in range(degree)
+    ]
+
+
 def _points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> list[NearPoint]:
-    return [sp.random_near_point(rng, algebra, chart) for _ in range(k)]
+    return sp.random_near_points(rng, algebra, chart, k)
 
 
 # -- the driver -----------------------------------------------------------------

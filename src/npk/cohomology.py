@@ -431,11 +431,11 @@ def h0_check(
     constant_tol: float = 1e-8,
 ) -> AElement:
     """Verify phi is closed and constant across the chart; return the constant value."""
-    from .sampling import random_near_point
+    from .sampling import random_near_points
 
     algebra, chart = phi.algebra, phi.chart
     rng = np.random.default_rng(seed)
-    block = NearPoints.stack([random_near_point(rng, algebra, chart) for _ in range(max(1, samples))])
+    block = NearPoints.stack(random_near_points(rng, algebra, chart, max(1, samples)))
     partials = [coordinate_prolongation(algebra, chart, i).apply_fn(phi) for i in range(chart.n)]
     # np.max keeps a NaN, and `not x <= tol` fails it, so a NaN never passes
     residual = np.max([np.max(np.abs(dphi.evaluate(block))) for dphi in partials])

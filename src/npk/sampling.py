@@ -10,6 +10,7 @@ suites run clear of singular loci.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "random_lifted_field",
     "random_lifted_function",
     "random_near_point",
+    "random_near_points",
     "random_polynomial",
     "random_tangent_vector",
     "random_trig_polynomial",
@@ -52,11 +54,15 @@ def _coeff(rng: np.random.Generator) -> Const:
     return const(round(float(rng.uniform(-2.0, 2.0)), 3))
 
 
+@lru_cache(maxsize=None)
+def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of the monomials of degree at most `degree` in n variables, in product order."""
+    return tuple(m for m in itertools.product(range(degree + 1), repeat=n) if sum(m) <= degree)
+
+
 def random_polynomial(rng: np.random.Generator, n: int, degree: int = 2, terms: int = 3) -> Expr:
     """Random sparse polynomial with rounded coefficients."""
-    monomials = [
-        m for m in itertools.product(range(degree + 1), repeat=n) if sum(m) <= degree
-    ]
+    monomials = _monomials(n, degree)
     out: Expr = _coeff(rng)
     count = int(rng.integers(1, terms + 1))
     for _ in range(count):
@@ -110,17 +116,27 @@ def random_a_element(rng: np.random.Generator, algebra: WeilAlgebra) -> AElement
     return algebra.element(np.round(rng.uniform(-1.0, 1.0, size=algebra.dim), 3))
 
 
+def random_near_points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> list[NearPoint]:
+    """k random near points from one rng.random call.
+
+    rng.uniform(low, high) maps a draw u of rng.random to low + (high - low) * u,
+    so these are the values, and the stream position, of drawing point by point
+    and coordinate by coordinate a base by rng.uniform, in the chart clipped to
+    the unit box and 5% in from each end, and then dim coefficients by
+    rng.uniform(-0.5, 0.5, dim), the first of them replaced by the base.
+    """
+    bounds = [(max(lo, -1.0), min(hi, 1.0)) if chart.kind == "box" else (lo, hi) for lo, hi in chart.intervals]
+    low = np.array([lo + 0.05 * (hi - lo) for lo, hi in bounds])
+    scale = np.array([hi - 0.05 * (hi - lo) for lo, hi in bounds]) - low
+    c = rng.random((k, chart.n, algebra.dim + 1))
+    c[:, :, 1:] -= 0.5  # -0.5 + 1.0 * u, exactly
+    c[:, :, 1] = low + scale * c[:, :, 0]
+    # each coordinate owns its coefficients, as algebra.element gives them, so that no point keeps the draw alive
+    return [NearPoint(algebra, chart, [AElement(algebra, v[1:].copy()) for v in point]) for point in c]
+
+
 def random_near_point(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart) -> NearPoint:
-    coords = []
-    for lo, hi in chart.intervals:
-        lo = max(lo, -1.0) if chart.kind == "box" else lo
-        hi = min(hi, 1.0) if chart.kind == "box" else hi
-        span = hi - lo
-        base = float(rng.uniform(lo + 0.05 * span, hi - 0.05 * span))
-        c = rng.uniform(-0.5, 0.5, size=algebra.dim)
-        c[0] = base
-        coords.append(algebra.element(c))
-    return NearPoint(algebra, chart, coords)
+    return random_near_points(rng, algebra, chart, 1)[0]
 
 
 def random_tangent_vector(

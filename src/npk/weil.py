@@ -287,7 +287,8 @@ class WeilAlgebra:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Iterable[float]) -> "AElement":
-        return AElement(self, np.asarray(list(coeffs), dtype=float))
+        """An element with these coefficients, always a fresh copy of them."""
+        return AElement(self, np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=float))
 
     def zero(self) -> "AElement":
         return AElement(self, np.zeros(self.dim))
@@ -387,9 +388,9 @@ class WeilAlgebra:
         position in the dim x dim matrix D followed by one zero, which stands in
         for every product or quotient outside the basis.  Only triples where a
         term can be nonzero are listed: those with ab, s/b or s/a in the basis.
-        The residual of (b, a, s) equals that of (a, b, s), so these are the
-        triples with ab in the basis and a <= b, and then, without repeats, those
-        with s/b in the basis.
+        The residual of (b, a, s) equals that of (a, b, s), so of each such pair
+        only one is listed: the triples with ab in the basis and a <= b, and then
+        those with s/b in the basis whose mirror is not already listed.
         """
         dim, left, right, prod = self.dim, self._left, self._right, self._prod
         product, quotient = self._product_quotient
@@ -397,9 +398,10 @@ class WeilAlgebra:
         half = left <= right
         # ab in the basis and a <= b, every s
         a1, b1, s1 = np.repeat(left[half], dim), np.repeat(right[half], dim), np.tile(every, half.sum())
-        # s/b in the basis, every a, less the triples above
+        # s/b in the basis and ab not, every a; when s/a is in the basis too, (b, a, s) is
+        # also such a triple, and only the one of the two with a <= b is kept
         a2, b2, s2 = np.tile(every, len(prod)), np.repeat(right, dim), np.repeat(prod, dim)
-        rest = (product[a2, b2] < 0) | (a2 > b2)
+        rest = (product[a2, b2] < 0) & ((a2 <= b2) | (quotient[s2, a2] < 0))
         a, b, s = (np.concatenate([x1, x2[rest]]) for x1, x2 in ((a1, a2), (b1, b2), (s1, s2)))
 
         def position(row, col):

@@ -288,3 +288,20 @@ def test_non_finite_residual_encoding():
 
     assert [encoded(v) for v in (float("nan"), float("inf"), -float("inf"))] == ["nan", "inf", "-inf"]
     assert encoded(0.0) == 0.0 and encoded(1.5e-12) == 1.5e-12
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("[[[0, 1], [2, 3]]]", "npk: expected 2 coefficients, got shape (2, 2)\n"),  # nested: a DimensionMismatch
+        ("[[0, [1]]]", "npk: "),  # ragged: numpy's ValueError, in numpy's words
+    ],
+    ids=["nested", "ragged"],
+)
+def test_lift_nested_or_ragged_point_exit_2(capsys, point, message):
+    from npk import cli
+
+    code = cli.main(["lift", "--algebra", "R[x]/(x^2)", "--fn", "x1", "--point", point])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR == 2 and captured.out == ""
+    assert captured.err.startswith(message) and "Traceback" not in captured.err

@@ -112,6 +112,21 @@ def test_dimension_mismatch():
         a.unit() * b.unit()
 
 
+def test_element_copies_its_coefficients(dual):
+    coeffs = np.array([1.0, 2.0])
+    x = dual.element(coeffs)
+    coeffs[0] = 5.0
+    assert x.coeffs.tolist() == [1.0, 2.0] and x.coeffs is not coeffs
+    assert dual.element(np.array([1, 2])).coeffs.dtype == float
+    assert dual.element(iter([3, 4])).coeffs.tolist() == [3.0, 4.0]
+    assert dual.element(x.coeffs[::-1]).coeffs.tolist() == [2.0, 1.0]  # a strided view is copied too
+    for nested in (np.zeros((2, 2)), [[0.0, 1.0], [2.0, 3.0]], np.zeros(())):
+        with pytest.raises(DimensionMismatch):
+            dual.element(nested)
+    with pytest.raises(ValueError):
+        dual.element([0.0, [1.0]])  # ragged
+
+
 def test_structure_constant_axioms(catalog):
     for a in catalog:
         c = a.structure
@@ -649,3 +664,47 @@ def test_single_element_residual_in_slices(monkeypatch, catalog, dim27):
             assert [is_derivation(a, m) for m in stack] == [r <= weil.DERIVATION_TOL for r in whole]
         monkeypatch.undo()
     assert np.isnan(whole[-1])
+
+
+def reference_leibniz_index(a):
+    """_leibniz_index as it was: the s/b triples kept every a > b, mirrors of listed triples included."""
+    dim, left, right, prod = a.dim, a._left, a._right, a._prod
+    product, quotient = a._product_quotient
+    every = np.arange(dim)
+    half = left <= right
+    a1, b1, s1 = np.repeat(left[half], dim), np.repeat(right[half], dim), np.tile(every, half.sum())
+    a2, b2, s2 = np.tile(every, len(prod)), np.repeat(right, dim), np.repeat(prod, dim)
+    rest = (product[a2, b2] < 0) | (a2 > b2)
+    x, y, s = (np.concatenate([u1, u2[rest]]) for u1, u2 in ((a1, a2), (b1, b2), (s1, s2)))
+
+    def position(row, col):
+        return np.where((row >= 0) & (col >= 0), row * dim + col, dim * dim)
+
+    return position(s, product[x, y]), position(quotient[s, y], x), position(quotient[s, x], y)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_leibniz_index_drops_only_mirrored_triples(catalog, dim27, dim48):
+    rng = np.random.default_rng(43)
+    for a in [*catalog, dim27, dim48]:
+        full = reference_leibniz_index(a)
+        ours = a._leibniz_index
+        listed = set(zip(*(t.tolist() for t in ours)))  # positions (lhs, left, right); distinct triples may share them
+        assert listed <= set(zip(*(t.tolist() for t in full)))
+        # a dropped triple (a, b, s) has its mirror (b, a, s), whose two right-hand terms are swapped
+        assert all(t in listed or (t[0], t[2], t[1]) in listed for t in zip(*(t.tolist() for t in full)))
+        if a.dim >= 27:
+            assert len(ours[0]) <= 0.75 * len(full[0])
+        reference = build_algebra(a.presentation)
+        reference.__dict__["_leibniz_index"] = full
+        stack = _residual_stack(a, rng)
+        spoiled = stack[-1].copy()
+        spoiled[rng.integers(a.dim), rng.integers(a.dim)] = np.nan
+        assert _leibniz_residual(a, stack).tobytes() == _leibniz_residual(reference, stack).tobytes()
+        for m in [*stack, spoiled]:
+            one, whole = _leibniz_residual(a, m), _leibniz_residual(reference, m)
+            assert np.float64(one).tobytes() == np.float64(whole).tobytes(), a.text
+        assert np.isnan(_leibniz_residual(a, spoiled))
+        assert [d.matrix.tobytes() for d in derivation_basis(build_algebra(a.presentation))] == [
+            d.matrix.tobytes() for d in derivation_basis(a)
+        ]
