@@ -6,13 +6,14 @@ point of kind A assigns to each coordinate an element of A whose
 augmentation is the corresponding coordinate of an ordinary base point
 in the chart.  A smooth function f is pushed through a near point xi by
 evaluating its expression tree in A with x_i -> xi_i: sums and products
-are A-arithmetic, and each primitive g (sin, cos, exp, log, sqrt, 1/x,
-x^c) acts on a0 + n through its series, which terminates as n is nilpotent:
+are A-arithmetic, except that a constant factor c (c times the unit of A)
+scales, and each primitive g (sin, cos, exp, log, sqrt, 1/x, x^c) acts on
+a0 + n through its series, which terminates as n is nilpotent:
 
     g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k,
 
 with the coefficients in closed form (`expr.series`) and the sum by
-Horner's rule in A.
+Horner's rule in A from the highest nonzero coefficient.
 
 This is the unique algebra homomorphism extending x_i -> xi_i on the
 implemented function class: forward-mode automatic differentiation on
@@ -246,7 +247,11 @@ def _jet(e: Expr, xi: NearPoint | NearPoints) -> np.ndarray:
         return xi.values[e.index]
     if isinstance(e, Add):
         return _jet(e.left, xi) + _jet(e.right, xi)
-    if isinstance(e, Mul):
+    if isinstance(e, Mul):  # a constant factor c.1 scales: mul_coeffs(c.1, v) is c * v + 0.0 for finite v
+        if isinstance(e.left, Const):
+            return e.left.value * _jet(e.right, xi) + 0.0
+        if isinstance(e.right, Const):
+            return e.right.value * _jet(e.left, xi) + 0.0
         return xi.algebra.mul_coeffs(_jet(e.left, xi), _jet(e.right, xi))
     if isinstance(e, Pow):
         if constant_exponent(e):  # x^c with c a number, however it is spelled
@@ -262,6 +267,8 @@ def _jet(e: Expr, xi: NearPoint | NearPoints) -> np.ndarray:
     if isinstance(e, Neg):
         return -_jet(e.arg, xi)
     if isinstance(e, Div):
+        if isinstance(e.left, Const):
+            return e.left.value * _compose("1/x", _jet(e.right, xi), xi.algebra) + 0.0
         return xi.algebra.mul_coeffs(_jet(e.left, xi), _compose("1/x", _jet(e.right, xi), xi.algebra))
     raise TypeError(f"not an expression: {e!r}")
 
@@ -270,20 +277,29 @@ def _compose(g: str | float, a: np.ndarray, algebra: WeilAlgebra) -> np.ndarray:
     """g(a0 + n) = sum_{k <= height} c_k n^k for a primitive g and nilpotent n, column by column.
 
     `expr.series` gives the coefficients c_k = g^(k)(a0) / k! in closed form
-    (and owns every domain check), once per column; the sum is Horner's rule
-    on coefficient arrays, c_0 + n (c_1 + n (c_2 + ... + n c_h)): height
-    products in A.  c[k] has the shape of a[0], so one code serves a point
-    and a block.
+    (and owns every domain check): floats at a point, one row of N per k at a
+    block.  The sum is Horner's rule, c_0 + n (c_1 + n (c_2 + ... + n c_top)),
+    from the highest nonzero coefficient c_top (a zero row must be zero in
+    every column); its first step is the scale c_top * n, so a primitive costs
+    top - 1 products in A.  For finite n every step equals the full Horner sum
+    from c_height bit for bit.
     """
-    h = algebra.height
-    c = np.array([series(g, a0, h) for a0 in a[:1].ravel().tolist()]).T.reshape((h + 1,) + a.shape[1:])
-    n = a.copy()
+    h, n = algebra.height, a.copy()
     n[0] = 0.0
-    acc = np.zeros(a.shape)
-    acc[0] = c[h]
-    for k in range(h - 1, -1, -1):
-        acc = algebra.mul_coeffs(acc, n)
+    if a.ndim == 1:
+        c, nonzero = series(g, float(a[0]), h), bool
+    else:
+        c, nonzero = np.array([series(g, a0, h) for a0 in a[0].tolist()]).T, np.count_nonzero
+    if not h:  # A = R: the lift is the value
+        return np.full(a.shape, c[0])
+    top = h
+    while top > 1 and not nonzero(c[top]):
+        top -= 1
+    acc = c[top] * n + 0.0
+    for k in range(top - 1, 0, -1):
         acc[0] += c[k]
+        acc = algebra.mul_coeffs(acc, n)
+    acc[0] += c[0]
     return acc
 
 
@@ -329,7 +345,9 @@ class TangentVector:
         return tangent_apply(self, phi)
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
-        if other.at is not self.at and other.at.coords != self.at.coords:
+        p, q = self.at, other.at
+        if p is not q and (p.algebra != q.algebra or p.chart != q.chart
+                           or not all(map(np.array_equal, p.values, q.values))):
             raise ValueError("tangent vectors at different points")
         return TangentVector(self.at, tuple(a + b for a, b in zip(self.components, other.components)))
 

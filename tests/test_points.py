@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 
 from npk.expr import (
     ONE,
+    Add,
     Call,
     Const,
     Div,
     DomainError,
     Expr,
+    Mul,
     Neg,
     Pow,
+    Sub,
     UnknownVariable,
     Var,
+    const,
+    constant_exponent,
     diff,
     evaluate,
     expr_key,
+    mul,
     parse,
     series,
 )
@@ -35,8 +41,8 @@ from npk.points import (
     lift,
     lift_map,
 )
-from npk.sampling import random_expr, random_near_point
-from npk.weil import AElement, AlgebraMismatch
+from npk.sampling import random_chart_expr, random_expr, random_near_point, random_near_points
+from npk.weil import AElement, AlgebraMismatch, WeilAlgebra
 
 
 def test_chart_parse_and_text():
@@ -582,3 +588,164 @@ def test_series_of_height_zero_is_the_value():
     xi = NearPoint(r, Chart.circle(), [r.element([math.inf])])  # the circle takes any base
     assert series("log", math.inf, 0) == [math.inf]
     assert list(lift(parse("log(x1)", 1), xi).coeffs) == [math.inf]
+
+
+# -- the lift with every product in A and Horner from c_height, kept as a reference --------
+
+
+def _reference_jet(e: Expr, xi):
+    """The lift's coefficients as they were before constant factors became scales."""
+    algebra = xi.algebra
+    if isinstance(e, Const):
+        out = np.zeros(xi.values[0].shape)
+        out[0] = e.value
+        return out
+    if isinstance(e, Var):
+        return xi.values[e.index]
+    if isinstance(e, Add):
+        return _reference_jet(e.left, xi) + _reference_jet(e.right, xi)
+    if isinstance(e, Sub):
+        return _reference_jet(e.left, xi) - _reference_jet(e.right, xi)
+    if isinstance(e, Neg):
+        return -_reference_jet(e.arg, xi)
+    if isinstance(e, Mul):
+        return algebra.mul_coeffs(_reference_jet(e.left, xi), _reference_jet(e.right, xi))
+    if isinstance(e, Div):
+        left = _reference_jet(e.left, xi)
+        return algebra.mul_coeffs(left, _reference_compose("1/x", _reference_jet(e.right, xi), algebra))
+    if isinstance(e, Pow):
+        if constant_exponent(e):
+            c = e.exponent.value if isinstance(e.exponent, Const) else evaluate(e.exponent, ())
+            return _reference_compose(float(c), _reference_jet(e.base, xi), algebra)
+        log = _reference_compose("log", _reference_jet(e.base, xi), algebra)
+        return _reference_compose("exp", algebra.mul_coeffs(_reference_jet(e.exponent, xi), log), algebra)
+    assert isinstance(e, Call)
+    return _reference_compose(e.fn, _reference_jet(e.arg, xi), algebra)
+
+
+def _reference_compose(g, a, algebra):
+    """Horner's rule from c_height, height products in A."""
+    h = algebra.height
+    c = np.array([series(g, a0, h) for a0 in a[:1].ravel().tolist()]).T.reshape((h + 1,) + a.shape[1:])
+    n = a.copy()
+    n[0] = 0.0
+    acc = np.zeros(a.shape)
+    acc[0] = c[h]
+    for k in range(h - 1, -1, -1):
+        acc = algebra.mul_coeffs(acc, n)
+        acc[0] += c[k]
+    return acc
+
+
+def _value(v) -> np.ndarray:
+    return v.coeffs if isinstance(v, AElement) else v
+
+
+def _scalar_like(algebra: WeilAlgebra, c: float, shape: tuple[int, ...]) -> np.ndarray:
+    """The coefficients of scalar(c) in a (dim,) or (dim, N) shape, column by column."""
+    return np.broadcast_to(algebra.scalar(c).coeffs.reshape(-1, *[1] * (len(shape) - 1)), shape)
+
+
+def _signed_zeros(algebra: WeilAlgebra, chart: Chart, xi: NearPoint, base: float) -> NearPoint:
+    """xi with x1 moved to base +-0.0 and +-0.0 in some nilpotent slots; sin at 0.0 has -0.0 coefficients."""
+    first = xi.coords[0].coeffs.copy()
+    first[0] = base
+    first[2::3], first[3::3] = -0.0, 0.0
+    return NearPoint(algebra, chart, [algebra.element(first), *xi.coords[1:]])
+
+
+_FIXED = ("x1^2", "x1^3", "x1^2.5", "sin(x1)", "2.5*x1^2 - 0.7*x1", "2.5*x1", "-0.5*x1", "x1*2.5", "x1*(-0.5)",
+          "-2/(x1 + 2)", "x2*3 + (x1 + 2)^x2 - 1/(x1 + 2)", "1.5")
+
+
+def test_lift_matches_the_reference_byte_for_byte(catalog):
+    rng = np.random.default_rng(61)
+    for algebra in [*catalog, _DIM27]:
+        for chart in (Chart.cube(2), Chart.circle(), Chart.box([(0.25, 2.0)] * 2)):
+            fs = [random_chart_expr(rng, chart) for _ in range(3 if algebra.dim > 20 else 8)]
+            fs += [parse(t, chart.n) for t in _FIXED if chart.n == 2 or "x2" not in t]
+            for size in (1, 5, 10):
+                points = random_near_points(rng, algebra, chart, size)
+                if chart.contains([0.0] * chart.n):
+                    points[0] = _signed_zeros(algebra, chart, points[0], 0.0)
+                    points[-1] = _signed_zeros(algebra, chart, points[-1], -0.0)
+                for at in [points[0], points[-1], NearPoints.stack(points)]:
+                    for f in fs:
+                        try:
+                            expected = _reference_jet(f, at)
+                        except DomainError:  # x1^2.5 at base 0.0 on a height >= 3
+                            with pytest.raises(DomainError):
+                                lift(f, at)
+                            continue
+                        assert _value(lift(f, at)).tobytes() == expected.tobytes(), (algebra.dim, f)
+
+
+@pytest.mark.parametrize("c", [2.5, -1.5, 0.0, -0.0, 1e300])
+def test_scalar_product_is_a_scale_plus_zero(catalog, c):
+    rng = np.random.default_rng(62)
+    for algebra in [*catalog, _DIM27]:
+        for shape in [(algebra.dim,), (algebra.dim, 4)]:
+            v = rng.uniform(-1.0, 1.0, shape)
+            v[rng.random(shape) < 0.3] = 0.0
+            v[rng.random(shape) < 0.3] = -0.0
+            s = _scalar_like(algebra, c, shape)
+            expected = (c * v + 0.0).tobytes()
+            assert algebra.mul_coeffs(s, v).tobytes() == expected
+            assert algebra.mul_coeffs(v, s).tobytes() == expected
+
+
+def test_constant_factor_agrees_with_the_a_product(catalog):
+    """lift(c * f) against mul_coeffs(scalar(c), lift(f)): the A-product route stays an oracle for the scale."""
+    rng = np.random.default_rng(63)
+    for algebra in [*catalog, _DIM27]:
+        for chart in (Chart.cube(2), Chart.circle()):
+            for _ in range(4):
+                f, c = random_chart_expr(rng, chart), float(rng.uniform(-2.0, 2.0))
+                points = random_near_points(rng, algebra, chart, 5)
+                for at in [points[0], NearPoints.stack(points)]:
+                    v = _value(lift(f, at))
+                    got = _value(lift(mul(const(c), f), at))
+                    assert got.tobytes() == algebra.mul_coeffs(_scalar_like(algebra, c, v.shape), v).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constant_factor_keeps_a_non_finite_lift(catalog, bad):
+    chart = Chart.cube(2)
+    fs = [parse("2.5*x1", 2), Mul(Var(0), Const(-3.0)), parse("0.5*x1*x2", 2), parse("3*sin(x1)", 2)]
+    for algebra in catalog[1:]:  # a non-finite nilpotent part needs dim > 1
+        rest = [0.0] * (algebra.dim - 2)
+        xi = NearPoint(algebra, chart, [algebra.element([0.25, bad, *rest]), algebra.element([0.5, 1.0, *rest])])
+        with np.errstate(invalid="ignore"):
+            for f in fs:
+                assert not np.all(np.isfinite(lift(f, xi).coeffs)), f
+
+
+@pytest.mark.parametrize("text, products", [("x1^2", 1), ("x1^3", 2), ("x1^2.5", 5), ("2.5*x1^2 - 0.7*x1", 1)])
+def test_horner_starts_at_the_highest_nonzero_coefficient(monkeypatch, text, products):
+    calls = []
+    real = WeilAlgebra.mul_coeffs
+    monkeypatch.setattr(WeilAlgebra, "mul_coeffs", lambda self, a, b: calls.append(1) or real(self, a, b))
+    xi = NearPoint(_DIM27, Chart.cube(1), [_DIM27.element([0.3, *np.linspace(-1.0, 1.0, 26)])])
+    lift(parse(text, 1), xi)
+    assert len(calls) == products  # height 6: six products before
+    dual = build_algebra(parse_presentation("R[x]/(x^2)"))
+    calls.clear()
+    lift(parse(text, 1), NearPoint(dual, Chart.cube(1), [dual.element([0.3, 1.0])]))
+    assert not calls  # dual numbers: one product before, none now
+
+
+def test_tangent_vectors_add_at_equal_points(dual, jet3):
+    chart = Chart.cube(2)
+    xi = NearPoint(dual, chart, [dual.element([0.5, 1.0]), dual.element([-0.25, 2.0])])
+    e = dual.basis_element(1)
+    v = TangentVector(xi, (dual.unit(), e))
+    total = v + TangentVector(NearPoint.from_json(xi.to_json(), dual, chart), (e, dual.unit()))
+    assert total.at is xi and all(np.array_equal(u.coeffs, [1.0, 1.0]) for u in total.components)
+    moved = NearPoint(dual, chart, [dual.element([0.5, 1.5]), xi.coords[1]])
+    wide = NearPoint(dual, Chart.cube(2, -2.0, 2.0), xi.coords)
+    for at in (moved, wide):
+        with pytest.raises(ValueError, match="different points"):
+            v + TangentVector(at, (e, e))
+    jet = NearPoint(jet3, chart, [jet3.element([0.5, 1.0, 0.0]), jet3.element([-0.25, 2.0, 0.0])])
+    with pytest.raises(ValueError, match="different points"):
+        v + TangentVector(jet, (jet3.unit(), jet3.unit()))
