@@ -16,8 +16,9 @@ R[x]/(x^2), R[x]/(x^4) and R[x,y,z]/(x^3,y^3,z^3) (best of five rounds);
 the per-call microseconds of the A-function layer at dims 2, 6 and 27 on a
 2-dim chart (best of five rounds): the product of two lifted functions,
 apply_fn of a random field on a random function, the bracket of two random
-fields (each call on fresh copies of the fields), and one evaluate of the product of two lifted functions at a near
-point whose lifts are already memoized; the per-call microseconds of building
+fields (each call on fresh copies of the fields), one evaluate of the product of two lifted functions at a near
+point whose lifts are already memoized, exterior_derivative of a random 1-form, and
+h0_check (5 samples) of lift(f + g) - lift(f) - lift(g) + a, as in the h0 model; the per-call microseconds of building
 (through the public constructor), evaluating and squaring a function of one row
 and one of two rows, whose cost is mostly fixed; and, at dims 27, 48 and 100, the
 seconds of build_algebra, of derivation_basis on a fresh algebra (exact
@@ -56,8 +57,10 @@ if not os.environ.get("PYTHONPATH"):
 
 import numpy as np  # noqa: E402
 
+from npk.cohomology import h0_check  # noqa: E402
 from npk.expr import parse  # noqa: E402
 from npk.fields import AVectorField, bracket  # noqa: E402
+from npk.forms import AForm, exterior_derivative  # noqa: E402
 from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E402
 import npk.points  # noqa: E402
 import npk.sampling  # noqa: E402
@@ -169,6 +172,10 @@ def afunctions(text: str) -> dict:
     one_terms, two_terms = [(a, (u,))], [(a, (u,)), (b, (v, u))]
     one, two = AFunction(algebra, chart, one_terms), AFunction(algebra, chart, two_terms)
     one.evaluate(xi), two.evaluate(xi)
+    psi = random_function(rng, algebra, chart, max_terms=4, max_monomial=2, transcendental=True)
+    eta = AForm(algebra, chart, 1, ((phi, (0,)), (psi, (1,))))
+    closed = (lifted_function(f + g, algebra, chart) - lifted_function(f, algebra, chart)
+              - lifted_function(g, algebra, chart) + AFunction.constant(a, chart))
     return {
         "algebra": text,
         "dim": algebra.dim,
@@ -185,6 +192,8 @@ def afunctions(text: str) -> dict:
         "evaluate_two_rows_us": per_call_us(lambda: two.evaluate(xi)),
         "multiply_one_row_us": per_call_us(lambda: one * one),
         "multiply_two_rows_us": per_call_us(lambda: two * two),
+        "exterior_derivative_us": per_call_us(lambda: exterior_derivative(eta)),
+        "h0_check_us": per_call_us(lambda: h0_check(closed, samples=5)),
     }
 
 

@@ -107,10 +107,9 @@ def cmd_algebra(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     algebra = _algebra_from(args)
-    coords = json.loads(args.point)
-    n = len(coords)
+    n = len(json.loads(args.point))
     chart = Chart.parse(args.chart) if args.chart else Chart.box([(-float("inf"), float("inf"))] * n)
-    xi = NearPoint(algebra, chart, [algebra.element(c) for c in coords])
+    xi = NearPoint.from_json(args.point, algebra, chart)
     f = parse(args.fn, chart.n)
     value = lift(f, xi)
     if args.json:
@@ -140,7 +139,7 @@ def cmd_field(args: argparse.Namespace) -> int:
     algebra = _algebra_from(args)
     chart = _chart_from(args)
     field = parse_field(args.field, algebra, chart)
-    xi = NearPoint(algebra, chart, [algebra.element(c) for c in json.loads(args.point)])
+    xi = NearPoint.from_json(args.point, algebra, chart)
     if args.fn is not None:
         values = [field.apply(parse(args.fn, chart.n)).evaluate(xi)]
         labels = [f"X({args.fn})"]
@@ -169,7 +168,7 @@ def cmd_form(args: argparse.Namespace) -> int:
     chart = _chart_from(args)
     eta = parse_form(args.form, algebra, chart)
     fields = [parse_field(f, algebra, chart) for f in args.field or []]
-    xi = NearPoint(algebra, chart, [algebra.element(c) for c in json.loads(args.point)])
+    xi = NearPoint.from_json(args.point, algebra, chart)
     value = eta.evaluate(fields, xi)
     if args.json:
         payload = {

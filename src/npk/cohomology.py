@@ -42,9 +42,8 @@ from .expr import (
     power,
     var,
 )
-from .fields import coordinate_prolongation
 from .forms import AForm
-from .functions import AFunction, lifted_function
+from .functions import AFunction, coordinate_derive, lifted_function
 from .points import Chart, NearPoints
 from .weil import AElement, WeilAlgebra
 
@@ -436,7 +435,7 @@ def h0_check(
     algebra, chart = phi.algebra, phi.chart
     rng = np.random.default_rng(seed)
     block = NearPoints.stack(random_near_points(rng, algebra, chart, max(1, samples)))
-    partials = [coordinate_prolongation(algebra, chart, i).apply_fn(phi) for i in range(chart.n)]
+    partials = [coordinate_derive(phi, i) for i in range(chart.n)]
     # np.max keeps a NaN, and `not x <= tol` fails it, so a NaN never passes
     residual = np.max([np.max(np.abs(dphi.evaluate(block))) for dphi in partials])
     if not residual <= closed_tol:

@@ -20,12 +20,11 @@ see apply_fn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .expr import Const, Expr, Var, VectorField as BaseField, diff
-from .functions import AFunction, _expansion, _extension, _sum, coordinate_derive, lifted_function
+from .functions import AFunction, _expansion, _extension, _sum, lifted_function
 from .points import Chart, NearPoint
 from .weil import AElement, AlgebraMismatch, Derivation, WeilAlgebra
 
@@ -87,29 +86,11 @@ class AVectorField:
         """
         if phi.algebra != self.algebra or phi.chart != self.chart:
             raise AlgebraMismatch("function over a different algebra or chart")
-        coord = self._coordinate
-        if coord is not None:
-            return coordinate_derive(phi, coord)
         images: dict[int, AFunction] = {}  # X(g) per distinct generator function g
         for gen in phi.gens:
             if id(gen.fn) not in images:
                 images[id(gen.fn)] = self.apply(gen.fn)
         return _extension(phi, images)
-
-    @cached_property
-    def _coordinate(self) -> int | None:
-        """Index i when this field is the prolongation of d/dx_i, else None."""
-        found = None
-        for i, c in enumerate(self.components):
-            if c.is_structurally_zero():
-                continue
-            if found is not None or len(c.indices) != 1:
-                return None
-            row = c.coeffs[0]
-            if c.indices[0] or row[0] != 1.0 or np.any(row[1:] != 0.0):
-                return None
-            found = i
-        return found
 
     def __add__(self, other: "AVectorField") -> "AVectorField":
         self._check(other)

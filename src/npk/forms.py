@@ -27,8 +27,8 @@ from .expr import (
     _perm_sign,
     _sort_indices,
 )
-from .fields import AVectorField, bracket, coordinate_prolongation, prolong
-from .functions import AFunction, _sum, lifted_function
+from .fields import AVectorField, bracket, prolong
+from .functions import AFunction, _sum, coordinate_derive, lifted_function
 from .points import Chart, NearPoint, NearPoints
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
@@ -189,20 +189,22 @@ def wedge(eta1: AForm, eta2: AForm) -> AForm:
 
 
 def exterior_derivative(eta: AForm) -> AForm:
-    """Coefficientwise operator: d(phi dx_I) = sum_i (extension of d/dx_i^A)(phi) dx_i ^ dx_I."""
+    """Coefficientwise operator: d(phi dx_I) = sum_i (extension of d/dx_i^A)(phi) dx_i ^ dx_I.
+
+    coordinate_derive(phi, i) is the extension of the prolonged coordinate
+    field d/dx_i^A; palais_eval is the independent route to the same value.
+    """
     if eta.degree >= eta.chart.n:
         raise DegreeOverflow(f"cannot raise degree {eta.degree} on an {eta.chart.n}-dim chart")
-    algebra, chart = eta.algebra, eta.chart
-    coords = [coordinate_prolongation(algebra, chart, i) for i in range(chart.n)]
     terms = []
     for phi, idx in eta.terms:
-        for i in range(chart.n):
+        for i in range(eta.chart.n):
             slot = _insert_index(i, idx)
             if slot is None:
                 continue
             sign, new_idx = slot
-            terms.append((coords[i].apply_fn(phi).scale(float(sign)), new_idx))
-    return AForm(algebra, chart, eta.degree + 1, tuple(terms))
+            terms.append((coordinate_derive(phi, i).scale(float(sign)), new_idx))
+    return AForm(eta.algebra, eta.chart, eta.degree + 1, tuple(terms))
 
 
 def palais_eval(

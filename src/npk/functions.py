@@ -367,8 +367,10 @@ def coordinate_derive(phi: AFunction, i: int) -> AFunction:
     """Derivation extension of the i-th prolonged coordinate field.
 
     Leibniz over generator products; a generator (alpha, g) goes to
-    (alpha, d_i g) and constants die.  These operators commute, and they
-    agree with the general extension on prolonged coordinate fields.
+    (alpha, d_i g) and constants die.  These operators commute.
+    exterior_derivative and h0_check call it; it agrees with the general
+    extension of the prolonged coordinate field,
+    coordinate_prolongation(algebra, chart, i).apply_fn(phi), see the test.
     """
     # one table for the generators a rest can keep (those beside another) and the non-constant derivatives
     multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
@@ -412,26 +414,26 @@ def _extension(phi: AFunction, images: dict[int, AFunction]) -> AFunction:
     for key, image in images.items():
         moved[key] = _remap(image.indices, new[start:start + len(image.gens)])
         start += len(image.gens)
-    # per generator (alpha, g) of phi: X(g) projected onto slot alpha, as in dual_projection
-    unit, projections = phi.algebra.unit().coeffs, []
+    # per generator (alpha, g) of phi: X(g) projected onto slot alpha, real numbers c, as in dual_projection
+    projections = []
     for gen in phi.gens:
         c = images[id(gen.fn)].coeffs[:, gen.alpha]
         keep = c != 0.0
-        projections.append((list(itertools.compress(moved[id(gen.fn)], keep)), c.compress(keep)[:, None] * unit))
+        projections.append((list(itertools.compress(moved[id(gen.fn)], keep)), c.compress(keep)))
     monos, left, right = [], [], []
     for t, mono in enumerate(phi.indices):
         for j, k in enumerate(mono):
-            image, rows = projections[k]
+            image, scales = projections[k]
             if len(mono) > 1:
                 rest = tuple(map(own.__getitem__, mono[:j] + mono[j + 1:]))
                 image = [tuple(sorted(rest + m2)) if m2 else rest for m2 in image]
             monos += image
             left.extend([t] * len(image))
-            right.append(rows)
+            right.append(scales)
     if not monos:
         return AFunction.zero(phi.algebra, phi.chart)
-    # each row of phi times each row of the projection, one batched product
-    rows = phi.algebra.mul_rows(phi.coeffs[left], np.concatenate(right))
+    # each row of phi scaled by each projection c: for finite rows, c * v + 0.0 is mul_coeffs(c*1, v) bit for bit
+    rows = phi.coeffs[left] * np.concatenate(right)[:, None] + 0.0
     return _canonical(phi.algebra, phi.chart, gens, monos, rows)
 
 

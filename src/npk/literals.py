@@ -135,14 +135,14 @@ def parse_form(text: str, algebra: WeilAlgebra, chart: Chart) -> AForm:
         indices = tuple(int(i) - 1 for i in re.findall(r"dx\(\s*(\d+)\s*\)", m.group(0)))
         if any(not 0 <= i < chart.n for i in indices):
             raise LiteralError(f"coordinate index out of range in {m.group(0)!r}")
-        slot = _sort_indices(indices)
-        if slot is None:  # a repeated dx(i) makes the term vanish
-            continue
-        sign, sorted_idx = slot
         if degree is None:
             degree = len(indices)
         elif degree != len(indices):
             raise LiteralError("mixed degrees in form literal")
+        slot = _sort_indices(indices)
+        if slot is None:  # a repeated dx(i) makes the term vanish, but it keeps its degree
+            continue
+        sign, sorted_idx = slot
         phi = _parse_coeff(coeff_text or "1", algebra, chart)
         terms.append((phi.scale(float(sign)), sorted_idx))
     tail = compact[cursor:].strip()

@@ -305,3 +305,27 @@ def test_lift_nested_or_ragged_point_exit_2(capsys, point, message):
     captured = capsys.readouterr()
     assert code == cli.USAGE_ERROR == 2 and captured.out == ""
     assert captured.err.startswith(message) and "Traceback" not in captured.err
+
+
+def test_form_vanishing_literal_keeps_its_degree(capsys):
+    from npk import cli
+
+    fields = ["--field", 'prolong("1; 0")', "--field", 'prolong("0; 1")']
+    args = ["form", "--algebra", "R[x]/(x^2)", "--form", "dx(1)^dx(1)", *fields, "--point", "[[0.1,1],[0.2,0]]"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == "[0, 0]\n"
+
+
+@pytest.mark.parametrize("point", ["[[[0, 1], [2, 3]], [0, 1]]", "[[0, [1]], [0, 1]]"], ids=["nested", "ragged"])
+@pytest.mark.parametrize(
+    "command",
+    [["field", "--field", 'prolong("1; 0")'], ["form", "--form", "dx(1)", "--field", 'prolong("1; 0")']],
+    ids=["field", "form"],
+)
+def test_field_and_form_nested_or_ragged_point_exit_2(capsys, command, point):
+    from npk import cli
+
+    code = cli.main([command[0], "--algebra", "R[x]/(x^2)", *command[1:], "--point", point])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR and captured.out == ""
+    assert captured.err.startswith("npk: ") and "Traceback" not in captured.err

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from npk.expr import Const, VectorField, diff, lie_bracket, parse
+from npk.expr import Const, Var, VectorField, diff, lie_bracket, parse
 from npk.fields import (
     AVectorField,
     bracket,
@@ -11,8 +11,8 @@ from npk.fields import (
     from_derivation,
     prolong,
 )
-from npk.functions import AFunction, ScalarGenerator, dual_projection, lifted_function
-from npk.points import Chart, NearPoint
+from npk.functions import AFunction, ScalarGenerator, coordinate_derive, dual_projection, lifted_function
+from npk.points import Chart, NearPoint, NearPoints
 from npk.sampling import (
     random_a_element,
     random_derivation,
@@ -22,6 +22,7 @@ from npk.sampling import (
     random_lifted_field,
     random_lifted_function,
     random_near_point,
+    random_near_points,
 )
 from npk.weil import AlgebraMismatch, build_algebra, derivation_basis, parse_presentation
 from npk.checks import check_identity, UnknownIdentity
@@ -125,6 +126,31 @@ def test_extension_gamma_product_leibniz(dual):
     for _ in range(10):
         xi = random_near_point(rng, dual, CHART)
         assert (out.evaluate(xi) - expected.evaluate(xi)).max_abs() <= 1e-12
+
+
+def test_coordinate_derive_matches_general_extension(catalog):
+    # the direct d/dx_i^A route and apply_fn of the prolonged coordinate field act as oracles for each other
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    rng = np.random.default_rng(16)
+    polynomials = (Var(0), Var(1), parse("x1*x2", 2))
+    for algebra in algebras:
+        # polynomial generators have constant derivatives (kept at slot 0, dropped elsewhere); slots run over 0..dim-1
+        gens = [ScalarGenerator(alpha, g) for alpha in range(algebra.dim) for g in polynomials]
+        polynomial = AFunction(algebra, CHART, [
+            (random_a_element(rng, algebra), tuple(gens[k] for k in rng.choice(len(gens), size=int(rng.integers(1, 4)))))
+            for _ in range(6)
+        ])
+        phi = random_function(rng, algebra, CHART, max_terms=4, max_monomial=3, transcendental=True)
+        points = random_near_points(rng, algebra, CHART, 6)
+        block = NearPoints.stack(points[1:])
+        for f in (phi, polynomial, phi * polynomial, polynomial + random_lifted_function(rng, algebra, CHART, factors=2)):
+            for i in range(CHART.n):
+                direct = coordinate_derive(f, i)
+                general = coordinate_prolongation(algebra, CHART, i).apply_fn(f)
+                assert [[g.key for g in m] for m in direct.monos] == [[g.key for g in m] for m in general.monos]
+                assert np.array_equal(direct.coeffs, general.coeffs)  # == : only the sign of a zero may differ
+                assert direct.evaluate(points[0]).coeffs.tobytes() == general.evaluate(points[0]).coeffs.tobytes()
+                assert direct.evaluate(block).tobytes() == general.evaluate(block).tobytes()
 
 
 def test_bracket_coordinates_commute(plane_jet):

@@ -10,7 +10,7 @@ from npk.functions import (
     lifted_function,
     tangent_apply,
 )
-from npk.fields import bracket
+from npk.fields import bracket, coordinate_prolongation
 from npk.points import Chart, NearPoint, NearPoints, lift
 from npk.sampling import (
     random_a_element,
@@ -247,8 +247,10 @@ def test_non_finite_coefficient_stays_non_finite(plane_jet, bad):
     g, h = ScalarGenerator(1, parse("sin(x1)", 2)), ScalarGenerator(0, parse("x2", 2))
     coeffs = np.array([1.0, bad, 0.0])
     phi = AFunction(plane_jet, CHART, [(AElement(plane_jet, coeffs), (g, h)), (plane_jet.unit(), (h,))])
+    x = coordinate_prolongation(plane_jet, CHART, 0)
     with np.errstate(invalid="ignore"):
-        for psi in (phi, phi * lifted_function(parse("x1", 2), plane_jet, CHART)):
+        extensions = (x.apply_fn(phi), coordinate_derive(phi, 0))
+        for psi in (phi, phi * lifted_function(parse("x1", 2), plane_jet, CHART), *extensions):
             xi = random_near_point(rng, plane_jet, CHART)
             value = psi.evaluate(xi).coeffs
             assert not np.all(np.isfinite(value))

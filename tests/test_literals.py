@@ -99,7 +99,7 @@ def test_form_literal_wedge_and_signs(dual):
     xi = random_near_point(rng, dual, CHART)
     assert (area.evaluate(probes, xi) + swapped.evaluate(probes, xi)).max_abs() <= 1e-14
     degenerate = parse_form("dx(1)^dx(1)", dual, CHART)
-    assert degenerate.terms == ()
+    assert degenerate.terms == () and degenerate.degree == 2
 
 
 def test_form_literal_degree_zero(dual):
@@ -117,5 +117,7 @@ def test_form_literal_fn_coefficient(dual):
 
 
 def test_form_literal_mixed_degree_rejected(dual):
-    with pytest.raises(LiteralError):
-        parse_form("dx(1) + dx(1)^dx(2)", dual, CHART)
+    # a vanishing term (repeated dx(i)) still has its degree
+    for text in ("dx(1) + dx(1)^dx(2)", "x1 dx(1) + dx(2)^dx(2)", "dx(1)^dx(1) + x1 dx(1)"):
+        with pytest.raises(LiteralError, match="mixed degrees"):
+            parse_form(text, dual, CHART)
