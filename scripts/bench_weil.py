@@ -3,8 +3,8 @@
 Usage: python scripts/bench_weil.py [--section NAME]
 
 Each section is one key of the output; --section (repeatable) runs only the
-named ones: products, lift, afunction, block, derivation_basis, sampling.  A
-full run takes about two minutes.
+named ones: products, lift, afunction, block, derivation_basis, sampling,
+cohomology.  A full run takes about two minutes.
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
@@ -35,6 +35,11 @@ one random near point, a block of 5 (five single draws on a checkout without
 npk.sampling.random_near_points), one random_polynomial in 2 variables (the
 same one on every call, the generator's state reset before each), and
 WeilAlgebra.element of a coefficient array (best of five rounds).
+The cohomology section times, at dims 2 and 6, a_primitive of a closed
+combination d(a_1 omega_1 + a_2 omega_2) of each degree p on box^2 and box^3
+(omega_k random polynomial base forms of degree p - 1, as the poincare model
+draws them), and circle_primitive of a sum of two A-scaled random
+trigonometric 1-forms, as the circle model draws them (best of five rounds).
 It also prints the OpenBLAS thread count, read from the library numpy loaded.
 The script does not pin it, so it times what `npk algebra` sees.
 
@@ -57,7 +62,8 @@ if not os.environ.get("PYTHONPATH"):
 
 import numpy as np  # noqa: E402
 
-from npk.cohomology import h0_check  # noqa: E402
+from npk.cohomology import ACombination, a_primitive, circle_primitive, h0_check  # noqa: E402
+from npk.expr import form  # noqa: E402
 from npk.expr import parse  # noqa: E402
 from npk.fields import AVectorField, bracket  # noqa: E402
 from npk.forms import AForm, exterior_derivative  # noqa: E402
@@ -65,7 +71,15 @@ from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E
 import npk.points  # noqa: E402
 import npk.sampling  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
-from npk.sampling import random_field, random_function, random_near_point, random_polynomial  # noqa: E402
+from npk.sampling import (  # noqa: E402
+    random_a_element,
+    random_base_form,
+    random_field,
+    random_function,
+    random_near_point,
+    random_polynomial,
+    random_trig_polynomial,
+)
 from npk.weil import build_algebra, derivation_basis, is_derivation, parse_presentation  # noqa: E402
 
 PRODUCT_ALGEBRAS = (
@@ -81,6 +95,7 @@ LIFT_PRIMITIVES = ("sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "1/x1
                    "2.5*x1^2 - 0.7*x1")
 AFUNCTION_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x,y,z]/(x^3,y^3,z^3)")
 BLOCK_SIZES = (1, 5, 10)
+COHOMOLOGY_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)")
 DERIVATION_ALGEBRAS = ("R[x,y,z]/(x^3,y^3,z^3)", "R[x,y,z]/(x^4,y^4,z^3)", "R[x,y,z]/(x^5,y^5,z^4)")
 
 
@@ -263,6 +278,22 @@ def samplings(text: str) -> dict:
     }
 
 
+def cohomologies(text: str) -> dict:
+    algebra = build_algebra(parse_presentation(text))
+    rng = np.random.default_rng(0)
+    out = {"algebra": text, "dim": algebra.dim}
+    for n in (2, 3):
+        chart = Chart.cube(n)
+        for p in range(1, n + 1):
+            terms = tuple((random_a_element(rng, algebra), random_base_form(rng, chart, p - 1)) for _ in range(2))
+            eta = ACombination(algebra, n, p - 1, terms).differential()  # closed by construction
+            out[f"a_primitive_box{n}_p{p}_us"] = per_call_us(lambda: a_primitive(eta, chart))
+    terms = tuple((random_a_element(rng, algebra), form(1, 1, {(0,): random_trig_polynomial(rng)})) for _ in range(2))
+    circle = ACombination(algebra, 1, 1, terms)
+    out["circle_primitive_us"] = per_call_us(lambda: circle_primitive(circle))
+    return out
+
+
 SECTIONS = {
     "products": (products, PRODUCT_ALGEBRAS),
     "lift": (lifts, LIFT_ALGEBRAS),
@@ -270,6 +301,7 @@ SECTIONS = {
     "block": (blocks, AFUNCTION_ALGEBRAS),
     "derivation_basis": (derivations, DERIVATION_ALGEBRAS),
     "sampling": (samplings, AFUNCTION_ALGEBRAS),
+    "cohomology": (cohomologies, COHOMOLOGY_ALGEBRAS),
 }
 
 

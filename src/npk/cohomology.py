@@ -4,10 +4,12 @@ Two concrete models are implemented.  On a star-shaped box, the radial
 homotopy operator K with dK + Kd = id produces primitives of closed
 forms in exact rational arithmetic (monomial coefficients pick up a
 factor 1/(degree + form degree) under the line integral), certifying
-that every closed positive-degree class vanishes.  On the circle, the
-function class is trigonometric polynomials; the class of a 1-form is
-its A-combination of Fourier means, zero exactly on derivatives, and
-the fluctuating part integrates termwise.  Together with the constant
+that every closed positive-degree class vanishes; closure itself is
+certified by the exact d on the same rational forms.  On the circle,
+the function class is trigonometric polynomials; the class of a 1-form
+is its A-combination of Fourier means, zero exactly on derivatives, and
+the fluctuating part integrates termwise, both read from one Fourier
+analysis per term.  Together with the constant
 check in degree 0 these realize the isomorphism between the A-tensored
 de Rham cohomology of the base and the cohomology upstairs, on the
 subcomplex generated by A-combinations of prolonged forms.
@@ -184,10 +186,6 @@ class PolyForm:
     def to_form(self) -> DifferentialForm:
         return form(self.n, self.degree, {idx: poly_to_expr(p, self.n) for idx, p in self.coeffs.items() if p})
 
-    def max_abs(self) -> float:
-        vals = [abs(float(v)) for p in self.coeffs.values() for v in p.values()]
-        return max(vals, default=0.0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyForm):
             return NotImplemented
@@ -283,22 +281,6 @@ class ACombination:
             tuple((a, d_base(omega)) for a, omega in self.terms),
         )
 
-    def slotwise_polys(self) -> list[PolyForm]:
-        """Expansion over the algebra basis: one exact polynomial form per slot."""
-        slots = []
-        for alpha in range(self.algebra.dim):
-            acc: dict[tuple[int, ...], Poly] = {}
-            for a, omega in self.terms:
-                weight = Fraction(float(a.coeffs[alpha]))
-                if not weight:
-                    continue
-                pf = PolyForm.from_form(omega)
-                for idx, poly in pf.coeffs.items():
-                    scaled = {k: weight * v for k, v in poly.items()}
-                    acc[idx] = _poly_add(acc.get(idx, {}), scaled, 1)
-            slots.append(PolyForm(self.n, self.degree, acc))
-        return slots
-
 
 def inject(a: AElement, omega: DifferentialForm, chart: Chart) -> AForm:
     """The complex morphism: scale the prolonged form by the constant a."""
@@ -311,19 +293,38 @@ def inject(a: AElement, omega: DifferentialForm, chart: Chart) -> AForm:
 
 
 def closure_residual(eta: ACombination) -> float:
-    """Max coefficient of d(eta), expanded slotwise over the algebra basis (exact)."""
-    return max((pf.max_abs() for pf in eta.differential().slotwise_polys()), default=0.0)
+    """Max coefficient of d(eta), slotwise over the algebra basis: the exact d_poly, rounded once."""
+    return _closure_residual(eta, [PolyForm.from_form(omega) for _, omega in eta.terms])
+
+
+def _closure_residual(eta: ACombination, polys: list[PolyForm]) -> float:
+    """closure_residual from the summands' rational forms."""
+    derivatives = [d_poly(pf) for pf in polys]
+    worst = Fraction(0)
+    for alpha in range(eta.algebra.dim):
+        slot: dict[tuple, Fraction] = {}  # (form index, exponents) -> coefficient
+        for (a, _), dpf in zip(eta.terms, derivatives):
+            weight = Fraction(float(a.coeffs[alpha]))
+            for idx, poly in dpf.coeffs.items():
+                for exps, c in poly.items():
+                    slot[idx, exps] = slot.get((idx, exps), 0) + weight * c
+        worst = max([worst, *map(abs, slot.values())])
+    return float(worst)
 
 
 def a_primitive(eta: ACombination, chart: Chart, tol: float = CLOSURE_TOL) -> ACombination:
-    """Primitive of a closed positive-degree combination via the homotopy operator."""
+    """Primitive of a closed positive-degree combination via the homotopy operator.
+
+    Closure and the primitive share each summand's one rational form.
+    """
     _require_star_shaped(chart)
     if eta.degree < 1:
         raise ValueError("primitives are defined for degree >= 1")
-    residual = closure_residual(eta)
+    polys = [PolyForm.from_form(omega) for _, omega in eta.terms]
+    residual = _closure_residual(eta, polys)
     if residual > tol:
         raise NotClosed(f"closure residual {residual:.3e} exceeds {tol:.1e}")
-    terms = tuple((a, poincare_homotopy(omega, chart)) for a, omega in eta.terms)
+    terms = tuple((a, homotopy_poly(pf).to_form()) for (a, _), pf in zip(eta.terms, polys))
     return ACombination(eta.algebra, eta.n, eta.degree - 1, terms)
 
 
@@ -395,28 +396,33 @@ def trig_primitive_expr(tc: TrigCoefficients) -> Expr:
     return out
 
 
-def circle_h1_class(eta: ACombination, max_freq: int = DEFAULT_MAX_FREQ) -> AElement:
-    """Cohomology class of a degree-1 combination on the circle: A-weighted Fourier means."""
+def _fourier(eta: ACombination, max_freq: int) -> tuple[AElement, list[TrigCoefficients]]:
+    """The class of a degree-1 circle combination and each summand's Fourier coefficients."""
     if eta.degree != 1 or eta.n != 1:
         raise ValueError("circle classes live in degree 1 on a 1-dimensional chart")
     acc = eta.algebra.zero()
+    analyses = []
     for a, omega in eta.terms:
-        g = omega.coefficient((0,))
-        acc = acc + trig_coefficients(g, max_freq).mean * a
-    return acc
+        tc = trig_coefficients(omega.coefficient((0,)), max_freq)
+        acc = acc + tc.mean * a
+        analyses.append(tc)
+    return acc, analyses
+
+
+def circle_h1_class(eta: ACombination, max_freq: int = DEFAULT_MAX_FREQ) -> AElement:
+    """Cohomology class of a degree-1 combination on the circle: A-weighted Fourier means."""
+    return _fourier(eta, max_freq)[0]
 
 
 def circle_primitive(
     eta: ACombination, max_freq: int = DEFAULT_MAX_FREQ
 ) -> tuple[AElement, ACombination]:
     """Split eta = class * dx + d(primitive); returns (class, primitive 0-form)."""
-    cls = circle_h1_class(eta, max_freq)
-    terms = []
-    for a, omega in eta.terms:
-        g = omega.coefficient((0,))
-        primitive = trig_primitive_expr(trig_coefficients(g, max_freq))
-        terms.append((a, form(1, 0, {(): primitive})))
-    return cls, ACombination(eta.algebra, 1, 0, tuple(terms))
+    cls, analyses = _fourier(eta, max_freq)
+    terms = tuple(
+        (a, form(1, 0, {(): trig_primitive_expr(tc)})) for (a, _), tc in zip(eta.terms, analyses)
+    )
+    return cls, ACombination(eta.algebra, 1, 0, terms)
 
 
 # -- degree zero --------------------------------------------------------------

@@ -139,11 +139,11 @@ def parse_form(text: str, algebra: WeilAlgebra, chart: Chart) -> AForm:
             degree = len(indices)
         elif degree != len(indices):
             raise LiteralError("mixed degrees in form literal")
+        phi = _parse_coeff(coeff_text or "1", algebra, chart)  # checked even where the term vanishes
         slot = _sort_indices(indices)
         if slot is None:  # a repeated dx(i) makes the term vanish, but it keeps its degree
             continue
         sign, sorted_idx = slot
-        phi = _parse_coeff(coeff_text or "1", algebra, chart)
         terms.append((phi.scale(float(sign)), sorted_idx))
     tail = compact[cursor:].strip()
     if tail:

@@ -316,6 +316,17 @@ def test_form_vanishing_literal_keeps_its_degree(capsys):
     assert capsys.readouterr().out == "[0, 0]\n"
 
 
+@pytest.mark.parametrize("literal", ["sin( dx(1)^dx(1)", "[1,2,3] dx(1)^dx(1)", "x9 dx(1)^dx(1)"])
+def test_form_vanishing_term_with_bad_coefficient_exit_2(capsys, literal):
+    from npk import cli
+
+    fields = ["--field", 'prolong("1; 0")', "--field", 'prolong("0; 1")']
+    args = ["form", "--algebra", "R[x]/(x^2)", "--form", literal, *fields, "--point", "[[0.1,1],[0.2,0]]"]
+    assert cli.main(args) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("npk: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("point", ["[[[0, 1], [2, 3]], [0, 1]]", "[[0, [1]], [0, 1]]"], ids=["nested", "ragged"])
 @pytest.mark.parametrize(
     "command",

@@ -350,3 +350,110 @@ def test_h0_nan_differential_is_not_closed(dual):
 def test_h0_nan_constant_is_not_constant(dual):
     with pytest.raises(NotConstant):
         h0_check(AFunction.constant(dual.element([math.nan, 0.0]), CHART), samples=10, seed=3)
+
+
+def _seeded_combination(rng, algebra, chart, degree):
+    """a_1 omega_1 + a_2 omega_2 with random polynomial base forms, as the Poincare model draws them."""
+    from npk.sampling import random_base_form
+
+    terms = tuple((random_a_element(rng, algebra), random_base_form(rng, chart, degree)) for _ in range(2))
+    return ACombination(algebra, chart.n, degree, terms)
+
+
+def _symbolic_closure_residual(eta):
+    """The symbolic route: d of each summand as an expression tree, then the slotwise rational sum."""
+    d_eta = eta.differential()
+    worst = 0.0
+    for alpha in range(eta.algebra.dim):
+        slot: dict = {}
+        for a, omega in d_eta.terms:
+            weight = Fraction(float(a.coeffs[alpha]))
+            for idx, poly in PolyForm.from_form(omega).coeffs.items():
+                for exps, c in poly.items():
+                    slot[idx, exps] = slot.get((idx, exps), 0) + weight * c
+        worst = max([worst, *(abs(float(v)) for v in slot.values())])
+    return worst
+
+
+def test_closure_residual_is_exactly_zero_on_closed_combinations(catalog):
+    # d(d(seed)) in float expression trees leaves rounding residue on a few of
+    # these; the exact d on the rational forms leaves none
+    for algebra in catalog:
+        for n in (2, 3):
+            chart = Chart.cube(n)
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                for degree in range(1, n + 1):
+                    eta = _seeded_combination(rng, algebra, chart, degree - 1).differential()
+                    assert closure_residual(eta) == 0.0, (algebra.text, n, seed, degree)
+
+
+def test_closure_residual_matches_symbolic_route_on_open_combinations(catalog):
+    rng = np.random.default_rng(6)
+    for algebra in catalog:
+        for n in (2, 3):
+            chart = Chart.cube(n)
+            for degree in range(1, n):
+                for _ in range(3):
+                    eta = _seeded_combination(rng, algebra, chart, degree)
+                    expected = _symbolic_closure_residual(eta)
+                    assert abs(closure_residual(eta) - expected) <= 1e-12 * expected
+
+
+def test_a_primitive_terms_are_the_homotopy_of_each_term(catalog):
+    from npk.expr import unparse
+
+    rng = np.random.default_rng(7)
+    chart = Chart.cube(3)
+    for algebra in catalog:
+        for degree in (1, 2, 3):
+            eta = _seeded_combination(rng, algebra, chart, degree - 1).differential()
+            primitive = a_primitive(eta, chart)
+            for (a, w), (b, omega) in zip(primitive.terms, eta.terms, strict=True):
+                expected = poincare_homotopy(omega, chart)
+                assert a is b
+                assert [(unparse(g), idx) for g, idx in w.terms] == [(unparse(g), idx) for g, idx in expected.terms]
+
+
+def _count_trig_calls(monkeypatch):
+    import npk.cohomology
+
+    calls = []
+    original = npk.cohomology.trig_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(npk.cohomology, "trig_coefficients", counted)
+    return calls
+
+
+def test_circle_primitive_analyses_each_term_once(monkeypatch, dual):
+    calls = _count_trig_calls(monkeypatch)
+    rng = np.random.default_rng(8)
+    terms = tuple(
+        (random_a_element(rng, dual), form(1, 1, {(0,): random_trig_polynomial(rng)})) for _ in range(3)
+    )
+    circle_primitive(ACombination(dual, 1, 1, terms))
+    assert len(calls) == 3
+
+
+def test_circle_model_analyses_six_terms_per_sample(monkeypatch, dual):
+    from npk.checks import run_cohomology_model
+
+    calls = _count_trig_calls(monkeypatch)
+    assert run_cohomology_model("circle", dual, Chart.circle(), seed=3, samples=4).passed
+    assert len(calls) == 6 * 4
+
+
+def test_circle_class_is_the_class_circle_primitive_returns(catalog):
+    rng = np.random.default_rng(9)
+    for algebra in catalog:
+        for _ in range(5):
+            terms = tuple(
+                (random_a_element(rng, algebra), form(1, 1, {(0,): random_trig_polynomial(rng)}))
+                for _ in range(2)
+            )
+            eta = ACombination(algebra, 1, 1, terms)
+            assert np.array_equal(circle_h1_class(eta).coeffs, circle_primitive(eta)[0].coeffs)

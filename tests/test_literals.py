@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from npk.expr import VectorField, form, parse
+from npk.expr import ParseError, UnknownVariable, VectorField, form, parse
 from npk.fields import from_derivation, prolong
 from npk.forms import prolong_form
 from npk.literals import LiteralError, parse_field, parse_fn, parse_form
@@ -114,6 +114,17 @@ def test_form_literal_fn_coefficient(dual):
     probe = [prolong(VectorField((parse("1", 2), parse("0", 2))), dual, CHART)]
     xi = random_near_point(np.random.default_rng(7), dual, CHART)
     assert np.allclose(eta.evaluate(probe, xi).coeffs, [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("sin( dx(1)^dx(1)", ParseError), ("[1,2,3] dx(1)^dx(1)", LiteralError), ("x9 dx(1)^dx(1)", UnknownVariable)],
+    ids=["unclosed-call", "long-coefficient-list", "unknown-variable"],
+)
+def test_form_literal_vanishing_term_coefficient_is_parsed(dual, text, error):
+    # a repeated dx(i) drops the term, but its coefficient must still be valid
+    with pytest.raises(error):
+        parse_form(text, dual, CHART)
 
 
 def test_form_literal_mixed_degree_rejected(dual):
