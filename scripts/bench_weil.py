@@ -4,7 +4,7 @@ Usage: python scripts/bench_weil.py [--section NAME]
 
 Each section is one key of the output; --section (repeatable) runs only the
 named ones: products, lift, afunction, block, derivation_basis, sampling,
-cohomology.  A full run takes about two minutes.
+cohomology.  A full run takes about nine minutes on two shared vCPUs.
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
@@ -31,8 +31,9 @@ and 10 near points against N single-point calls, each with empty lift memos
 (best of five rounds); on a checkout without blocks (npk.points.NearPoints)
 it times the single-point calls only.
 The sampling section times, at dims 2, 6 and 27 on a 2-dim chart, drawing
-one random near point, a block of 5 (five single draws on a checkout without
-npk.sampling.random_near_points), one random_polynomial in 2 variables (the
+one random near point, a block of 5 (random_near_points: a NearPoints, or a
+list of five points on older checkouts; five single draws on a checkout
+without it), one random_polynomial in 2 variables (the
 same one on every call, the generator's state reset before each), and
 WeilAlgebra.element of a coefficient array (best of five rounds).
 The cohomology section times, at dims 2 and 6, a_primitive of a closed

@@ -187,20 +187,17 @@ def _field_residual(x: AVectorField, y: AVectorField | None, block: NearPoints) 
     return _fold(np.stack(gaps, axis=-1).ravel().tolist())
 
 
-def _field_zero_residual(x: AVectorField, block: NearPoints) -> float:
-    return _field_residual(x, None, block)
-
-
-def _form_residual(e1: AForm, e2: AForm, rng, algebra, chart, points, block: NearPoints) -> float:
-    """Compare on fresh prolonged probe fields, drawn per point after the points.
+def _form_residual(e1: AForm, e2: AForm, rng, block: NearPoints) -> float:
+    """Compare on fresh prolonged probe fields, drawn per point after the block.
 
     Evaluation draws nothing, so all probes are drawn first; each is valued at
-    its own point, and both forms on the block of the points.
+    its own point, and both forms on the block.
     """
     if e1.degree != e2.degree:
         raise ValueError("degree mismatch in form comparison")
-    probes = [[sp.random_base_field(rng, chart) for _ in range(e1.degree)] for _ in points]
-    values = _probe_values(probes, points, e1.degree, chart.n)
+    points = block.points() if e1.degree else []  # a 0-form takes no probes
+    probes = [[sp.random_base_field(rng, block.chart) for _ in range(e1.degree)] for _ in points]
+    values = _probe_values(probes, points, e1.degree, block.chart.n)
     return _fold(_gaps(e1.on_values(values, block), e2.on_values(values, block)).tolist())
 
 
@@ -216,10 +213,6 @@ def _probe_values(probes: Sequence[Sequence[VectorField]], points: Sequence[Near
          for i in range(n)]
         for r in range(degree)
     ]
-
-
-def _points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> list[NearPoint]:
-    return sp.random_near_points(rng, algebra, chart, k)
 
 
 # -- the driver -----------------------------------------------------------------
@@ -256,19 +249,18 @@ class _Identity:
                 for lhs, rhs in self.sample(rng, algebra, chart):
                     residual = _worst(residual, _gap(lhs, rhs))
             return residual
-        for block in _blocks(samples):
+        for size in _blocks(samples):
             pairs = self.sample(rng, algebra, chart)
-            points = _points(rng, algebra, chart, block)
-            stacked = NearPoints.stack(points)  # one lift memo for all the pairs
+            block = sp.random_near_points(rng, algebra, chart, size)  # one lift memo for all the pairs
             for lhs, rhs in pairs:
-                residual = _worst(residual, self._compare(lhs, rhs, points, stacked, rng, algebra, chart))
+                residual = _worst(residual, self._compare(lhs, rhs, block, rng))
         return residual
 
-    def _compare(self, lhs, rhs, points, block, rng, algebra, chart) -> float:
+    def _compare(self, lhs, rhs, block: NearPoints, rng) -> float:
         if self.kind == "forms":
-            return _form_residual(lhs, rhs, rng, algebra, chart, points, block)
+            return _form_residual(lhs, rhs, rng, block)
         if self.kind == "fields":
-            return _field_zero_residual(lhs, block) if rhs is None else _field_residual(lhs, rhs, block)
+            return _field_residual(lhs, rhs, block)
         return _fold(_gaps(lhs(block), rhs(block)).tolist())
 
 
@@ -636,10 +628,7 @@ def _poincare_model(algebra, chart, rng, seed, samples, tol):
             primitive = a_primitive(eta, chart, tol=1e-10)
             lhs = d_a(primitive.to_aform(chart))
             rhs = eta.to_aform(chart)
-            points = _points(rng, algebra, chart, 3)
-            residual = _worst(
-                residual, _form_residual(lhs, rhs, rng, algebra, chart, points, NearPoints.stack(points))
-            )
+            residual = _worst(residual, _form_residual(lhs, rhs, rng, sp.random_near_points(rng, algebra, chart, 3)))
         out.append((f"poincare-primitive-p{degree}", residual, tol))
     return out
 

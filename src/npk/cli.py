@@ -17,7 +17,7 @@ import sys
 from .checks import SUITES, SuiteReport, run_cohomology_model, run_suite
 from .cohomology import NotClosed
 from .expr import DomainError, ParseError, UnknownVariable, parse
-from .points import Chart, NearPoint, lift
+from .points import Chart, NearPoint, coefficient_lists, lift
 from .weil import (
     DimensionMismatch,
     PresentationError,
@@ -107,7 +107,7 @@ def cmd_algebra(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     algebra = _algebra_from(args)
-    n = len(json.loads(args.point))
+    n = len(coefficient_lists(args.point))
     chart = Chart.parse(args.chart) if args.chart else Chart.box([(-float("inf"), float("inf"))] * n)
     xi = NearPoint.from_json(args.point, algebra, chart)
     f = parse(args.fn, chart.n)

@@ -39,6 +39,7 @@ from .expr import (
     call,
     const,
     evaluate,
+    exterior_derivative as d_base,
     form,
     mul,
     power,
@@ -46,8 +47,8 @@ from .expr import (
 )
 from .forms import AForm
 from .functions import AFunction, coordinate_derive, lifted_function
-from .points import Chart, NearPoints
-from .weil import AElement, WeilAlgebra
+from .points import Chart
+from .weil import AElement, WeilAlgebra, _grlex_key
 
 __all__ = [
     "ACombination",
@@ -155,7 +156,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
 
 def poly_to_expr(p: Poly, n: int) -> Expr:
     out: Expr = const(0.0)
-    for exps in sorted(p, key=lambda k: (sum(k), tuple(-e for e in k))):
+    for exps in sorted(p, key=_grlex_key):
         c = p[exps]
         term: Expr = const(float(c))
         for i, e in enumerate(exps):
@@ -272,8 +273,6 @@ class ACombination:
         return AForm(self.algebra, chart, self.degree, terms)
 
     def differential(self) -> "ACombination":
-        from .expr import exterior_derivative as d_base
-
         return ACombination(
             self.algebra,
             self.n,
@@ -440,7 +439,7 @@ def h0_check(
 
     algebra, chart = phi.algebra, phi.chart
     rng = np.random.default_rng(seed)
-    block = NearPoints.stack(random_near_points(rng, algebra, chart, max(1, samples)))
+    block = random_near_points(rng, algebra, chart, max(1, samples))
     partials = [coordinate_derive(phi, i) for i in range(chart.n)]
     # np.max keeps a NaN, and `not x <= tol` fails it, so a NaN never passes
     residual = np.max([np.max(np.abs(dphi.evaluate(block))) for dphi in partials])

@@ -162,8 +162,7 @@ class NearPoint:
 
     @staticmethod
     def from_json(text: str, algebra: WeilAlgebra, chart: Chart) -> "NearPoint":
-        data = json.loads(text)
-        return NearPoint(algebra, chart, [algebra.element(c) for c in data])
+        return NearPoint(algebra, chart, [algebra.element(c) for c in coefficient_lists(text)])
 
     def __repr__(self) -> str:
         return f"NearPoint({', '.join(repr(c) for c in self.coords)})"
@@ -181,7 +180,7 @@ class NearPoints:
     __slots__ = ("algebra", "chart", "values", "_lifts")
 
     def __init__(self, algebra: WeilAlgebra, chart: Chart, values: Sequence[np.ndarray]):
-        values = np.array(values, dtype=float)
+        values = np.array(values, dtype=float, order="C")
         if values.ndim != 3 or values.shape[:2] != (chart.n, algebra.dim) or not values.shape[2]:
             raise ValueError(f"expected an ({chart.n}, {algebra.dim}, N) array, N >= 1, got shape {values.shape}")
         for base in _bases(values):
@@ -203,6 +202,11 @@ class NearPoints:
             raise AlgebraMismatch("points over different algebras or charts")
         return NearPoints(algebra, chart, np.stack([p.values for p in points], axis=-1))
 
+    def points(self) -> list[NearPoint]:
+        """The NearPoint of each column, each coordinate a fresh copy: the inverse of stack."""
+        return [NearPoint(self.algebra, self.chart, [AElement(self.algebra, v.copy()) for v in point])
+                for point in self.values.transpose(2, 0, 1)]
+
     def base(self) -> np.ndarray:
         """The (n, N) array of base points, column j that of point j."""
         return self.values[:, 0, :]
@@ -215,6 +219,14 @@ class NearPoints:
     @staticmethod
     def _unwrap(value: np.ndarray) -> np.ndarray:
         return value
+
+
+def coefficient_lists(text: str) -> list:
+    """The JSON of a near point, checked to be a list of coefficient lists, one per coordinate."""
+    data = json.loads(text)
+    if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
+        raise ValueError(f"expected a near point as a list of coefficient lists, one per coordinate, got {text}")
+    return data
 
 
 def _bases(values: Sequence[np.ndarray]) -> list[list[float]]:

@@ -4,7 +4,8 @@ All generation is driven by an explicit numpy Generator so that every
 verification report is reproducible from its seed.  Sampled base points
 stay inside the unit box intersected with the chart domain, and
 generated expressions keep log/sqrt arguments near 1, so the property
-suites run clear of singular loci.
+suites run clear of singular loci.  Near points come as one `NearPoints`
+block per probe block, drawn once, or as a `NearPoint` drawn alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .expr import (
 )
 from .fields import AVectorField, prolong
 from .functions import AFunction, ScalarGenerator, lifted_function
-from .points import Chart, NearPoint, TangentVector
+from .points import Chart, NearPoint, NearPoints, TangentVector
 from .weil import AElement, Derivation, LinearEndo, WeilAlgebra, derivation_basis
 
 __all__ = [
@@ -116,8 +117,8 @@ def random_a_element(rng: np.random.Generator, algebra: WeilAlgebra) -> AElement
     return algebra.element(np.round(rng.uniform(-1.0, 1.0, size=algebra.dim), 3))
 
 
-def random_near_points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> list[NearPoint]:
-    """k random near points from one rng.random call.
+def _draw(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> np.ndarray:
+    """The (k, n, dim) coefficients of k random near points, from one rng.random call.
 
     rng.uniform(low, high) maps a draw u of rng.random to low + (high - low) * u,
     so these are the values, and the stream position, of drawing point by point
@@ -131,12 +132,17 @@ def random_near_points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Ch
     c = rng.random((k, chart.n, algebra.dim + 1))
     c[:, :, 1:] -= 0.5  # -0.5 + 1.0 * u, exactly
     c[:, :, 1] = low + scale * c[:, :, 0]
-    # each coordinate owns its coefficients, as algebra.element gives them, so that no point keeps the draw alive
-    return [NearPoint(algebra, chart, [AElement(algebra, v[1:].copy()) for v in point]) for point in c]
+    return c[:, :, 1:]
+
+
+def random_near_points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> NearPoints:
+    """A block of k random near points, drawn at once: column j is the j-th point of the draw."""
+    return NearPoints(algebra, chart, _draw(rng, algebra, chart, k).transpose(1, 2, 0))
 
 
 def random_near_point(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart) -> NearPoint:
-    return random_near_points(rng, algebra, chart, 1)[0]
+    """Column 0 of a block of one from the same draw; each coordinate owns its coefficients, as from algebra.element."""
+    return NearPoint(algebra, chart, [AElement(algebra, v.copy()) for v in _draw(rng, algebra, chart, 1)[0]])
 
 
 def random_tangent_vector(

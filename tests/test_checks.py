@@ -5,7 +5,8 @@ import pytest
 
 import npk.checks as checks
 from npk.checks import IDENTITIES, SUITES, check_identity, run_cohomology_model, run_suite
-from npk.points import Chart, NearPoint
+from npk import sampling as sp
+from npk.points import Chart, NearPoint, NearPoints
 from npk.weil import build_algebra, parse_presentation
 
 # Report order is part of the byte-identical --json contract.
@@ -83,6 +84,22 @@ def test_circle_model_reports_the_chart_it_ran_on():
     assert [r.chart for r in report.records] == ["circle"] * len(report.records)
 
 
+@pytest.mark.parametrize("name", ["lift-add", "jacobi"])
+def test_points_and_fields_identities_build_no_single_near_point(monkeypatch, name):
+    # the drawn block is evaluated as it is; only forms probes need a per-point view of it
+    built = []
+    init = NearPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NearPoint, "__init__", counted)
+    assert IDENTITIES[name].kind in ("points", "fields")
+    record = check_identity(name, _algebra("R[x,y]/(x^3,x^2*y,x*y^2,y^3)"), Chart.cube(2), samples=12)
+    assert record.passed and built == []
+
+
 def test_repeated_suite_runs_do_not_grow_memory():
     # memos live on expression nodes and near points, so a finished run leaves nothing behind
     algebra, chart = build_algebra(parse_presentation("R[x]/(x^3)")), Chart.cube(2)
@@ -106,17 +123,13 @@ def test_repeated_suite_runs_do_not_grow_memory():
 @pytest.mark.parametrize("presentation", ["R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)"])
 def test_non_finite_near_point_fails_the_record(monkeypatch, presentation, name, bad):
     # both sides are computed at the near point in A, so a non-finite coefficient reaches the residual
-    drawn = checks._points
+    drawn = sp.random_near_points
 
     def corrupted(rng, algebra, chart, k):
-        points = []
-        for xi in drawn(rng, algebra, chart, k):
-            coords = [c.coeffs.copy() for c in xi.coords]
-            for c in coords:
-                c[-1] = bad
-            points.append(NearPoint(algebra, chart, [algebra.element(c) for c in coords]))
-        return points
+        values = drawn(rng, algebra, chart, k).values.copy()
+        values[:, -1, :] = bad  # the last coefficient of every coordinate of every point
+        return NearPoints(algebra, chart, values)
 
-    monkeypatch.setattr(checks, "_points", corrupted)
+    monkeypatch.setattr(sp, "random_near_points", corrupted)
     record = check_identity(name, _algebra(presentation), Chart.cube(2), samples=3)
     assert not record.passed

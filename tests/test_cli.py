@@ -204,7 +204,8 @@ def test_nan_residual_fails_check_with_exit_1(monkeypatch, capsys):
     from npk.points import Chart
     from npk.weil import build_algebra, parse_presentation
 
-    monkeypatch.setattr(checks, "_field_zero_residual", lambda x, points: float("nan"))
+    residual = checks._field_residual  # jacobi compares its bracket sum with zero, rhs None
+    monkeypatch.setattr(checks, "_field_residual", lambda x, y, block: float("nan") if y is None else residual(x, y, block))
     dual = build_algebra(parse_presentation("R[x]/(x^2)"))
     record = checks.check_identity("jacobi", dual, Chart.cube(2), samples=1)
     assert math.isnan(record.max_residual)
@@ -268,7 +269,8 @@ def test_nan_residual_json_is_valid(monkeypatch, capsys):
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
 
-    monkeypatch.setattr(checks, "_field_zero_residual", lambda x, points: float("nan"))
+    residual = checks._field_residual  # jacobi compares its bracket sum with zero, rhs None
+    monkeypatch.setattr(checks, "_field_residual", lambda x, y, block: float("nan") if y is None else residual(x, y, block))
     code = cli.main(
         ["check", "--suite", "lie", "--algebra", "R[x]/(x^2)", "--samples", "1", "--json"]
     )
@@ -295,8 +297,11 @@ def test_non_finite_residual_encoding():
     [
         ("[[[0, 1], [2, 3]]]", "npk: expected 2 coefficients, got shape (2, 2)\n"),  # nested: a DimensionMismatch
         ("[[0, [1]]]", "npk: "),  # ragged: numpy's ValueError, in numpy's words
+        ("5", "npk: expected a near point as a list of coefficient lists, one per coordinate, got 5\n"),
+        ("[5]", "npk: expected a near point as a list of coefficient lists, one per coordinate, got [5]\n"),
+        ("[[1,2],5]", "npk: expected a near point as a list of coefficient lists, one per coordinate, got [[1,2],5]\n"),
     ],
-    ids=["nested", "ragged"],
+    ids=["nested", "ragged", "number", "flat", "mixed"],
 )
 def test_lift_nested_or_ragged_point_exit_2(capsys, point, message):
     from npk import cli
@@ -327,7 +332,11 @@ def test_form_vanishing_term_with_bad_coefficient_exit_2(capsys, literal):
     assert captured.out == "" and captured.err.startswith("npk: ") and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("point", ["[[[0, 1], [2, 3]], [0, 1]]", "[[0, [1]], [0, 1]]"], ids=["nested", "ragged"])
+@pytest.mark.parametrize(
+    "point",
+    ["[[[0, 1], [2, 3]], [0, 1]]", "[[0, [1]], [0, 1]]", "5", "[5]", "[[1,2],5]"],
+    ids=["nested", "ragged", "number", "flat", "mixed"],
+)
 @pytest.mark.parametrize(
     "command",
     [["field", "--field", 'prolong("1; 0")'], ["form", "--form", "dx(1)", "--field", 'prolong("1; 0")']],

@@ -141,7 +141,7 @@ def test_coordinate_derive_matches_general_extension(catalog):
             for _ in range(6)
         ])
         phi = random_function(rng, algebra, CHART, max_terms=4, max_monomial=3, transcendental=True)
-        points = random_near_points(rng, algebra, CHART, 6)
+        points = random_near_points(rng, algebra, CHART, 6).points()
         block = NearPoints.stack(points[1:])
         for f in (phi, polynomial, phi * polynomial, polynomial + random_lifted_function(rng, algebra, CHART, factors=2)):
             for i in range(CHART.n):

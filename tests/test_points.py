@@ -665,7 +665,7 @@ def test_lift_matches_the_reference_byte_for_byte(catalog):
             fs = [random_chart_expr(rng, chart) for _ in range(3 if algebra.dim > 20 else 8)]
             fs += [parse(t, chart.n) for t in _FIXED if chart.n == 2 or "x2" not in t]
             for size in (1, 5, 10):
-                points = random_near_points(rng, algebra, chart, size)
+                points = random_near_points(rng, algebra, chart, size).points()
                 if chart.contains([0.0] * chart.n):
                     points[0] = _signed_zeros(algebra, chart, points[0], 0.0)
                     points[-1] = _signed_zeros(algebra, chart, points[-1], -0.0)
@@ -701,7 +701,7 @@ def test_constant_factor_agrees_with_the_a_product(catalog):
         for chart in (Chart.cube(2), Chart.circle()):
             for _ in range(4):
                 f, c = random_chart_expr(rng, chart), float(rng.uniform(-2.0, 2.0))
-                points = random_near_points(rng, algebra, chart, 5)
+                points = random_near_points(rng, algebra, chart, 5).points()
                 for at in [points[0], NearPoints.stack(points)]:
                     v = _value(lift(f, at))
                     got = _value(lift(mul(const(c), f), at))

@@ -8,7 +8,7 @@ from npk import sampling as sp
 from npk.checks import check_identity, run_cohomology_model
 from npk.expr import Const, VectorField, add, const, mul, power, unparse, var
 from npk.fields import prolong
-from npk.points import Chart, NearPoint, lift
+from npk.points import Chart, NearPoint, NearPoints, lift
 from npk.sampling import random_near_point, random_near_points, random_polynomial
 from npk.weil import build_algebra, parse_presentation
 
@@ -67,7 +67,7 @@ def test_near_point_block_matches_per_coordinate_draws(algebras, chart, k):
     for algebra in algebras:
         ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
         for _ in range(3):
-            got = [random_near_point(ours, algebra, chart)] if k == 1 else random_near_points(ours, algebra, chart, k)
+            got = [random_near_point(ours, algebra, chart)] if k == 1 else random_near_points(ours, algebra, chart, k).points()
             want = [reference_near_point(theirs, algebra, chart) for _ in range(k)]
             assert len(got) == k
             for p, q in zip(got, want):
@@ -75,6 +75,30 @@ def test_near_point_block_matches_per_coordinate_draws(algebras, chart, k):
                 assert all(c.coeffs.base is None and c.coeffs.flags.c_contiguous for c in p.coords)
                 assert np.array(p.values).tobytes() == np.array(q.values).tobytes()
         assert ours.random() == theirs.random()  # the same stream position after the draws
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.text())
+def test_stack_of_the_points_of_a_block_is_the_block(algebras, chart, k):
+    rng = np.random.default_rng(19)
+    for algebra in algebras:
+        block = random_near_points(rng, algebra, chart, k)
+        points = block.points()
+        assert len(points) == k and all(p.algebra is algebra and p.chart == chart for p in points)
+        assert all(c.coeffs.base is None and c.coeffs.flags.c_contiguous for p in points for c in p.coords)
+        again = NearPoints.stack(points)
+        assert again.values.shape == block.values.shape and again.values.tobytes() == block.values.tobytes()
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.text())
+def test_single_near_point_is_column_0_of_a_block_of_one(algebras, chart):
+    for algebra in algebras:
+        ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
+        for _ in range(3):
+            xi = random_near_point(ours, algebra, chart)
+            block = random_near_points(theirs, algebra, chart, 1)
+            assert np.array(xi.values).tobytes() == block.values[:, :, 0].tobytes()
+        assert ours.random() == theirs.random()
 
 
 def test_random_polynomial_draws_are_unchanged():
@@ -96,7 +120,7 @@ def test_probe_values_by_lift_match_the_prolonged_field(algebras):
                 fields = [sp.random_base_field(rng, chart) for _ in range(degree)]
                 fields[0] = VectorField((Const(-0.0),) + fields[0].components[1:])
                 probes.append(fields)
-            points = random_near_points(rng, algebra, chart, 3)
+            points = random_near_points(rng, algebra, chart, 3).points()
             got = checks._probe_values(probes, points, degree, chart.n)
             for r, i in itertools.product(range(degree), range(chart.n)):
                 prolonged = [prolong(p[r], algebra, chart).components[i] for p in probes]
@@ -106,10 +130,11 @@ def test_probe_values_by_lift_match_the_prolonged_field(algebras):
     assert count > 2000
 
 
-def reference_form_residual(e1, e2, rng, algebra, chart, points, block):
+def reference_form_residual(e1, e2, rng, block):
     """_form_residual with each probe prolonged and evaluated as an A-function at its point."""
     if e1.degree != e2.degree:
         raise ValueError("degree mismatch in form comparison")
+    algebra, chart, points = block.algebra, block.chart, block.points()
     probes = [
         [prolong(sp.random_base_field(rng, chart), algebra, chart) for _ in range(e1.degree)] for _ in points
     ]
