@@ -1,6 +1,7 @@
 """Write a fixed matrix of npk reports, one file per run, for byte-for-byte comparison.
 
 Usage: python scripts/report_matrix.py OUTDIR
+       python scripts/report_matrix.py --compare PARENT_DIR CHANGE_DIR
 
 Runs `npk check --suite all --json --samples 10` for seeds 0 and 1 over
 three algebras and three charts, `npk check --suite all --json --samples
@@ -21,12 +22,22 @@ PYTHONPATH picks the checkout under test; without PYTHONPATH it is this
 checkout's `src`.  Each file
 holds the command, its exit code, stdout and stderr.  Two matrices
 agree when `diff -r` between them prints nothing.
+
+`--compare` reads two written matrices and lists each record whose
+`max_residual` moved, as `file check: old -> new`.  It exits 0 when
+residuals are the only difference and 1 on any other: a file missing on
+one side, or a file whose text differs anywhere outside the residual
+values (command, exit code, record names and order, seeds, pass/fail,
+other output, stderr), each such file named on stderr.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
+
+_RESIDUAL = re.compile(r'"max_residual":("[^"]*"|[^,}\]]*)')
 
 ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x]/(x^3)")
 CHARTS = ("box:[-1,1]^3", "box:[-1,1]^2", "circle")
@@ -101,9 +112,46 @@ def runs():
         yield f"algebra{a}.txt", ["algebra", "--json", "--algebra", algebra]
 
 
+def _checks(text: str) -> list[str]:
+    """The check name of each record in a report's stdout, in order."""
+    stdout = text.partition("--- stdout\n")[2].rpartition("--- stderr\n")[0]
+    return [r.get("check", "?") for r in json.loads(stdout).get("records", [])]
+
+
+def compare(old_dir: str, new_dir: str) -> int:
+    """Print each moved residual; 1 if the matrices differ in anything else."""
+    old_names, new_names = set(os.listdir(old_dir)), set(os.listdir(new_dir))
+    status = 0
+    for name in sorted(old_names ^ new_names):
+        print(f"{name}: only in {old_dir if name in old_names else new_dir}", file=sys.stderr)
+        status = 1
+    moved = 0
+    for name in sorted(old_names & new_names):
+        with open(os.path.join(old_dir, name)) as fh:
+            old = fh.read()
+        with open(os.path.join(new_dir, name)) as fh:
+            new = fh.read()
+        if old == new:
+            continue
+        if _RESIDUAL.sub("", old) != _RESIDUAL.sub("", new):
+            print(f"{name}: differs beyond max_residual", file=sys.stderr)
+            status = 1
+            continue
+        pairs = zip(_checks(old), _RESIDUAL.findall(old), _RESIDUAL.findall(new))
+        for check, a, b in pairs:
+            if a != b:
+                print(f"{name} {check}: {a} -> {b}")
+                moved += 1
+    print(f"{moved} residuals moved; {'no other difference' if not status else 'other differences, see stderr'}")
+    return status
+
+
 def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        return compare(sys.argv[2], sys.argv[3])
     if len(sys.argv) != 2:
-        print("usage: python scripts/report_matrix.py OUTDIR", file=sys.stderr)
+        print("usage: python scripts/report_matrix.py OUTDIR\n"
+              "       python scripts/report_matrix.py --compare PARENT_DIR CHANGE_DIR", file=sys.stderr)
         return 2
     outdir = sys.argv[1]
     os.makedirs(outdir, exist_ok=True)

@@ -5,7 +5,8 @@ homotopy operator K with dK + Kd = id produces primitives of closed
 forms in exact rational arithmetic (monomial coefficients pick up a
 factor 1/(degree + form degree) under the line integral), certifying
 that every closed positive-degree class vanishes; closure itself is
-certified by the exact d on the same rational forms.  On the circle,
+certified by the exact d on the same rational forms (read from Polynomial
+leaves term by term; the primitives come back as leaves).  On the circle,
 the function class is trigonometric polynomials; the class of a 1-form
 is its A-combination of Fourier means, zero exactly on derivatives, and
 the fluctuating part integrates termwise, both read from one Fourier
@@ -31,6 +32,7 @@ from .expr import (
     Expr,
     Mul,
     Neg,
+    Polynomial,
     Pow,
     Sub,
     Var,
@@ -42,7 +44,7 @@ from .expr import (
     exterior_derivative as d_base,
     form,
     mul,
-    power,
+    polynomial,
     var,
 )
 from .forms import AForm
@@ -97,6 +99,11 @@ Poly = dict[tuple[int, ...], Fraction]
 
 def expr_to_poly(e: Expr, n: int) -> Poly:
     """Exact polynomial coefficients of an expression; floats convert exactly."""
+    if isinstance(e, Polynomial):  # term by term; the tree walk below is for parsed input
+        out: Poly = {}
+        for c, m in e.terms:
+            out = _poly_add(out, {m + (0,) * (n - len(m)): Fraction(c)}, 1)  # in n variables, as the tree walk
+        return out
     if isinstance(e, Const):
         v = Fraction(e.value)
         return {(0,) * n: v} if v else {}
@@ -119,7 +126,7 @@ def expr_to_poly(e: Expr, n: int) -> Poly:
         raise NonPolynomialCoefficient("division by a non-constant")
     if isinstance(e, Pow):
         if isinstance(e.exponent, Const) and float(e.exponent.value).is_integer() and e.exponent.value >= 0:
-            out: Poly = {(0,) * n: Fraction(1)}
+            out = {(0,) * n: Fraction(1)}
             base = expr_to_poly(e.base, n)
             for _ in range(int(e.exponent.value)):
                 out = _poly_mul(out, base)
@@ -154,20 +161,6 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def poly_to_expr(p: Poly, n: int) -> Expr:
-    out: Expr = const(0.0)
-    for exps in sorted(p, key=_grlex_key):
-        c = p[exps]
-        term: Expr = const(float(c))
-        for i, e in enumerate(exps):
-            if e == 1:
-                term = mul(term, var(i))
-            elif e > 1:
-                term = mul(term, power(var(i), const(float(e))))
-        out = add(out, term)
-    return out
-
-
 @dataclass(frozen=True)
 class PolyForm:
     """Form with exact polynomial coefficients (internal to the homotopy machinery)."""
@@ -185,7 +178,9 @@ class PolyForm:
         )
 
     def to_form(self) -> DifferentialForm:
-        return form(self.n, self.degree, {idx: poly_to_expr(p, self.n) for idx, p in self.coeffs.items() if p})
+        coeffs = {idx: polynomial([(float(p[m]), m) for m in sorted(p, key=_grlex_key)])
+                  for idx, p in self.coeffs.items() if p}
+        return form(self.n, self.degree, coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyForm):
@@ -201,17 +196,10 @@ def d_poly(pf: PolyForm) -> PolyForm:
             slot = _insert_index(i, idx)
             if slot is None:
                 continue
-            partial: Poly = {}
-            for exps, c in p.items():
-                if exps[i]:
-                    down = list(exps)
-                    down[i] -= 1
-                    partial[tuple(down)] = c * exps[i]
-            if not partial:
-                continue
             sign, new_idx = slot
-            signed = {k: sign * v for k, v in partial.items()}
-            out[new_idx] = _poly_add(out.get(new_idx, {}), signed, 1)
+            partial = {m[:i] + (m[i] - 1,) + m[i + 1:]: sign * c * m[i] for m, c in p.items() if m[i]}
+            if partial:
+                out[new_idx] = _poly_add(out.get(new_idx, {}), partial, 1)
     return PolyForm(pf.n, pf.degree + 1, out)
 
 
@@ -225,11 +213,7 @@ def homotopy_poly(pf: PolyForm) -> PolyForm:
         for k, ik in enumerate(idx):
             sign = (-1) ** k
             rest = idx[:k] + idx[k + 1:]
-            bumped: Poly = {}
-            for exps, c in poly.items():
-                up = list(exps)
-                up[ik] += 1
-                bumped[tuple(up)] = sign * c / (sum(exps) + p)
+            bumped = {m[:ik] + (m[ik] + 1,) + m[ik + 1:]: sign * c / (sum(m) + p) for m, c in poly.items()}
             out[rest] = _poly_add(out.get(rest, {}), bumped, 1)
     return PolyForm(pf.n, p - 1, out)
 

@@ -2,7 +2,9 @@
 
 Expressions are finite trees over real constants, chart variables
 x1..xn (x, y, z accepted as aliases for the first three), the binary
-operators + - * / ^ and the functions sin, cos, exp, log, sqrt.
+operators + - * / ^ and the functions sin, cos, exp, log, sqrt, or a
+`Polynomial` leaf that evaluates and prints as the tree it spells but
+differentiates on exponents (the parser builds trees only).
 Constant folding and 0/1 absorption are the only simplifications;
 identity of two expressions is decided downstream by sampled
 evaluation, never by canonical form.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Add",
@@ -29,6 +31,7 @@ __all__ = [
     "Mul",
     "Neg",
     "ParseError",
+    "Polynomial",
     "Pow",
     "Sub",
     "UnknownVariable",
@@ -46,6 +49,7 @@ __all__ = [
     "mul",
     "neg",
     "parse",
+    "polynomial",
     "power",
     "series",
     "sub",
@@ -146,6 +150,13 @@ class Call(Expr):
     arg: Expr
 
 
+@dataclass(frozen=True, slots=True)
+class Polynomial(Expr):
+    """sum_k c_k x^m_k as (coefficient, exponent tuple) terms, folded by `polynomial`: some term has a variable."""
+
+    terms: tuple[tuple[float, tuple[int, ...]], ...]
+
+
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
@@ -240,6 +251,21 @@ def call(fn: str, arg: Expr) -> Expr:
     if fn not in _FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
     return Call(fn, arg)
+
+
+def polynomial(terms: Iterable[tuple[float, tuple[int, ...]]]) -> Expr:
+    """The terms c x^m summed in order, folded as add and mul fold c*x_i*x_j^e + ...: a Const if no variable is left."""
+    lead, kept = None, []
+    for c, m in terms:
+        if kept:
+            if c != 0.0:
+                kept.append((c, m))
+        elif c != 0.0 and any(m):
+            kept = [(lead, (0,) * len(m)), (c, m)] if lead else [(c, m)]
+        else:  # leading constants fold, a variable term with c = 0 being mul's zero
+            v = 0.0 if any(m) else c
+            lead = v if lead is None else lead + v
+    return Polynomial(tuple(kept)) if kept else Const(0.0 if lead is None else lead)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -417,6 +443,16 @@ def _unparse(e: Expr) -> tuple[str, int]:
         return f"{_wrap(e.base, _PREC_POW + 1)}^{_wrap(e.exponent, _PREC_NEG)}", _PREC_POW
     if isinstance(e, Call):
         return f"{e.fn}({_unparse(e.arg)[0]})", _PREC_ATOM
+    if isinstance(e, Polynomial):  # c*x1*x2^2 + ..., a coefficient 1 absorbed
+        texts = []
+        for c, m in e.terms:
+            factors = [f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}" for i, k in enumerate(m) if k]
+            if c != 1.0 or not factors:
+                factors.insert(0, f"-{_fmt_float(-c)}" if c < 0 else _fmt_float(c))
+            texts.append("*".join(factors))
+        if len(texts) > 1:
+            return " + ".join(texts), _PREC_ADD
+        return texts[0], _PREC_MUL if len(factors) > 1 else _PREC_POW if "^" in texts[0] else _PREC_ATOM
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -464,6 +500,16 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
         return _power(evaluate(e.base, point), evaluate(e.exponent, point), constant_exponent(e))
     if isinstance(e, Call):
         return _apply(e.fn, evaluate(e.arg, point))
+    if isinstance(e, Polynomial):  # in the tree's order, ((c0 + c1*x_i*x_j^e) + ...) + ...
+        acc = None
+        for c, m in e.terms:
+            for i, k in enumerate(m):
+                if k:
+                    if i >= len(point):
+                        raise UnknownVariable(f"x{i + 1}")
+                    c = c * float(point[i]) if k == 1 else c * _power(float(point[i]), float(k))
+            acc = c if acc is None else acc + c
+        return acc
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -476,7 +522,7 @@ def constant_exponent(e: Pow) -> bool:
     stack = [e.exponent]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
+        if isinstance(node, (Var, Polynomial)):  # a Polynomial has a variable
             return False
         if not isinstance(node, Const):  # every other field is a subexpression, or Call's name
             stack += [c for c in (getattr(node, f.name) for f in dataclass_fields(node)) if isinstance(c, Expr)]
@@ -576,6 +622,8 @@ def _substitute(phi: Expr, h: Sequence[Expr]) -> Expr:
         return power(_substitute(phi.base, h), _substitute(phi.exponent, h))
     if isinstance(phi, Call):
         return call(phi.fn, _substitute(phi.arg, h))
+    if isinstance(phi, Polynomial):  # into the tree that the leaf spells
+        return _substitute(parse(unparse(phi), len(phi.terms[0][1])), h)
     raise TypeError(f"not an expression: {phi!r}")
 
 
@@ -618,6 +666,8 @@ def _diff(e: Expr, i: int) -> Expr:
         term1 = mul(diff(e.exponent, i), call("log", e.base))
         term2 = div(mul(e.exponent, diff(e.base, i)), e.base)
         return mul(e, add(term1, term2))
+    if isinstance(e, Polynomial):
+        return polynomial([(c * m[i], m[:i] + (m[i] - 1,) + m[i + 1:]) for c, m in e.terms if i < len(m) and m[i]])
     if isinstance(e, Call):
         inner = diff(e.arg, i)
         if e.fn == "sin":

@@ -13,7 +13,8 @@ a0 + n through its series, which terminates as n is nilpotent:
     g(a0 + n) = sum_{k <= height} g^(k)(a0) / k! * n^k,
 
 with the coefficients in closed form (`expr.series`) and the sum by
-Horner's rule in A from the highest nonzero coefficient.
+Horner's rule in A from the highest nonzero coefficient.  A `Polynomial`
+leaf runs the operations of the tree it spells, each power x_i^e once per lift.
 
 This is the unique algebra homomorphism extending x_i -> xi_i on the
 implemented function class: forward-mode automatic differentiation on
@@ -29,6 +30,7 @@ lifts, shared by everything evaluated on it and freed with it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -37,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, UnknownVariable, Var, diff, evaluate, series
-from .expr import constant_exponent
+from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Polynomial, Pow, Sub, UnknownVariable, Var, diff, evaluate
+from .expr import constant_exponent, series
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
@@ -222,10 +224,13 @@ class NearPoints:
 
 
 def coefficient_lists(text: str) -> list:
-    """The JSON of a near point, checked to be a list of coefficient lists, one per coordinate."""
-    data = json.loads(text)
+    """The JSON of a near point, checked to be a list of coefficient lists of numbers, one per coordinate."""
+    data = json.loads(text, parse_int=float)  # an int beyond the float range reads as inf, as 1e400 does
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise ValueError(f"expected a near point as a list of coefficient lists, one per coordinate, got {text}")
+    for c in itertools.chain.from_iterable(data):
+        if not isinstance(c, (float, list)):  # a list is left to algebra.element, which names the shape
+            raise ValueError(f"expected numbers as coefficients, got {json.dumps(c)} in {text}")
     return data
 
 
@@ -249,6 +254,8 @@ def lift(f: Expr, xi: NearPoint | NearPoints) -> AElement | np.ndarray:
 
 def _jet(e: Expr, xi: NearPoint | NearPoints) -> np.ndarray:
     """Coefficients of the lift of e: (dim,) at a point, (dim, N) at a block, column by column."""
+    if isinstance(e, Polynomial):
+        return _polynomial_jet(e, xi)
     if isinstance(e, Const):
         out = np.zeros(xi.values[0].shape)
         out[0] = e.value
@@ -283,6 +290,28 @@ def _jet(e: Expr, xi: NearPoint | NearPoints) -> np.ndarray:
             return e.left.value * _compose("1/x", _jet(e.right, xi), xi.algebra) + 0.0
         return xi.algebra.mul_coeffs(_jet(e.left, xi), _compose("1/x", _jet(e.right, xi), xi.algebra))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _polynomial_jet(p: Polynomial, xi: NearPoint | NearPoints) -> np.ndarray:
+    """The lift of p's tree: c*x_i^e*x_j^f.. is c * x_i^e + 0.0 (x_i^e if c = 1) times the rest; terms add in order."""
+    powers: dict[tuple[int, int], np.ndarray] = {}  # (i, e) -> the lift of x_i^e
+    algebra, acc = xi.algebra, None
+    for c, m in p.terms:
+        term = None
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            if i >= len(xi.values):
+                raise UnknownVariable(f"x{i + 1}")
+            factor = xi.values[i] if e == 1 else powers.get((i, e))
+            if factor is None:
+                factor = powers[i, e] = _compose(float(e), xi.values[i], algebra)
+            term = (factor if c == 1.0 else c * factor + 0.0) if term is None else algebra.mul_coeffs(term, factor)
+        if term is None:  # a constant term
+            term = np.zeros(xi.values[0].shape)
+            term[0] = c
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def _compose(g: str | float, a: np.ndarray, algebra: WeilAlgebra) -> np.ndarray:

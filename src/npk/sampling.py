@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .expr import (
-    Const,
     DifferentialForm,
     Expr,
     VectorField,
@@ -25,7 +24,7 @@ from .expr import (
     const,
     form,
     mul,
-    power,
+    polynomial,
     var,
 )
 from .fields import AVectorField, prolong
@@ -51,8 +50,9 @@ __all__ = [
 ]
 
 
-def _coeff(rng: np.random.Generator) -> Const:
-    return const(round(float(rng.uniform(-2.0, 2.0)), 3))
+def _coeff(rng: np.random.Generator) -> float:
+    """rng.uniform(-2.0, 2.0) rounded to 3 places, drawn as -2.0 + 4.0 * rng.random(): the same bits, cheaper."""
+    return round(-2.0 + 4.0 * rng.random(), 3)
 
 
 @lru_cache(maxsize=None)
@@ -62,20 +62,13 @@ def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def random_polynomial(rng: np.random.Generator, n: int, degree: int = 2, terms: int = 3) -> Expr:
-    """Random sparse polynomial with rounded coefficients."""
+    """Random sparse polynomial with rounded coefficients: a constant, then 1..terms monomials, one leaf."""
     monomials = _monomials(n, degree)
-    out: Expr = _coeff(rng)
-    count = int(rng.integers(1, terms + 1))
-    for _ in range(count):
+    drawn = [(_coeff(rng), monomials[0])]  # the zero exponents come first in product order
+    for _ in range(int(rng.integers(1, terms + 1))):
         m = monomials[int(rng.integers(0, len(monomials)))]
-        term: Expr = _coeff(rng)
-        for i, e in enumerate(m):
-            if e == 1:
-                term = mul(term, var(i))
-            elif e > 1:
-                term = mul(term, power(var(i), const(float(e))))
-        out = add(out, term)
-    return out
+        drawn.append((_coeff(rng), m))
+    return polynomial(drawn)
 
 
 def random_expr(rng: np.random.Generator, n: int, transcendental: bool = True) -> Expr:
@@ -88,7 +81,7 @@ def random_expr(rng: np.random.Generator, n: int, transcendental: bool = True) -
     if kind == 0:
         return add(base, call("sin", var(i)))
     if kind == 1:
-        return add(base, call("cos", mul(_coeff(rng), var(i))))
+        return add(base, call("cos", mul(const(_coeff(rng)), var(i))))
     if kind == 2:
         return add(base, call("exp", mul(const(0.5), var(i))))
     if kind == 3:
@@ -99,11 +92,11 @@ def random_expr(rng: np.random.Generator, n: int, transcendental: bool = True) -
 
 
 def random_trig_polynomial(rng: np.random.Generator, max_freq: int = 3) -> Expr:
-    out: Expr = _coeff(rng)
+    out: Expr = const(_coeff(rng))
     for k in range(1, max_freq + 1):
         if rng.uniform() < 0.6:
             kx = mul(const(float(k)), var(0))
-            out = add(out, mul(_coeff(rng), call("sin" if rng.uniform() < 0.5 else "cos", kx)))
+            out = add(out, mul(const(_coeff(rng)), call("sin" if rng.uniform() < 0.5 else "cos", kx)))
     return out
 
 

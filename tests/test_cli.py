@@ -312,6 +312,41 @@ def test_lift_nested_or_ragged_point_exit_2(capsys, point, message):
     assert captured.err.startswith(message) and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "point, shown",
+    [('[["0.5", 1]]', '"0.5"'), ("[[0.5, null]]", "null"), ("[[true, 1]]", "true"), ("[[0.5, false]]", "false"),
+     ("[[0.5, {}]]", "{}")],
+    ids=["string", "null", "true", "false", "object"],
+)
+@pytest.mark.parametrize("command", [["lift", "--fn", "x1"], ["field", "--field", 'prolong("1")']], ids=["lift", "field"])
+def test_non_number_coefficient_exit_2(capsys, command, point, shown):
+    from npk import cli
+
+    code = cli.main([command[0], "--algebra", "R[x]/(x^2)", "--chart", "box:[-1,1]^1", *command[1:], "--point", point])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR and captured.out == ""
+    assert captured.err == f"npk: expected numbers as coefficients, got {shown} in {point}\n"
+
+
+def test_integer_and_float_coefficients_still_lift(capsys):
+    from npk import cli
+
+    assert cli.main(["lift", "--algebra", "R[x]/(x^2)", "--chart", "box:[-1,1]^1", "--fn", "x1", "--point", "[[0, 1.5]]"]) == 0
+    assert capsys.readouterr().out == "[0, 1.5]\n"
+
+
+@pytest.mark.parametrize("point", ["[[{}, 1]]", "[[0.5, {}]]"], ids=["base", "nilpotent"])
+def test_integer_beyond_the_float_range_reads_as_its_float(capsys, point):
+    # 10^400 as an int reads as 1e400 does, inf, instead of an internal OverflowError (exit 3)
+    from npk import cli
+
+    runs = []
+    for big in ("1" + "0" * 400, "1e400"):
+        code = cli.main(["lift", "--algebra", "R[x]/(x^2)", "--fn", "x1", "--point", point.format(big)])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] != cli.INTERNAL_ERROR
+
+
 def test_form_vanishing_literal_keeps_its_degree(capsys):
     from npk import cli
 

@@ -23,10 +23,9 @@ from npk.cohomology import (
     homotopy_poly,
     inject,
     poincare_homotopy,
-    poly_to_expr,
     trig_coefficients,
 )
-from npk.expr import Const, form, parse
+from npk.expr import Const, Polynomial, form, parse, unparse
 from npk.expr import exterior_derivative as d_base
 from npk.fields import prolong
 from npk.forms import exterior_derivative as d_a
@@ -46,7 +45,8 @@ CHART = Chart.cube(2)
 def test_expr_to_poly_exact():
     p = expr_to_poly(parse("x1^2 + 2*x1*x2 - 0.5", 2), 2)
     assert p == {(2, 0): Fraction(1), (1, 1): Fraction(2), (0, 0): Fraction(-1, 2)}
-    back = poly_to_expr(p, 2)
+    back = PolyForm(2, 0, {(): p}).to_form().coefficient(())
+    assert isinstance(back, Polynomial) and unparse(back) == "-0.5 + x1^2 + 2*x1*x2"
     assert expr_to_poly(back, 2) == p
 
 

@@ -266,3 +266,70 @@ def test_index_sign_helpers_agree():
     assert _sort_indices((2, 0, 1)) == (_perm_sign((1, 2, 0)), (0, 1, 2)) == (1, (0, 1, 2))
     assert _sort_indices((1, 0)) == (-1, (0, 1))
     assert _sort_indices((1, 1)) is None
+
+
+# -- the Polynomial leaf -------------------------------------------------------------------
+
+
+def _tree(terms):
+    """The tree the smart constructors fold c*x_i*x_j^e + ... to, term by term."""
+    from npk.expr import add, const, mul, power, var
+
+    out = None
+    for c, m in terms:
+        term = const(c)
+        for i, e in enumerate(m):
+            if e:
+                term = mul(term, var(i) if e == 1 else power(var(i), const(float(e))))
+        out = term if out is None else add(out, term)
+    return out
+
+
+def test_polynomial_folds_as_add_and_mul():
+    # zero coefficients drop, leading constants fold (signed zeros as add folds them), a 1 is absorbed
+    from npk.expr import Polynomial, _substitute, polynomial
+
+    rng = np.random.default_rng(51)
+    coefficients = [0.0, -0.0, 1.0, -1.0, 2.5, -0.125]
+    kinds = set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 4))
+        terms = []
+        for _ in range(int(rng.integers(1, 6))):
+            m = tuple(int(e) for e in rng.integers(0, 3, n) * (rng.random(n) < 0.4))
+            terms.append((coefficients[int(rng.integers(0, len(coefficients)))], m))
+        leaf, tree = polynomial(terms), _tree(terms)
+        kinds.add(type(leaf))
+        if isinstance(tree, Const):
+            assert isinstance(leaf, Const) and leaf.value.hex() == tree.value.hex()
+            continue
+        assert isinstance(leaf, Polynomial) and unparse(leaf) == unparse(tree)
+        assert _substitute(leaf, [Var(i) for i in range(n)]) == tree
+        point = rng.uniform(-2.0, 2.0, n)
+        assert evaluate(leaf, point).hex() == evaluate(tree, point).hex()
+    assert kinds == {Polynomial, Const}
+
+
+def test_leaf_in_fewer_variables_reads_like_its_tree():
+    # a leaf drawn over x1, x2 has no x3: its derivative there is 0 and its exact coefficients pad with zeros
+    from npk.cohomology import expr_to_poly
+    from npk.expr import polynomial
+
+    leaf = polynomial([(0.5, (0, 0)), (2.0, (1, 2))])
+    spelled = parse(unparse(leaf), 3)
+    assert diff(leaf, 2) == diff(spelled, 2) == Const(0.0)
+    assert expr_to_poly(leaf, 3) == expr_to_poly(spelled, 3) == {(0, 0, 0): 0.5, (1, 2, 0): 2}
+
+
+def test_substitution_into_a_leaf_is_substitution_into_its_tree():
+    # what lift-map-compose runs: phi(h_1, .., h_n) with phi and the h_j leaves
+    from npk.expr import _substitute, polynomial
+
+    phi = polynomial([(0.5, (0, 0)), (1.0, (1, 0)), (-2.0, (1, 2)), (3.0, (0, 0)), (1.0, (2, 0))])
+    assert unparse(phi) == "0.5 + x1 + -2*x1*x2^2 + 3 + x1^2"
+    h = [polynomial([(0.25, (1, 0)), (-1.0, (0, 1))]), parse("sin(x2) + 1", 2)]
+    composed = _substitute(phi, h)
+    assert composed == _substitute(parse(unparse(phi), 2), h)
+    for point in ([0.3, -0.7], [-0.9, 0.4]):
+        expected = evaluate(phi, [evaluate(g, point) for g in h])
+        assert evaluate(composed, point) == pytest.approx(expected, rel=1e-14)

@@ -16,6 +16,7 @@ from npk.expr import (
     Expr,
     Mul,
     Neg,
+    Polynomial,
     Pow,
     Sub,
     UnknownVariable,
@@ -28,6 +29,7 @@ from npk.expr import (
     mul,
     parse,
     series,
+    unparse,
 )
 from npk.weil import build_algebra, parse_presentation
 
@@ -527,6 +529,47 @@ def test_equal_keys_evaluate_and_lift_alike():
         lift(Pow(Var(0), Neg(Var(0))), xi)
 
 
+def test_leaf_and_its_parsed_spelling_share_a_key_and_lift_alike(catalog):
+    from npk.functions import AFunction, ScalarGenerator
+    from npk.sampling import random_polynomial
+
+    rng = np.random.default_rng(66)
+    chart = Chart.cube(2)
+    for algebra in catalog:
+        leaf = random_polynomial(rng, 2, degree=3)
+        while not isinstance(leaf, Polynomial):  # all drawn monomials constant: a Const
+            leaf = random_polynomial(rng, 2, degree=3)
+        spelled = parse(unparse(leaf), 2)
+        assert not isinstance(spelled, Polynomial)
+        assert expr_key(leaf) == expr_key(spelled)
+        phi = AFunction(algebra, chart, [(algebra.unit(), (ScalarGenerator(0, leaf),)),
+                                         (algebra.unit(), (ScalarGenerator(0, spelled),))])
+        assert len(phi.monos) == 1  # the two generators merge by key
+        block = random_near_points(rng, algebra, chart, 4)
+        assert np.allclose(lift(leaf, block), lift(spelled, block), rtol=1e-14, atol=1e-14)
+        at = block.points()[2]
+        assert np.allclose(lift(leaf, at).coeffs, lift(spelled, at).coeffs, rtol=1e-14, atol=1e-14)
+
+
+def test_power_with_a_leaf_exponent_is_a_general_power():
+    # a leaf has a variable, so x1^(0.5 + x1) is exp((0.5 + x1) log x1) in evaluate, diff and lift
+    from npk.expr import polynomial
+
+    jet = build_algebra(parse_presentation("R[x]/(x^3)"))
+    chart = Chart.box([(-math.inf, math.inf)])
+    leaf = polynomial([(0.5, (0,)), (1.0, (1,))])
+    e, spelled = Pow(Var(0), leaf), Pow(Var(0), parse("0.5 + x1", 1))
+    assert not constant_exponent(e)
+    at = NearPoint(jet, chart, [jet.element([0.7, 1.0, -0.5])])
+    assert evaluate(e, [0.7]) == evaluate(spelled, [0.7])
+    assert evaluate(diff(e, 0), [0.7]) == pytest.approx(evaluate(diff(spelled, 0), [0.7]), rel=1e-14)
+    assert np.allclose(lift(e, at).coeffs, lift(spelled, at).coeffs, rtol=1e-14, atol=0.0)
+    negative = NearPoint(jet, chart, [jet.element([-0.5, 1.0, 0.0])])
+    for route in (lambda: evaluate(e, [-0.5]), lambda: evaluate(diff(e, 0), [-0.5]), lambda: lift(e, negative)):
+        with pytest.raises(DomainError):
+            route()
+
+
 # -- closed-form series of the primitives against the symbolic route -----------------------
 
 _PRIMITIVES = [(fn, Call(fn, Var(0))) for fn in ("sin", "cos", "exp", "log", "sqrt")] + [("1/x", Div(ONE, Var(0)))]
@@ -594,8 +637,10 @@ def test_series_of_height_zero_is_the_value():
 
 
 def _reference_jet(e: Expr, xi):
-    """The lift's coefficients as they were before constant factors became scales."""
+    """The lift's coefficients as they were before constant factors became scales, on a leaf's tree spelling."""
     algebra = xi.algebra
+    if isinstance(e, Polynomial):
+        return _reference_jet(parse(unparse(e), xi.chart.n), xi)
     if isinstance(e, Const):
         out = np.zeros(xi.values[0].shape)
         out[0] = e.value

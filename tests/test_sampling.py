@@ -6,7 +6,8 @@ import pytest
 import npk.checks as checks
 from npk import sampling as sp
 from npk.checks import check_identity, run_cohomology_model
-from npk.expr import Const, VectorField, add, const, mul, power, unparse, var
+from npk.cohomology import expr_to_poly
+from npk.expr import Const, DomainError, Polynomial, VectorField, add, const, diff, evaluate, expr_key, mul, parse, power, unparse, var
 from npk.fields import prolong
 from npk.points import Chart, NearPoint, NearPoints, lift
 from npk.sampling import random_near_point, random_near_points, random_polynomial
@@ -107,6 +108,81 @@ def test_random_polynomial_draws_are_unchanged():
         for _ in range(5):
             assert unparse(random_polynomial(ours, n, degree)) == unparse(reference_polynomial(theirs, n, degree))
     assert ours.random() == theirs.random()
+
+
+# -- the Polynomial leaf against the tree the reference builds ------------------------------
+
+LEAF_CASES = list(itertools.product((1, 2, 3), (1, 2, 3, 4), (2, 3, 5)))  # n, degree, terms
+
+
+def leaves_and_trees(seed: int):
+    """(n, leaf, tree) per case, the leaf from random_polynomial and the tree from the reference, same stream."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = []
+    for n, degree, terms in LEAF_CASES:
+        for _ in range(4):
+            leaf, tree = random_polynomial(ours, n, degree, terms), reference_polynomial(theirs, n, degree, terms)
+            assert ours.bit_generator.state == theirs.bit_generator.state  # the stream position after each draw
+            out.append((n, leaf, tree))
+    return out
+
+
+def test_leaf_spells_the_reference_tree():
+    kinds = set()
+    for n, leaf, tree in leaves_and_trees(41):
+        kinds.add(type(leaf))
+        assert unparse(leaf) == unparse(tree) and parse(unparse(leaf), n) == tree
+        assert expr_key(leaf) == expr_key(tree)
+        assert expr_to_poly(leaf, n) == expr_to_poly(tree, n)
+        assert isinstance(leaf, Polynomial) or leaf == tree  # no variable left: the same Const
+    assert kinds == {Polynomial, Const}
+
+
+def _outcome(e, point) -> str:
+    try:
+        return evaluate(e, point).hex()
+    except DomainError as exc:  # a power beyond the float range
+        return str(exc)
+
+
+def test_leaf_evaluates_bit_for_bit_as_its_parsed_spelling():
+    rng = np.random.default_rng(42)
+    for n, leaf, tree in leaves_and_trees(43):
+        spelled = parse(unparse(leaf), n)
+        for point in [rng.uniform(-1.0, 1.0, n), np.zeros(n), -np.zeros(n), rng.uniform(-1e100, 1e100, n)]:
+            assert _outcome(leaf, point) == _outcome(spelled, point)
+
+
+def test_leaf_lifts_as_its_tree(algebras):
+    # the leaf runs the tree's operations, so its lift is the tree's bit for bit, within 1e-14 a fortiori
+    rng = np.random.default_rng(44)
+    for n, leaf, tree in leaves_and_trees(45):
+        chart = Chart.cube(n)
+        for algebra in algebras:
+            block = random_near_points(rng, algebra, chart, 3)
+            assert lift(leaf, block).tobytes() == lift(tree, block).tobytes()
+            at = block.points()[1]
+            assert lift(leaf, at).coeffs.tobytes() == lift(tree, at).coeffs.tobytes()
+
+
+def _close(a, b) -> bool:
+    return np.all(np.abs(np.asarray(a) - np.asarray(b)) <= 1e-14 * (1.0 + np.max(np.abs(b))))
+
+
+def test_leaf_derivative_agrees_with_the_tree_derivative(algebras):
+    rng = np.random.default_rng(46)
+    for n, leaf, tree in leaves_and_trees(47):
+        for i in range(n):
+            d_leaf, d_tree = diff(leaf, i), diff(tree, i)
+            assert diff(leaf, i) is d_leaf  # memoised on the leaf
+            assert isinstance(d_leaf, (Polynomial, Const))
+            point = rng.uniform(-1.0, 1.0, n)
+            assert _close(evaluate(d_leaf, point), evaluate(d_tree, point))
+            algebra = algebras[i % len(algebras)]
+            block = random_near_points(rng, algebra, Chart.cube(n), 3)
+            assert _close(lift(d_leaf, block), lift(d_tree, block))
+            at = block.points()[0]
+            assert _close(lift(d_leaf, at).coeffs, lift(d_tree, at).coeffs)
 
 
 def test_probe_values_by_lift_match_the_prolonged_field(algebras):
