@@ -196,10 +196,17 @@ def d_poly(pf: PolyForm) -> PolyForm:
             slot = _insert_index(i, idx)
             if slot is None:
                 continue
+            partial: Poly = {}
+            for exps, c in p.items():
+                if exps[i]:
+                    down = list(exps)
+                    down[i] -= 1
+                    partial[tuple(down)] = c * exps[i]
+            if not partial:
+                continue
             sign, new_idx = slot
-            partial = {m[:i] + (m[i] - 1,) + m[i + 1:]: sign * c * m[i] for m, c in p.items() if m[i]}
-            if partial:
-                out[new_idx] = _poly_add(out.get(new_idx, {}), partial, 1)
+            signed = {k: sign * v for k, v in partial.items()}
+            out[new_idx] = _poly_add(out.get(new_idx, {}), signed, 1)
     return PolyForm(pf.n, pf.degree + 1, out)
 
 
@@ -213,7 +220,11 @@ def homotopy_poly(pf: PolyForm) -> PolyForm:
         for k, ik in enumerate(idx):
             sign = (-1) ** k
             rest = idx[:k] + idx[k + 1:]
-            bumped = {m[:ik] + (m[ik] + 1,) + m[ik + 1:]: sign * c / (sum(m) + p) for m, c in poly.items()}
+            bumped: Poly = {}
+            for exps, c in poly.items():
+                up = list(exps)
+                up[ik] += 1
+                bumped[tuple(up)] = sign * c / (sum(exps) + p)
             out[rest] = _poly_add(out.get(rest, {}), bumped, 1)
     return PolyForm(pf.n, p - 1, out)
 

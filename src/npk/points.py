@@ -14,7 +14,7 @@ a0 + n through its series, which terminates as n is nilpotent:
 
 with the coefficients in closed form (`expr.series`) and the sum by
 Horner's rule in A from the highest nonzero coefficient.  A `Polynomial`
-leaf runs the operations of the tree it spells, each power x_i^e once per lift.
+leaf runs the operations of the tree it spells, term by term.
 
 This is the unique algebra homomorphism extending x_i -> xi_i on the
 implemented function class: forward-mode automatic differentiation on
@@ -225,7 +225,8 @@ class NearPoints:
 
 def coefficient_lists(text: str) -> list:
     """The JSON of a near point, checked to be a list of coefficient lists of numbers, one per coordinate."""
-    data = json.loads(text, parse_int=float)  # an int beyond the float range reads as inf, as 1e400 does
+    # an int beyond the float range reads as inf, as 1e400 does; NaN and Infinity read as strings, refused below
+    data = json.loads(text, parse_int=float, parse_constant=str)
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise ValueError(f"expected a near point as a list of coefficient lists, one per coordinate, got {text}")
     for c in itertools.chain.from_iterable(data):
@@ -294,7 +295,6 @@ def _jet(e: Expr, xi: NearPoint | NearPoints) -> np.ndarray:
 
 def _polynomial_jet(p: Polynomial, xi: NearPoint | NearPoints) -> np.ndarray:
     """The lift of p's tree: c*x_i^e*x_j^f.. is c * x_i^e + 0.0 (x_i^e if c = 1) times the rest; terms add in order."""
-    powers: dict[tuple[int, int], np.ndarray] = {}  # (i, e) -> the lift of x_i^e
     algebra, acc = xi.algebra, None
     for c, m in p.terms:
         term = None
@@ -303,9 +303,7 @@ def _polynomial_jet(p: Polynomial, xi: NearPoint | NearPoints) -> np.ndarray:
                 continue
             if i >= len(xi.values):
                 raise UnknownVariable(f"x{i + 1}")
-            factor = xi.values[i] if e == 1 else powers.get((i, e))
-            if factor is None:
-                factor = powers[i, e] = _compose(float(e), xi.values[i], algebra)
+            factor = xi.values[i] if e == 1 else _compose(float(e), xi.values[i], algebra)
             term = (factor if c == 1.0 else c * factor + 0.0) if term is None else algebra.mul_coeffs(term, factor)
         if term is None:  # a constant term
             term = np.zeros(xi.values[0].shape)

@@ -315,8 +315,9 @@ def test_lift_nested_or_ragged_point_exit_2(capsys, point, message):
 @pytest.mark.parametrize(
     "point, shown",
     [('[["0.5", 1]]', '"0.5"'), ("[[0.5, null]]", "null"), ("[[true, 1]]", "true"), ("[[0.5, false]]", "false"),
-     ("[[0.5, {}]]", "{}")],
-    ids=["string", "null", "true", "false", "object"],
+     ("[[0.5, {}]]", "{}"), ("[[0.5, NaN]]", '"NaN"'), ("[[0.5, Infinity]]", '"Infinity"'),
+     ("[[-Infinity, 1]]", '"-Infinity"')],
+    ids=["string", "null", "true", "false", "object", "nan", "infinity", "minus-infinity"],
 )
 @pytest.mark.parametrize("command", [["lift", "--fn", "x1"], ["field", "--field", 'prolong("1")']], ids=["lift", "field"])
 def test_non_number_coefficient_exit_2(capsys, command, point, shown):
