@@ -4,7 +4,7 @@ Usage: python scripts/bench_weil.py [--section NAME]
 
 Each section is one key of the output; --section (repeatable) runs only the
 named ones: products, lift, afunction, block, derivation_basis, sampling,
-cohomology.  A full run takes about nine minutes on two shared vCPUs.
+cohomology.  A full run takes about six minutes on two shared vCPUs.
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
@@ -18,7 +18,9 @@ the per-call microseconds of the A-function layer at dims 2, 6 and 27 on a
 apply_fn of a random field on a random function, the bracket of two random
 fields (each call on fresh copies of the fields), one evaluate of the product of two lifted functions at a near
 point whose lifts are already memoized, exterior_derivative of a random 1-form, and
-h0_check (5 samples) of lift(f + g) - lift(f) - lift(g) + a, as in the h0 model; the per-call microseconds of building
+h0_check (5 samples) of lift(f + g) - lift(f) - lift(g) + a, as in the h0 model, and one evaluate, at that
+memoized point, of a lifted function, of a prolonged random base field and of a prolonged random 2-form
+on two such fields; the per-call microseconds of building
 (through the public constructor), evaluating and squaring a function of one row
 and one of two rows, whose cost is mostly fixed; and, at dims 27, 48 and 100, the
 seconds of build_algebra, of derivation_basis on a fresh algebra (exact
@@ -28,8 +30,10 @@ takes over a second).
 The block section times, at dims 2, 6 and 27 on a 2-dim chart, one lift and
 one evaluate of the product of two lifted functions on a block of N = 1, 5
 and 10 near points against N single-point calls, each with empty lift memos
-(best of five rounds); on a checkout without blocks (npk.points.NearPoints)
-it times the single-point calls only.
+(best of five rounds), and one evaluate of a lifted function, a prolonged
+field and a prolonged 2-form, as in the afunction section, on a block of 5
+whose lifts are already memoized; on a checkout without blocks
+(npk.points.NearPoints) it times the single-point calls only.
 The sampling section times, at dims 2, 6 and 27 on a 2-dim chart, drawing
 one random near point, a block of 5 (random_near_points: a NearPoints, or a
 list of five points on older checkouts; five single draws on a checkout
@@ -66,14 +70,15 @@ import numpy as np  # noqa: E402
 from npk.cohomology import ACombination, a_primitive, circle_primitive, h0_check  # noqa: E402
 from npk.expr import form  # noqa: E402
 from npk.expr import parse  # noqa: E402
-from npk.fields import AVectorField, bracket  # noqa: E402
-from npk.forms import AForm, exterior_derivative  # noqa: E402
+from npk.fields import AVectorField, bracket, prolong  # noqa: E402
+from npk.forms import AForm, exterior_derivative, prolong_form  # noqa: E402
 from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E402
 import npk.points  # noqa: E402
 import npk.sampling  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
 from npk.sampling import (  # noqa: E402
     random_a_element,
+    random_base_field,
     random_base_form,
     random_field,
     random_function,
@@ -192,6 +197,9 @@ def afunctions(text: str) -> dict:
     eta = AForm(algebra, chart, 1, ((phi, (0,)), (psi, (1,))))
     closed = (lifted_function(f + g, algebra, chart) - lifted_function(f, algebra, chart)
               - lifted_function(g, algebra, chart) + AFunction.constant(a, chart))
+    prolonged = prolonged_parts(rng, algebra, chart, f)
+    for run in prolonged.values():
+        run(xi)  # fill the point's lift memo
     return {
         "algebra": text,
         "dim": algebra.dim,
@@ -210,6 +218,19 @@ def afunctions(text: str) -> dict:
         "multiply_two_rows_us": per_call_us(lambda: two * two),
         "exterior_derivative_us": per_call_us(lambda: exterior_derivative(eta)),
         "h0_check_us": per_call_us(lambda: h0_check(closed, samples=5)),
+        **{f"evaluate_{name}_us": per_call_us(lambda: run(xi)) for name, run in prolonged.items()},
+    }
+
+
+def prolonged_parts(rng, algebra, chart, f) -> dict:
+    """Evaluations at a point or block, by name: a lifted function, a prolonged field, a prolonged 2-form on two."""
+    lifted = lifted_function(f, algebra, chart)
+    fields = [prolong(random_base_field(rng, chart), algebra, chart) for _ in range(2)]
+    eta = prolong_form(random_base_form(rng, chart, 2), algebra, chart)
+    return {
+        "lifted": lifted.evaluate,
+        "prolonged_field": fields[0].evaluate,
+        "prolonged_form": lambda xi: eta.evaluate(fields, xi),
     }
 
 
@@ -237,6 +258,11 @@ def blocks(text: str) -> dict:
             times["lift_block_us"] = per_call_us(lambda: fresh(lambda xi: lift(f, xi), block))
             times["evaluate_block_us"] = per_call_us(lambda: fresh(product.evaluate, block))
         out[f"n{n}"] = times
+    if hasattr(npk.points, "NearPoints"):
+        block = npk.points.NearPoints.stack([random_near_point(rng, algebra, chart) for _ in range(5)])
+        for name, run in prolonged_parts(rng, algebra, chart, f).items():
+            run(block)  # fill the block's lift memo
+            out[f"evaluate_{name}_block5_us"] = per_call_us(lambda: run(block))
     return out
 
 

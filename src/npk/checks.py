@@ -205,8 +205,8 @@ def _probe_values(probes: Sequence[Sequence[VectorField]], points: Sequence[Near
     """values[r][i]: the (dim, N) values of component i of the prolongation of probes[j][r] at points[j].
 
     A prolonged field's value at a point is the lift of its base components
-    there; + 0.0 because the prolongation sums its rows from 0.0, so it never
-    gives a -0.0.
+    there plus 0.0, as AFunction.evaluate values a lifted_function, so it
+    never gives a -0.0.
     """
     return [
         [np.stack([lift(p[r].components[i], xi).coeffs for p, xi in zip(probes, points)], axis=-1) + 0.0
@@ -416,6 +416,12 @@ def _lift_dual_derivative(rng, algebra, chart):
 
 
 def _gamma_agrees(rng, algebra, chart):
+    """lifted_function(f) evaluates to lift(f).
+
+    This holds by construction: AFunction.evaluate values a lifted_function as
+    the memoised lift plus 0.0.  The dual-basis expansion route is pinned by
+    test_lift_evaluates_as_its_rows_bit_for_bit in tests/test_functions.py.
+    """
     f = sp.random_chart_expr(rng, chart)
     phi = lifted_function(f, algebra, chart)
     return [(phi.evaluate, lambda b: lift(f, b))]

@@ -264,7 +264,8 @@ class ACombination:
                 raise ValueError("summand of wrong dimension or degree")
 
     def to_aform(self, chart: Chart) -> AForm:
-        terms = tuple(t for a, omega in self.terms for t in inject(a, omega, chart).terms)
+        terms = tuple((lifted_function(g, self.algebra, chart).scale(a), idx)
+                      for a, omega in self.terms for g, idx in omega.terms)
         return AForm(self.algebra, chart, self.degree, terms)
 
     def differential(self) -> "ACombination":

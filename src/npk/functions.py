@@ -25,7 +25,9 @@ lifts each distinct generator function once, from the block's own lift
 memo, gathers the generator values through an index plan read off the
 table (generator k sits at slot(fn)*dim + alpha of the stacked lifts),
 takes the product along each monomial and sums the rows per point in
-order.
+order.  A function made by lifted_function is the one exception: it is
+valued as the memoised lift plus 0.0, the bits of that sum for a finite
+lift, while a non-finite lift keeps each inf or NaN in its own slot.
 """
 
 from __future__ import annotations
@@ -189,9 +191,16 @@ class AFunction:
         """Value at a near point, or the (dim, N) values at a block of N points.
 
         The generators' lifts come from the point's or block's own lift memo.
+        A lifted_function, whose rows are the shared identity, is valued as
+        that memoised lift plus 0.0: for a finite lift these are the bits of
+        the in-order sum of its rows from 0.0, since all but one term of each
+        slot are signed zeros; a non-finite lift keeps each inf or NaN in its
+        own slot, where the sum puts 0*inf = NaN in every other slot.
         """
         if xi.algebra is not self.algebra and xi.algebra != self.algebra:
             raise AlgebraMismatch("near point over a different algebra")
+        if self.coeffs is _lift_parts(self.algebra.dim)[0]:  # only lifted_function hands _of these rows
+            return xi._wrap(xi._unwrap(lift(self.gens[0].fn, xi)) + 0.0)
         if self._plan is None:
             self._plan = _gather_plan(self.algebra.dim, self.gens, self.indices)
         fns, index, padded = self._plan
@@ -327,8 +336,9 @@ def lifted_function(f: Expr, algebra: WeilAlgebra, chart: Chart) -> AFunction:
     """The lift of f as a function object: sum_alpha e_alpha * (coefficient alpha of the lift).
 
     Evaluating at any near point reproduces lift(f, xi) exactly; the expansion
-    over the dual basis is what makes the lift manipulable termwise.  Constant
-    expressions collapse to constant functions.
+    over the dual basis is what makes the lift manipulable termwise.  Its rows
+    are the shared identity of _lift_parts, which evaluate reads as "exactly a
+    lift".  Constant expressions collapse to constant functions.
     """
     if isinstance(f, Const):
         return AFunction.constant(algebra.scalar(f.value), chart)

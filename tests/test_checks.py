@@ -119,7 +119,11 @@ def test_repeated_suite_runs_do_not_grow_memory():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["lift-add", "lift-mul", "lift-scale", "lift-map-compose", "gamma-morphism"])
+@pytest.mark.parametrize(
+    "name",
+    ["lift-add", "lift-mul", "lift-scale", "lift-map-compose", "gamma-morphism", "gamma-agrees-with-lift",
+     "prop17-bracket", "palais-route"],
+)
 @pytest.mark.parametrize("presentation", ["R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)"])
 def test_non_finite_near_point_fails_the_record(monkeypatch, presentation, name, bad):
     # both sides are computed at the near point in A, so a non-finite coefficient reaches the residual

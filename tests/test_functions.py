@@ -17,6 +17,7 @@ from npk.sampling import (
     random_field,
     random_function,
     random_lifted_function,
+    random_expr,
     random_near_point,
     random_tangent_vector,
 )
@@ -239,6 +240,72 @@ def test_block_evaluate_matches_single_points_bit_for_bit(catalog):
                 assert got.shape == (algebra.dim, size)
                 expected = np.stack([phi.evaluate(xi).coeffs for xi in points], axis=-1)
                 assert np.array_equal(got, expected, equal_nan=True)
+
+
+def _lift_rows(f, algebra):
+    """The rows of lifted_function(f), built through the public constructor: the general evaluation path."""
+    return AFunction(algebra, CHART, [(algebra.basis_element(a), (ScalarGenerator(a, f),)) for a in range(algebra.dim)])
+
+
+def _with_zero_slot(rng, algebra):
+    """A near point whose first coordinate has a zero coefficient, so that the lift of -x1 holds a -0.0."""
+    xi = random_near_point(rng, algebra, CHART)
+    coords = [xi.coords[0].coeffs.copy(), xi.coords[1].coeffs]
+    coords[0][-1] = 0.0
+    return NearPoint(algebra, CHART, [algebra.element(c) for c in coords])
+
+
+def test_lift_evaluates_as_its_rows_bit_for_bit(catalog):
+    # a lift is valued as its memoised lift + 0.0; the sign of zero counts, so -x1 pins the + 0.0
+    rng = np.random.default_rng(15)
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    for algebra in algebras:
+        exprs = [parse("-x1", 2), parse("sin(x1)*x2 + x1^2", 2)] + [random_expr(rng, 2) for _ in range(2)]
+        for f in exprs:
+            phi, rows = lifted_function(f, algebra, CHART), _lift_rows(f, algebra)
+            points = [_with_zero_slot(rng, algebra)] + [random_near_point(rng, algebra, CHART) for _ in range(9)]
+            for xi in points[:3]:
+                assert phi.evaluate(xi).coeffs.tobytes() == rows.evaluate(xi).coeffs.tobytes()
+            for size in (1, 3, 10):
+                block = NearPoints.stack(points[:size])
+                got = phi.evaluate(block)
+                assert got.shape == (algebra.dim, size) and not got.flags.writeable
+                assert got.tobytes() == rows.evaluate(block).tobytes()
+    assert np.signbit(lift(parse("-x1", 2), _with_zero_slot(rng, algebras[-1])).coeffs[-1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_lift_evaluates_to_that_lift(plane_jet):
+    rng = np.random.default_rng(16)
+    f = parse("x1", 2)
+    phi = lifted_function(f, plane_jet, CHART)
+    xi = random_near_point(rng, plane_jet, CHART)
+    coords = [np.array([xi.coords[0].coeffs[0], 0.5, np.inf]), xi.coords[1].coeffs]
+    xi = NearPoint(plane_jet, CHART, [plane_jet.element(c) for c in coords])
+    value = phi.evaluate(xi).coeffs
+    assert np.array_equal(value, coords[0], equal_nan=True) and value is not lift(f, xi).coeffs
+    assert np.array_equal(_lift_rows(f, plane_jet).evaluate(xi).coeffs, [np.nan, np.nan, np.inf], equal_nan=True)
+    block = phi.evaluate(NearPoints.stack([xi, random_near_point(rng, plane_jet, CHART)]))
+    assert np.array_equal(block[:, 0], coords[0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_functions_built_from_a_lift_take_the_general_path(catalog):
+    rng = np.random.default_rng(17)
+    for algebra in catalog:
+        f = random_expr(rng, 2)
+        phi = lifted_function(f, algebra, CHART)
+        built = [-phi, phi.scale(1.0), phi * AFunction.constant(algebra.unit(), CHART)]
+        points = [random_near_point(rng, algebra, CHART)]
+        if algebra.dim > 1:  # an inf in a nilpotent slot: the general path spreads NaN, the lift keeps the inf
+            bad = [algebra.element(np.append(c.coeffs[:-1], np.inf)) for c in points[0].coords]
+            points.append(NearPoint(algebra, CHART, bad))
+            lifted, general = phi.evaluate(points[1]).coeffs, _evaluate_by_terms(phi, points[1])
+            assert not np.array_equal(lifted, general, equal_nan=True)
+        for psi in built:
+            assert psi.evaluate(points[0]).coeffs.tobytes() == _evaluate_by_terms(psi, points[0]).tobytes()
+            for xi in points[1:]:
+                assert np.array_equal(psi.evaluate(xi).coeffs, _evaluate_by_terms(psi, xi), equal_nan=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
