@@ -32,7 +32,10 @@ one evaluate of the product of two lifted functions on a block of N = 1, 5
 and 10 near points against N single-point calls, each with empty lift memos
 (best of five rounds), and one evaluate of a lifted function, a prolonged
 field and a prolonged 2-form, as in the afunction section, on a block of 5
-whose lifts are already memoized; on a checkout without blocks
+whose lifts are already memoized, and the two routes to the derivative of a
+prolonged form on prolonged fields at such a block: palais_eval of a 1-form
+on box^2 and of a 2-form on box^3 against evaluate of its
+exterior_derivative, built once; on a checkout without blocks
 (npk.points.NearPoints) it times the single-point calls only.
 The sampling section times, at dims 2, 6 and 27 on a 2-dim chart, drawing
 one random near point, a block of 5 (random_near_points: a NearPoints, or a
@@ -71,7 +74,7 @@ from npk.cohomology import ACombination, a_primitive, circle_primitive, h0_check
 from npk.expr import form  # noqa: E402
 from npk.expr import parse  # noqa: E402
 from npk.fields import AVectorField, bracket, prolong  # noqa: E402
-from npk.forms import AForm, exterior_derivative, prolong_form  # noqa: E402
+from npk.forms import AForm, exterior_derivative, palais_eval, prolong_form  # noqa: E402
 from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E402
 import npk.points  # noqa: E402
 import npk.sampling  # noqa: E402
@@ -263,6 +266,17 @@ def blocks(text: str) -> dict:
         for name, run in prolonged_parts(rng, algebra, chart, f).items():
             run(block)  # fill the block's lift memo
             out[f"evaluate_{name}_block5_us"] = per_call_us(lambda: run(block))
+        for n, degree in ((2, 1), (3, 2)):  # the two routes to d(eta) on prolonged fields, as palais-route probes
+            chart_n = Chart.cube(n)
+            eta = prolong_form(random_base_form(rng, chart_n, degree), algebra, chart_n)
+            thetas = [random_base_field(rng, chart_n) for _ in range(degree + 1)]
+            fields = [prolong(theta, algebra, chart_n) for theta in thetas]
+            d_eta = exterior_derivative(eta)
+            block = npk.points.NearPoints.stack([random_near_point(rng, algebra, chart_n) for _ in range(5)])
+            d_eta.evaluate(fields, block)  # fill the block's lift memo
+            key = f"p{degree}_box{n}_block5_us"
+            out[f"palais_eval_{key}"] = per_call_us(lambda: palais_eval(eta, thetas, block))
+            out[f"exterior_derivative_evaluate_{key}"] = per_call_us(lambda: d_eta.evaluate(fields, block))
     return out
 
 

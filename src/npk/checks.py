@@ -128,8 +128,9 @@ class SuiteReport:
 
 def _record(check: str, algebra: WeilAlgebra, chart: Chart, samples: int, seed: int,
             residual: float, tol: float) -> CheckRecord:
-    residual = float(residual)
-    return CheckRecord(check, algebra.text, chart.text(), samples, seed, residual, residual <= tol)
+    residual = float(residual)  # a NaN or inf residual fails whatever the tolerance
+    return CheckRecord(check, algebra.text, chart.text(), samples, seed, residual,
+                       math.isfinite(residual) and residual <= tol)
 
 
 def _report(command: str, key: str, value: str, algebra: WeilAlgebra, chart: Chart,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -259,8 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be >= 1")
-    if getattr(args, "tol", 1.0) < 0.0:
-        parser.error("--tol must be >= 0")
+    if not 0.0 <= getattr(args, "tol", 1.0) < math.inf:  # False for NaN too
+        parser.error("--tol must be a finite number >= 0")
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()

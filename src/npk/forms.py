@@ -7,9 +7,10 @@ A-determinant of their coordinate components, expanded over
 permutations (no pivoting makes sense with zero divisors, and degrees
 stay tiny).  The exterior-type operator acts on coefficients through
 the canonical derivation extensions of the prolonged coordinate fields;
-the exact same value can be computed through the global formula with
-alternating-sign field applications and bracket corrections, which the
-test suite uses as an independent route.
+palais_eval values the same derivative by the global formula, with
+alternating-sign field applications and bracket corrections, from values
+alone (no symbolic contraction, extension or bracket is built), and the
+tests keep that formula built symbolically as its reference.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .expr import (
     _perm_sign,
     _sort_indices,
 )
-from .fields import AVectorField, bracket, prolong
-from .functions import AFunction, _sum, coordinate_derive, lifted_function
+from .fields import AVectorField, prolong
+from .functions import AFunction, _extension_values, _sum, coordinate_derive, lifted_function
 from .points import Chart, NearPoint, NearPoints
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
@@ -137,13 +138,20 @@ class AForm:
         values = [[xi._unwrap(c.evaluate(xi)) for c in x.components] for x in fields]
         return xi._wrap(self.on_values(values, xi))
 
-    def on_values(self, values: Sequence[Sequence[np.ndarray]], xi: NearPoint | NearPoints) -> np.ndarray:
+    def on_values(self, values: Sequence[Sequence[np.ndarray]], xi: NearPoint | NearPoints,
+                  coefficients: Sequence[np.ndarray] | None = None) -> np.ndarray:
         """eta(X_1..X_p) at xi from the coefficients values[r][i] of component i of X_r there,
-        (dim,) at a point and (dim, N) at a block: coefficients times A-determinants."""
+        (dim,) at a point and (dim, N) at a block: coefficients times A-determinants.
+
+        coefficients, when given, are the values at xi to use in place of the
+        coefficient functions', one per term in term order.
+        """
         mul = self.algebra.mul_coeffs
         shape = xi.values[0].shape  # the layout of every value at xi
+        if coefficients is None:
+            coefficients = [xi._unwrap(phi.evaluate(xi)) for phi, _ in self.terms]
         acc = np.zeros(shape)
-        for phi, idx in self.terms:
+        for (_, idx), coefficient in zip(self.terms, coefficients):
             det = np.zeros(shape)
             for perm in itertools.permutations(range(self.degree)):
                 prod = np.zeros(shape)
@@ -151,7 +159,7 @@ class AForm:
                 for row, col in enumerate(perm):
                     prod = mul(prod, values[row][idx[col]])
                 det = det + prod
-            acc = acc + mul(xi._unwrap(phi.evaluate(xi)), det)
+            acc = acc + mul(coefficient, det)
         return acc
 
     @staticmethod
@@ -212,22 +220,31 @@ def palais_eval(
 ) -> AElement | np.ndarray:
     """Global formula for the derivative of eta on prolonged base fields.
 
-    sum_i (-1)^(i-1) Xi~[eta(.. hat i ..)] + sum_{i<j} (-1)^(i+j) eta([Xi,Xj], .. hats ..)
-    evaluated at a near point, or at each point of a block of N at once (a
-    (dim, N) array), where Xi is the prolongation of thetas[i].  Independent of
-    the coefficientwise route, which it must match.
+    sum_i (-1)^i Xi~[eta(.. hat i ..)] + sum_{i<j} (-1)^(i+j) eta([Xi,Xj], .. hats ..)
+    valued at a near point, or at each point of a block of N at once (a
+    (dim, N) array), where Xi is the prolongation of thetas[i], from values
+    alone: Xi~ is a derivation, so Xi~[eta(rest)] is sum_I Xi~(phi_I) det_I(rest)
+    + phi_I sum_r det_I(rest, row r <- Xi~(row r)), and [Xi,Xj]^k is
+    Xi~(Xj^k) - Xj~(Xi^k), each Xi~ by _extension_values and each det_I by
+    on_values.  Independent of the coefficientwise route, which it must match.
     """
     if len(thetas) != eta.degree + 1:
         raise ArityMismatch(f"need {eta.degree + 1} fields, got {len(thetas)}")
-    algebra, chart = eta.algebra, eta.chart
-    lifted = [prolong(t, algebra, chart) for t in thetas]
-    extended = [x.apply_fn(eta.contract(lifted[:i] + lifted[i + 1:])) for i, x in enumerate(lifted)]
+    fields = [prolong(t, eta.algebra, eta.chart) for t in thetas]
+    u = [[xi._unwrap(c.evaluate(xi)) for c in x.components] for x in fields]
+    phis = [xi._unwrap(phi.evaluate(xi)) for phi, _ in eta.terms]
+    applied = {(i, r): [_extension_values(c, xi, u[i]) for c in x.components]  # Xi~(Xr^k) by k
+               for i in range(len(fields)) for r, x in enumerate(fields) if r != i}
     acc = np.zeros(xi.values[0].shape)
-    for i, phi in enumerate(extended):
-        acc = acc + xi._unwrap(phi.evaluate(xi)) * ((-1.0) ** i)
-    for i in range(len(lifted)):
-        for j in range(i + 1, len(lifted)):
-            rest = [lifted[k] for k in range(len(lifted)) if k not in (i, j)]
-            fields = [bracket(lifted[i], lifted[j])] + rest
-            acc = acc + xi._unwrap(eta.evaluate(fields, xi)) * ((-1.0) ** (i + j))
+    for i in range(len(fields)):
+        rest = [r for r in range(len(fields)) if r != i]
+        rows = [u[r] for r in rest]
+        term = eta.on_values(rows, xi, [_extension_values(phi, xi, u[i]) for phi, _ in eta.terms])
+        for s, r in enumerate(rest):
+            term = term + eta.on_values(rows[:s] + [applied[i, r]] + rows[s + 1:], xi, phis)
+        acc = acc + term * ((-1.0) ** i)
+    for i, j in itertools.combinations(range(len(fields)), 2):
+        rows = [[a - b for a, b in zip(applied[i, j], applied[j, i])]]
+        rows += [u[k] for k in range(len(fields)) if k not in (i, j)]
+        acc = acc + eta.on_values(rows, xi, phis) * ((-1.0) ** (i + j))
     return xi._wrap(acc)

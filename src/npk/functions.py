@@ -28,6 +28,8 @@ takes the product along each monomial and sums the rows per point in
 order.  A function made by lifted_function is the one exception: it is
 valued as the memoised lift plus 0.0, the bits of that sum for a finite
 lift, while a non-finite lift keeps each inf or NaN in its own slot.
+A field's derivation extension is valued likewise, from the values of its
+components at the point or block, without being built (_extension_values).
 """
 
 from __future__ import annotations
@@ -447,40 +449,54 @@ def _extension(phi: AFunction, images: dict[int, AFunction]) -> AFunction:
     return _canonical(phi.algebra, phi.chart, gens, monos, rows)
 
 
+def _extension_values(phi: AFunction, xi: NearPoint | NearPoints, u: Sequence[np.ndarray]) -> np.ndarray:
+    """X~(phi) at xi, where u[i] is the value there of component i of X: (dim,) at a point, (dim, N) at a block.
+
+    The canonical extension of X, A-linear in the coefficients, zero on
+    constants, X(f) on the lift of f, is valued without building it: per
+    distinct generator function g, X(g) = sum_i lift(d_i g) * u[i] from xi's
+    lift memo; then the Leibniz rule over each monomial, a generator (alpha, g)
+    going to coefficient alpha of X(g) times the product of the other
+    generators' values, in their order, one row per (monomial, generator)
+    pair, summed in that order by sum_rows.
+    """
+    mul, shape = phi.algebra.mul_coeffs, xi.values[0].shape
+    if phi._plan is None:
+        phi._plan = _gather_plan(phi.algebra.dim, phi.gens, phi.indices)
+    fns, index, _ = phi._plan
+    t, j = np.nonzero(index >= 0)  # the (monomial, generator) pairs in order; index -1 pads a short monomial
+    if not len(t):
+        return np.zeros(shape)
+    values, images = [], []
+    for fn in fns:
+        values.append(xi._unwrap(lift(fn, xi)))
+        image = np.zeros(shape)
+        for i, c in enumerate(u):
+            image = image + mul(xi._unwrap(lift(diff(fn, i), xi)), c)
+        images.append(image)
+    scalars = np.concatenate(images)[index[t, j]]
+    width = index.shape[1]
+    if width > 1:
+        at = np.concatenate(values + [np.ones((1,) + shape[1:])])  # a pad reads 1.0, an exact factor
+        skip = np.arange(width - 1)
+        others = index[t[:, None], skip + (skip >= j[:, None])]  # the other positions of each pair's monomial
+        product = at[others[:, 0]]
+        for l in range(1, width - 1):
+            product = product * at[others[:, l]]
+        scalars = product * scalars
+    coeffs = phi.coeffs[t]
+    return phi.algebra.sum_rows(coeffs.reshape(coeffs.shape + (1,) * (scalars.ndim - 1)) * scalars[:, None])
+
+
 def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
     """Canonical point-derivation extension of a tangent vector, evaluated on phi.
 
     A-linear in the coefficients, vanishes on constants, agrees with v on
     lifted functions, and satisfies the Leibniz rule relative to evaluation
     at the base near point.  A generator (alpha, g) contributes the dual
-    coefficient alpha of v applied to g, a real scalar.  Lifts at the base
-    near point come from that point's lift memo.
+    coefficient alpha of v applied to g, a real scalar.  This is
+    _extension_values at v.at, with v's components as the field's values.
     """
     if phi.algebra != v.at.algebra:
         raise AlgebraMismatch("function over a different algebra")
-    applied: dict[int, list[float]] = {}
-    lifted: dict[int, list[float]] = {}
-    gens = phi.gens
-    scalars, rows = [], []
-    for t, mono in enumerate(phi.indices):
-        at = []  # the generators' values at the base near point, needed only beside another
-        for k in mono if len(mono) > 1 else ():
-            gen = gens[k]
-            c = lifted.get(id(gen.fn))
-            if c is None:
-                c = lifted[id(gen.fn)] = lift(gen.fn, v.at).coeffs.tolist()
-            at.append(c[gen.alpha])
-        for j, k in enumerate(mono):
-            gen = gens[k]
-            c = applied.get(id(gen.fn))
-            if c is None:
-                c = applied[id(gen.fn)] = v.apply(gen.fn).coeffs.tolist()
-            scalar = 1.0
-            for l, value in enumerate(at):
-                if l != j:
-                    scalar *= value
-            scalars.append(scalar * c[gen.alpha])
-            rows.append(t)
-    if not rows:
-        return phi.algebra.zero()
-    return AElement(phi.algebra, phi.algebra.sum_rows(np.array(scalars)[:, None] * phi.coeffs[rows]))
+    return AElement(phi.algebra, _extension_values(phi, v.at, [u.coeffs for u in v.components]))

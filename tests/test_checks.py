@@ -78,6 +78,14 @@ def test_dual_derivative_is_vacuous_off_dual_numbers():
     assert record.max_residual == 0.0 and record.passed
 
 
+@pytest.mark.parametrize("residual", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_residual_fails_whatever_the_tolerance(residual):
+    algebra, chart = _algebra("R[x]/(x^2)"), Chart.cube(2)
+    for tol in (1e-8, float("inf")):
+        assert not checks._record("lift-add", algebra, chart, 5, 0, residual, tol).passed
+    assert checks._record("lift-add", algebra, chart, 5, 0, 1e300, float("inf")).passed
+
+
 def test_circle_model_reports_the_chart_it_ran_on():
     report = run_cohomology_model("circle", _algebra("R[x]/(x^2)"), Chart.cube(2), samples=3)
     assert report.config["chart"] == "circle"

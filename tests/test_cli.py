@@ -101,6 +101,14 @@ def test_check_tol_zero_fails_with_exit_1():
     assert "overall: FAIL" in out.stdout
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_check_non_finite_tol_exits_2(tol):
+    out = run_cli("check", "--suite", "lift", "--algebra", "R[x]/(x^2)", "--samples", "2", f"--tol={tol}")
+    assert out.returncode == 2
+    assert "--tol must be a finite number >= 0" in out.stderr
+    assert out.stdout == ""
+
+
 def test_check_json_schema():
     out = run_cli(
         "check", "--suite", "lift", "--algebra", "R", "--samples", "5", "--json"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from npk.cohomology import ACombination, inject
 from npk.expr import Const, VectorField, form, parse
 from npk.expr import exterior_derivative as d_base
-from npk.fields import coordinate_prolongation, prolong
+import npk.fields
+import npk.forms
+import npk.functions
+from npk.fields import AVectorField, bracket, coordinate_prolongation, prolong
 from npk.forms import (
     AForm,
     ArityMismatch,
@@ -18,7 +22,7 @@ from npk.forms import (
     wedge,
 )
 from npk.functions import AFunction, lifted_function
-from npk.points import Chart, NearPoints, lift
+from npk.points import Chart, NearPoint, NearPoints, lift
 from npk.sampling import (
     random_a_element,
     random_base_field,
@@ -180,6 +184,88 @@ def test_degree_zero_post(catalog):
             assert (lhs - rhs).max_abs() <= 1e-9
 
 
+def _palais_by_symbols(eta, thetas):
+    """Reference global formula, built symbolically: the contraction with all but one prolonged
+    field, its derivation extension, and the bracket of each pair; returns its valuation at xi."""
+    lifted = [prolong(t, eta.algebra, eta.chart) for t in thetas]
+    extended = [x.apply_fn(eta.contract(lifted[:i] + lifted[i + 1:])) for i, x in enumerate(lifted)]
+    corrections = []
+    for i, j in itertools.combinations(range(len(lifted)), 2):
+        rest = [lifted[k] for k in range(len(lifted)) if k not in (i, j)]
+        corrections.append(([bracket(lifted[i], lifted[j])] + rest, (-1.0) ** (i + j)))
+
+    def value(xi):
+        acc = np.zeros(xi.values[0].shape)
+        for i, phi in enumerate(extended):
+            acc = acc + xi._unwrap(phi.evaluate(xi)) * ((-1.0) ** i)
+        for fields, sign in corrections:
+            acc = acc + xi._unwrap(eta.evaluate(fields, xi)) * sign
+        return acc
+
+    return value
+
+
+def _palais_probe(rng, algebra, chart, degree, factors=2, limit=None):
+    """A degree-p form with lift-generated and general coefficients on its first limit indices,
+    and p + 1 base fields."""
+    terms = []
+    for k, idx in enumerate(itertools.islice(itertools.combinations(range(chart.n), degree), limit)):
+        if k % 2:
+            phi = random_function(rng, algebra, chart, max_terms=3, max_monomial=3, transcendental=True)
+        else:
+            phi = random_lifted_function(rng, algebra, chart, factors=factors)
+        terms.append((phi, idx))
+    eta = AForm(algebra, chart, degree, tuple(terms))
+    return eta, [random_base_field(rng, chart) for _ in range(degree + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_palais_values_match_the_symbolic_route(catalog, n):
+    rng = np.random.default_rng(16 + n)
+    chart = Chart.cube(n)
+    for algebra in list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]:
+        for degree in range(n):
+            # at dim 27 the symbolic reference is kept to two small coefficients, as it takes seconds
+            small = {"factors": 1, "limit": 2} if algebra.dim > 20 else {}
+            eta, thetas = _palais_probe(rng, algebra, chart, degree, **small)
+            reference_at = _palais_by_symbols(eta, thetas)
+            points = [random_near_point(rng, algebra, chart) for _ in range(3)]
+            for xi in (points[0], NearPoints.stack(points)):
+                got = xi._unwrap(palais_eval(eta, thetas, xi))
+                reference = reference_at(xi)
+                assert got.shape == reference.shape
+                assert np.abs(got - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
+def test_palais_eval_builds_no_symbolic_function(monkeypatch, plane_jet):
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((AFunction, "__mul__"), (AVectorField, "apply"), (AVectorField, "apply_fn"),
+                        (AForm, "contract"), (npk.functions, "_extension"), (npk.fields, "_extension")):
+        count(owner, name)
+    for module in (npk.fields, npk.forms):  # wherever the bracket can be reached by name
+        if hasattr(module, "bracket"):
+            count(module, "bracket")
+    rng = np.random.default_rng(18)
+    chart = Chart.cube(3)
+    for degree in range(3):
+        eta, thetas = _palais_probe(rng, plane_jet, chart, degree)
+        xi = random_near_point(rng, plane_jet, chart)
+        calls.clear()
+        palais_eval(eta, thetas, xi)
+        palais_eval(eta, thetas, NearPoints.stack([xi, random_near_point(rng, plane_jet, chart)]))
+        assert not calls, dict(calls)
+
+
 def test_palais_degree_zero(dual):
     # single-term formula: theta~ applied to the lift of f
     rng = np.random.default_rng(8)
@@ -245,14 +331,13 @@ def test_block_evaluation_matches_single_points_bit_for_bit(catalog):
             assert got.shape == (algebra.dim, size)
             expected = np.stack([eta.evaluate(fields, xi).coeffs for xi in points], axis=-1)
             assert np.array_equal(got, expected, equal_nan=True)
-            if algebra.dim < 20:
-                lifted = AForm(algebra, chart, degree - 1, tuple(
-                    (random_lifted_function(rng, algebra, chart), idx)
-                    for idx in itertools.combinations(range(3), degree - 1)))
-                thetas = [random_base_field(rng, chart) for _ in range(degree)]
-                got = palais_eval(lifted, thetas, block)
-                expected = np.stack([palais_eval(lifted, thetas, xi).coeffs for xi in points], axis=-1)
-                assert np.array_equal(got, expected, equal_nan=True)
+            lifted = AForm(algebra, chart, degree - 1, tuple(
+                (random_lifted_function(rng, algebra, chart), idx)
+                for idx in itertools.combinations(range(3), degree - 1)))
+            thetas = [random_base_field(rng, chart) for _ in range(degree)]
+            got = palais_eval(lifted, thetas, block)
+            expected = np.stack([palais_eval(lifted, thetas, xi).coeffs for xi in points], axis=-1)
+            assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_arity_and_degree_errors(dual):

@@ -8,6 +8,7 @@ from npk.functions import (
     coordinate_derive,
     dual_projection,
     lifted_function,
+    _extension_values,
     tangent_apply,
 )
 from npk.fields import bracket, coordinate_prolongation
@@ -224,6 +225,23 @@ def test_evaluate_matches_per_term_loop_bit_for_bit(catalog):
                     assert np.array_equal(
                         tangent_apply(v, phi).coeffs, _tangent_apply_by_terms(v, phi).coeffs, equal_nan=True
                     )
+
+
+def test_extension_values_at_a_block_match_tangent_apply_per_column(catalog):
+    rng = np.random.default_rng(17)
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    for algebra in algebras:
+        functions = _oracle_functions(rng, algebra)
+        functions += [AFunction.zero(algebra, CHART), AFunction.constant(random_a_element(rng, algebra), CHART)]
+        for size in (1, 3, 5):
+            vs = [random_tangent_vector(rng, algebra, CHART) for _ in range(size)]
+            block = NearPoints.stack([v.at for v in vs])
+            u = [np.stack([v.components[i].coeffs for v in vs], axis=-1) for i in range(CHART.n)]
+            for phi in functions:
+                got = _extension_values(phi, block, u)
+                assert got.shape == (algebra.dim, size)
+                for j, v in enumerate(vs):
+                    assert got[:, j].tobytes() == tangent_apply(v, phi).coeffs.tobytes()
 
 
 def test_block_evaluate_matches_single_points_bit_for_bit(catalog):
