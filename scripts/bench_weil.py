@@ -12,7 +12,8 @@ and 100 (best of five timing rounds); the per-call microseconds of lift for
 each primitive (sin, cos, exp, log, sqrt, 1/x, x^2, x^3, x^2.5) of one
 variable, and of the polynomial 2.5*x^2 - 0.7*x (constant factors), at a
 near point whose lift memo is emptied before each call, over
-R[x]/(x^2), R[x]/(x^4) and R[x,y,z]/(x^3,y^3,z^3) (best of five rounds);
+R[x]/(x^2), R[x]/(x^4), R[x,y,z]/(x^3,y^3,z^3) and R[x,y,z]/(x^5,y^5,z^5)
+(dim 125, height 12) (best of five rounds);
 the per-call microseconds of the A-function layer at dims 2, 6 and 27 on a
 2-dim chart (best of five rounds): the product of two lifted functions,
 apply_fn of a random field on a random function, the bracket of two random
@@ -99,7 +100,7 @@ PRODUCT_ALGEBRAS = (
     "R[x,y,z]/(x^3,y^3,z^3)",
     "R[x,y,z]/(x^5,y^5,z^4)",
 )
-LIFT_ALGEBRAS = ("R[x]/(x^2)", "R[x]/(x^4)", "R[x,y,z]/(x^3,y^3,z^3)")
+LIFT_ALGEBRAS = ("R[x]/(x^2)", "R[x]/(x^4)", "R[x,y,z]/(x^3,y^3,z^3)", "R[x,y,z]/(x^5,y^5,z^5)")
 LIFT_PRIMITIVES = ("sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "1/x1", "x1^2", "x1^3", "x1^2.5",
                    "2.5*x1^2 - 0.7*x1")
 AFUNCTION_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x,y,z]/(x^3,y^3,z^3)")

@@ -383,7 +383,7 @@ def _lift_mul(rng, algebra, chart):
 
 def _lift_scale(rng, algebra, chart):
     f = sp.random_chart_expr(rng, chart)
-    lam = float(rng.uniform(-2.0, 2.0))
+    lam = -2.0 + 4.0 * rng.random()  # rng.uniform(-2.0, 2.0), bit for bit
     scaled = mul(const(lam), f)
     return [(lambda b: lift(scaled, b), lambda b: lift(f, b) * lam)]
 
@@ -547,7 +547,7 @@ def _wedge_leibniz(rng, algebra, chart):
 def _random_aform(rng, algebra, chart, degree, lifted: bool = False) -> AForm:
     terms = []
     for idx in itertools.combinations(range(chart.n), degree):
-        if rng.uniform() < 0.75 or not terms:
+        if rng.random() < 0.75 or not terms:
             if lifted:
                 phi = sp.random_lifted_function(rng, algebra, chart)
             else:
@@ -659,7 +659,7 @@ def _circle_model(algebra, chart, rng, seed, samples, tol):
         )
         cls, primitive = circle_primitive(eta)  # cls is the class of eta, reused below
         for _ in range(4):
-            t = float(rng.uniform(0.0, 2.0 * np.pi))
+            t = 2.0 * np.pi * rng.random()  # rng.uniform(0.0, 2.0 * np.pi), bit for bit
             direct = algebra.zero()
             for a, omega in eta.terms:
                 direct = direct + evaluate(omega.coefficient((0,)), [t]) * a

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 import numpy as np
 
@@ -341,44 +342,42 @@ def trig_coefficients(
     """Fourier coefficients by discrete sampling; exact on trig polynomials.
 
     Sampling at 2*max_freq+1 equispaced angles recovers every frequency up to
-    max_freq; the reconstruction is then validated at off-grid points and a
-    mismatch flags a non-trig-polynomial input.
+    max_freq; the reconstruction is then validated at 7 off-grid points and a
+    mismatch flags a non-trig-polynomial input.  g is evaluated once over all
+    the angles; the sums and the reconstruction are products with the cached
+    cos and sin tables of the angles.
     """
     n_samples = 2 * max_freq + 1
-    angles = [2.0 * math.pi * j / n_samples for j in range(n_samples)]
+    angles, cos_grid, sin_grid, cos_probe, sin_probe = _fourier_tables(max_freq)
     try:
-        values = [evaluate(g, [t]) for t in angles]
+        values = evaluate(g, [angles])
     except ArithmeticError as exc:
         raise NonTrigPolynomial(f"evaluation failed on the circle: {exc}") from exc
-    mean = sum(values) / n_samples
-    cos_terms = []
-    sin_terms = []
-    for k in range(1, max_freq + 1):
-        cos_terms.append(2.0 / n_samples * sum(v * math.cos(k * t) for v, t in zip(values, angles)))
-        sin_terms.append(2.0 / n_samples * sum(v * math.sin(k * t) for v, t in zip(values, angles)))
-    cutoff = 1e-13 * (1.0 + max(abs(v) for v in values))
+    grid, probes = values[:n_samples], values[n_samples:]
+    cutoff = 1e-13 * (1.0 + np.max(np.abs(grid)))
 
-    def snap(c: float) -> float:
-        return 0.0 if abs(c) <= cutoff else c
+    def snap(c: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(c) <= cutoff, 0.0, c)
 
-    tc = TrigCoefficients(
-        snap(mean), tuple(snap(c) for c in cos_terms), tuple(snap(s) for s in sin_terms)
-    )
-    for j in range(7):
-        t = 0.31 + 2.0 * math.pi * j / 7.0  # off-grid probes
-        recon = _trig_eval(tc, t)
-        if abs(recon - evaluate(g, [t])) > tol * (1.0 + abs(recon)):
-            raise NonTrigPolynomial(
-                f"not a trigonometric polynomial of frequency <= {max_freq}"
-            )
-    return tc
+    mean = snap(grid.sum() / n_samples)
+    cos_terms = snap(2.0 / n_samples * (cos_grid @ grid))
+    sin_terms = snap(2.0 / n_samples * (sin_grid @ grid))
+    recon = mean + cos_probe @ cos_terms + sin_probe @ sin_terms
+    # `not <=` so that a NaN fails
+    if not np.all(np.abs(recon - probes) <= tol * (1.0 + np.abs(recon))):
+        raise NonTrigPolynomial(f"not a trigonometric polynomial of frequency <= {max_freq}")
+    return TrigCoefficients(float(mean), tuple(cos_terms.tolist()), tuple(sin_terms.tolist()))
 
 
-def _trig_eval(tc: TrigCoefficients, t: float) -> float:
-    out = tc.mean
-    for k, (c, s) in enumerate(zip(tc.cos_terms, tc.sin_terms), start=1):
-        out += c * math.cos(k * t) + s * math.sin(k * t)
-    return out
+@lru_cache(maxsize=None)
+def _fourier_tables(max_freq: int) -> tuple[np.ndarray, ...]:
+    """The grid angles then the 7 off-grid probes; cos(k t) and sin(k t) on the grid (k by t), at the probes (t by k)."""
+    n_samples = 2 * max_freq + 1
+    grid = np.array([2.0 * math.pi * j / n_samples for j in range(n_samples)])
+    probes = np.array([0.31 + 2.0 * math.pi * j / 7.0 for j in range(7)])
+    k = np.arange(1, max_freq + 1, dtype=float)
+    return (np.concatenate([grid, probes]), np.cos(np.outer(k, grid)), np.sin(np.outer(k, grid)),
+            np.cos(np.outer(probes, k)), np.sin(np.outer(probes, k)))
 
 
 def trig_primitive_expr(tc: TrigCoefficients) -> Expr:

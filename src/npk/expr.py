@@ -18,7 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "Add",
@@ -164,6 +166,7 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "log": math.log,
     "sqrt": math.sqrt,
 }
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -478,36 +481,60 @@ def expr_key(e: Expr) -> str:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(e: Expr, point: Sequence[float]) -> float:
+def evaluate(e: Expr, point: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
+    """e at a point; or at N points in one walk, when the coordinates are 1-D arrays of N values.
+
+    The arrays go through numpy's arithmetic and functions, within a few ulp
+    of the floats.  Where some sample leaves the domain or a primitive's value
+    is not finite, the samples are evaluated one by one instead, so that the
+    first failing sample raises the DomainError it raises alone.
+    """
+    if not (len(point) and isinstance(point[0], np.ndarray)):
+        return _evaluate(e, point, _FLOATS)
+    try:
+        with np.errstate(all="ignore"):
+            values = _evaluate(e, point, _ARRAYS)
+    except _SampleBySample:
+        values = [_evaluate(e, p, _FLOATS) for p in zip(*point)]
+    return np.full(np.shape(point[0]), values)  # a constant's float too, as an array
+
+
+class _Leaves(NamedTuple):
+    """How a walk reads a coordinate and checks the places where a value can leave the domain."""
+
+    coordinate: Callable
+    nonzero: Callable
+    power: Callable
+    apply: Callable
+
+
+def _evaluate(e: Expr, point: Sequence[float] | Sequence[np.ndarray], ops: _Leaves) -> float | np.ndarray:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
-        if e.index >= len(point):
-            raise UnknownVariable(f"x{e.index + 1}")
-        return float(point[e.index])
+        return ops.coordinate(point, e.index)
     if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
+        return _evaluate(e.left, point, ops) + _evaluate(e.right, point, ops)
     if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
+        return _evaluate(e.left, point, ops) - _evaluate(e.right, point, ops)
     if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
+        return _evaluate(e.left, point, ops) * _evaluate(e.right, point, ops)
     if isinstance(e, Div):
-        denom = _nonzero(evaluate(e.right, point))
-        return evaluate(e.left, point) / denom
+        denom = ops.nonzero(_evaluate(e.right, point, ops))
+        return _evaluate(e.left, point, ops) / denom
     if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
+        return -_evaluate(e.arg, point, ops)
     if isinstance(e, Pow):
-        return _power(evaluate(e.base, point), evaluate(e.exponent, point), constant_exponent(e))
+        return ops.power(_evaluate(e.base, point, ops), _evaluate(e.exponent, point, ops), constant_exponent(e))
     if isinstance(e, Call):
-        return _apply(e.fn, evaluate(e.arg, point))
+        return ops.apply(e.fn, _evaluate(e.arg, point, ops))
     if isinstance(e, Polynomial):  # in the tree's order, ((c0 + c1*x_i*x_j^e) + ...) + ...
         acc = None
         for c, m in e.terms:
             for i, k in enumerate(m):
                 if k:
-                    if i >= len(point):
-                        raise UnknownVariable(f"x{i + 1}")
-                    c = c * float(point[i]) if k == 1 else c * _power(float(point[i]), float(k))
+                    x = ops.coordinate(point, i)
+                    c = c * x if k == 1 else c * ops.power(x, float(k))
             acc = c if acc is None else acc + c
         return acc
     raise TypeError(f"not an expression: {e!r}")
@@ -527,6 +554,12 @@ def constant_exponent(e: Pow) -> bool:
         if not isinstance(node, Const):  # every other field is a subexpression, or Call's name
             stack += [c for c in (getattr(node, f.name) for f in dataclass_fields(node)) if isinstance(c, Expr)]
     return True
+
+
+def _coordinate(point: Sequence[float], i: int) -> float:
+    if i >= len(point):
+        raise UnknownVariable(f"x{i + 1}")
+    return float(point[i])
 
 
 # the three places where a value can leave the domain, shared by evaluate and series
@@ -555,6 +588,48 @@ def _apply(fn: str, arg: float) -> float:
         return _FUNCTIONS[fn](arg)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"{fn}({arg}) undefined") from exc
+
+
+# the same on arrays of samples: where some sample would raise, or a primitive's value is not
+# finite, each raises _SampleBySample, and evaluate walks the samples one by one instead
+
+
+class _SampleBySample(Exception):
+    pass
+
+
+def _array_coordinate(point: Sequence[np.ndarray], i: int) -> np.ndarray:
+    if i >= len(point):
+        raise UnknownVariable(f"x{i + 1}")
+    return point[i]
+
+
+def _array_nonzero(denom: float | np.ndarray) -> float | np.ndarray:
+    if not np.all(denom):
+        raise _SampleBySample
+    return denom
+
+
+def _array_power(base: float | np.ndarray, exponent: float | np.ndarray, constant: bool = True) -> np.ndarray:
+    if not (constant or np.all(base > 0.0)):
+        raise _SampleBySample
+    return _finite(np.power(base, exponent))
+
+
+def _array_apply(fn: str, arg: float | np.ndarray) -> np.ndarray:
+    if fn in ("log", "sqrt") and not np.all(arg > 0.0):
+        raise _SampleBySample
+    return _finite(_UFUNCS[fn](arg))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise _SampleBySample
+    return values
+
+
+_FLOATS = _Leaves(_coordinate, _nonzero, _power, _apply)
+_ARRAYS = _Leaves(_array_coordinate, _array_nonzero, _array_power, _array_apply)
 
 
 def _divisor_power(a0: float, k: int) -> float:

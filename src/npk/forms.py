@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -121,10 +122,8 @@ class AForm:
         parts = []
         for phi, idx in self.terms:
             dets = []
-            for perm in itertools.permutations(range(self.degree)):
-                prod = AFunction.constant(
-                    self.algebra.scalar(float(_perm_sign(perm))), self.chart
-                )
+            for sign, perm in _signed_permutations(self.degree):
+                prod = AFunction.constant(self.algebra.scalar(sign), self.chart)
                 for row, col in enumerate(perm):
                     prod = prod * fields[row].components[idx[col]]
                 dets.append(prod)
@@ -144,7 +143,12 @@ class AForm:
         (dim,) at a point and (dim, N) at a block: coefficients times A-determinants.
 
         coefficients, when given, are the values at xi to use in place of the
-        coefficient functions', one per term in term order.
+        coefficient functions', one per term in term order.  A permutation's
+        product starts from the scale sign * v of its first factor v, so a
+        degree-p term costs p! (p - 1) products for its determinant.  For
+        finite v the scale is the A-product of sign * 1 and v but for the sign
+        of a zero, and the next product, or the sum into the determinant from
+        0.0, gives the same bits for either sign.
         """
         mul = self.algebra.mul_coeffs
         shape = xi.values[0].shape  # the layout of every value at xi
@@ -153,11 +157,15 @@ class AForm:
         acc = np.zeros(shape)
         for (_, idx), coefficient in zip(self.terms, coefficients):
             det = np.zeros(shape)
-            for perm in itertools.permutations(range(self.degree)):
-                prod = np.zeros(shape)
-                prod[0] = float(_perm_sign(perm))
-                for row, col in enumerate(perm):
-                    prod = mul(prod, values[row][idx[col]])
+            for sign, perm in _signed_permutations(self.degree):
+                factors = [values[row][idx[col]] for row, col in enumerate(perm)]
+                if factors:
+                    prod = sign * factors[0]
+                else:  # degree 0: the determinant is the unit
+                    prod = np.zeros(shape)
+                    prod[0] = 1.0
+                for factor in factors[1:]:
+                    prod = mul(prod, factor)
                 det = det + prod
             acc = acc + mul(coefficient, det)
         return acc
@@ -165,6 +173,12 @@ class AForm:
     @staticmethod
     def zero(algebra: WeilAlgebra, chart: Chart, degree: int) -> "AForm":
         return AForm(algebra, chart, degree, ())
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(p: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """(sign, perm) for each permutation of range(p), in itertools order."""
+    return tuple((float(_perm_sign(perm)), perm) for perm in itertools.permutations(range(p)))
 
 
 def prolong_form(omega: DifferentialForm, algebra: WeilAlgebra, chart: Chart) -> AForm:

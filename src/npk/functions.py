@@ -461,6 +461,8 @@ def _extension_values(phi: AFunction, xi: NearPoint | NearPoints, u: Sequence[np
     pair, summed in that order by sum_rows.
     """
     mul, shape = phi.algebra.mul_coeffs, xi.values[0].shape
+    if not phi.gens:  # an A-constant: no (monomial, generator) pair, so no plan to build
+        return np.zeros(shape)
     if phi._plan is None:
         phi._plan = _gather_plan(phi.algebra.dim, phi.gens, phi.indices)
     fns, index, _ = phi._plan

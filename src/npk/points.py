@@ -143,6 +143,16 @@ class NearPoint:
         base = [c.augmentation for c in coords]
         if not chart.contains(base):
             raise ValueError(f"base point {base} outside chart {chart.text()}")
+        self._set(algebra, chart, coords)
+
+    @classmethod
+    def _of(cls, algebra: WeilAlgebra, chart: Chart, coords: Sequence[AElement]) -> "NearPoint":
+        """The point of coordinates already checked to lie over the chart: __init__ without its checks."""
+        self = cls.__new__(cls)
+        self._set(algebra, chart, tuple(coords))
+        return self
+
+    def _set(self, algebra: WeilAlgebra, chart: Chart, coords: tuple[AElement, ...]) -> None:
         self.algebra = algebra
         self.chart = chart
         self.coords = coords
@@ -188,6 +198,16 @@ class NearPoints:
         for base in _bases(values):
             if not chart.contains(base):
                 raise ValueError(f"base point {base} outside chart {chart.text()}")
+        self._set(algebra, chart, values)
+
+    @classmethod
+    def _of(cls, algebra: WeilAlgebra, chart: Chart, values: Sequence[np.ndarray]) -> "NearPoints":
+        """The block of coordinates already checked to lie over the chart: __init__ without its checks."""
+        self = cls.__new__(cls)
+        self._set(algebra, chart, np.array(values, dtype=float, order="C"))
+        return self
+
+    def _set(self, algebra: WeilAlgebra, chart: Chart, values: np.ndarray) -> None:
         values.flags.writeable = False
         self.algebra = algebra
         self.chart = chart
@@ -206,7 +226,7 @@ class NearPoints:
 
     def points(self) -> list[NearPoint]:
         """The NearPoint of each column, each coordinate a fresh copy: the inverse of stack."""
-        return [NearPoint(self.algebra, self.chart, [AElement(self.algebra, v.copy()) for v in point])
+        return [NearPoint._of(self.algebra, self.chart, [AElement(self.algebra, v.copy()) for v in point])
                 for point in self.values.transpose(2, 0, 1)]
 
     def base(self) -> np.ndarray:
@@ -320,8 +340,10 @@ def _compose(g: str | float, a: np.ndarray, algebra: WeilAlgebra) -> np.ndarray:
     block.  The sum is Horner's rule, c_0 + n (c_1 + n (c_2 + ... + n c_top)),
     from the highest nonzero coefficient c_top (a zero row must be zero in
     every column); its first step is the scale c_top * n, so a primitive costs
-    top - 1 products in A.  For finite n every step equals the full Horner sum
-    from c_height bit for bit.
+    top - 1 products in A.  n's side of the product table is gathered once, so
+    each product is one gather of acc, one multiply and one bincount, as
+    mul_coeffs(acc, n) computes it.  For finite n every step equals the full
+    Horner sum from c_height bit for bit.
     """
     h, n = algebra.height, a.copy()
     n[0] = 0.0
@@ -335,22 +357,28 @@ def _compose(g: str | float, a: np.ndarray, algebra: WeilAlgebra) -> np.ndarray:
     while top > 1 and not nonzero(c[top]):
         top -= 1
     acc = c[top] * n + 0.0
-    for k in range(top - 1, 0, -1):
-        acc[0] += c[k]
-        acc = algebra.mul_coeffs(acc, n)
+    if top > 1:
+        right = n[algebra._right]  # n's side of the product table, the same in every step
+        for k in range(top - 1, 0, -1):
+            acc[0] += c[k]
+            acc = algebra.mul_gathered(acc, right)
     acc[0] += c[0]
     return acc
 
 
 def lift_map(h: Sequence[Expr], xi: NearPoint | NearPoints, target: Chart) -> NearPoint | NearPoints:
-    """Lift of the smooth map with components h: coordinates lift(h_j, xi), at a point or a block."""
+    """Lift of the smooth map with components h: coordinates lift(h_j, xi), at a point or a block.
+
+    Each image base point is checked against the target here, so the image is
+    built without the constructor's checks.
+    """
     if len(h) != target.n:
         raise ValueError(f"map has {len(h)} components, target chart has {target.n}")
     coords = [lift(hj, xi) for hj in h]
     for base in _bases([xi._unwrap(c) for c in coords]):
         if not target.contains(base):
             raise BasePointOutsideTarget(f"image base point {base} outside {target.text()}")
-    return type(xi)(xi.algebra, target, coords)  # NearPoint and NearPoints take their coordinates alike
+    return type(xi)._of(xi.algebra, target, coords)  # NearPoint and NearPoints take their coordinates alike
 
 
 @dataclass(frozen=True)

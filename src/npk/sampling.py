@@ -94,9 +94,9 @@ def random_expr(rng: np.random.Generator, n: int, transcendental: bool = True) -
 def random_trig_polynomial(rng: np.random.Generator, max_freq: int = 3) -> Expr:
     out: Expr = const(_coeff(rng))
     for k in range(1, max_freq + 1):
-        if rng.uniform() < 0.6:
+        if rng.random() < 0.6:
             kx = mul(const(float(k)), var(0))
-            out = add(out, mul(const(_coeff(rng)), call("sin" if rng.uniform() < 0.5 else "cos", kx)))
+            out = add(out, mul(const(_coeff(rng)), call("sin" if rng.random() < 0.5 else "cos", kx)))
     return out
 
 
@@ -224,7 +224,7 @@ def random_base_form(
     n = chart.n
     coeffs = {}
     for idx in itertools.combinations(range(n), degree):
-        if degree == 0 or rng.uniform() < 0.8:
+        if degree == 0 or rng.random() < 0.8:
             if chart.kind == "circle":
                 coeffs[idx] = random_trig_polynomial(rng)
             else:

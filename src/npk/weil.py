@@ -314,7 +314,11 @@ class WeilAlgebra:
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b for coefficient vectors (dim,), or column by column, bit for bit, for (dim, N) blocks."""
-        weights = a[self._left] * b[self._right]
+        return self.mul_gathered(a, b[self._right])
+
+    def mul_gathered(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """a * b from b's side of the product table, right = b[self._right], gathered once for many products."""
+        weights = a[self._left] * right
         if weights.ndim == 1:
             return np.bincount(self._prod, weights=weights, minlength=self.dim)
         n = weights.shape[1]
@@ -327,15 +331,22 @@ class WeilAlgebra:
 
         Each product sums its table terms in mul_coeffs's order, so the two agree
         bit for bit.  A batch of more than ROWS_BLOCK table terms runs in slices
-        of the first leading axis, so that memory stays bounded.
+        of the first leading axis, written into the result allocated first; an
+        index of that axis that is itself too many is sliced alike over the
+        next axis, so every slice stays within the bound, or is one product.
         """
-        if (a.size // self.dim) * (b.size // self.dim) * len(self._prod) > ROWS_BLOCK:
+        terms = len(self._prod)
+        if (a.size // self.dim) * (b.size // self.dim) * terms > ROWS_BLOCK:
             lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-            step = max(1, ROWS_BLOCK * lead[0] // (math.prod(lead) * len(self._prod)))
-            if step < lead[0]:
-                a, b = np.broadcast_to(a, (*lead, self.dim)), np.broadcast_to(b, (*lead, self.dim))
-                slices = range(0, lead[0], step)
-                return np.concatenate([self.mul_rows(a[s:s + step], b[s:s + step]) for s in slices])
+            rows, count = max(1, ROWS_BLOCK // terms), math.prod(lead)  # rows a slice may hold, rows in all
+            if rows < count:
+                out = np.empty((*lead, self.dim))
+                a, b = np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)
+                step = rows * lead[0] // count  # indices of the first axis a slice may hold
+                for s in range(0, lead[0], max(1, step)):
+                    part = slice(s, s + step) if step else s  # an index that is too many alone drops its axis
+                    out[part] = self.mul_rows(a[part], b[part])
+                return out
         weights = a.take(self._left, axis=-1) * b.take(self._right, axis=-1)
         lead = weights.shape[:-1]
         count = math.prod(lead)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import npk.cohomology
 from npk.cohomology import (
     ACombination,
     NonPolynomialCoefficient,
@@ -25,7 +26,7 @@ from npk.cohomology import (
     poincare_homotopy,
     trig_coefficients,
 )
-from npk.expr import Const, Polynomial, form, parse, unparse
+from npk.expr import Const, Polynomial, evaluate, form, parse, unparse
 from npk.expr import exterior_derivative as d_base
 from npk.fields import prolong
 from npk.forms import exterior_derivative as d_a
@@ -253,11 +254,36 @@ def test_trig_coefficients_and_mean():
     assert tc2.sin_terms[1] == pytest.approx(0.5, abs=1e-12)
 
 
+def _trig_coefficients_by_angle(g, max_freq=8):
+    """The sums angle by angle, with one scalar evaluate per angle and no snapping."""
+    n = 2 * max_freq + 1
+    angles = [2.0 * math.pi * j / n for j in range(n)]
+    values = [evaluate(g, [t]) for t in angles]
+    cos_terms = [2.0 / n * sum(v * math.cos(k * t) for v, t in zip(values, angles)) for k in range(1, max_freq + 1)]
+    sin_terms = [2.0 / n * sum(v * math.sin(k * t) for v, t in zip(values, angles)) for k in range(1, max_freq + 1)]
+    return sum(values) / n, cos_terms, sin_terms
+
+
+def test_trig_coefficients_in_one_walk_match_the_sums_by_angle(monkeypatch):
+    rng = np.random.default_rng(23)
+    real, walks = npk.cohomology.evaluate, []
+    monkeypatch.setattr(npk.cohomology, "evaluate", lambda g, point: walks.append(len(point[0])) or real(g, point))
+    for g in [random_trig_polynomial(rng) for _ in range(10)] + [parse("1 + 2*sin(3*x1) - cos(8*x1)", 1)]:
+        walks.clear()
+        tc = trig_coefficients(g)
+        assert walks == [17 + 7]  # the grid and the off-grid probes
+        mean, cos_terms, sin_terms = _trig_coefficients_by_angle(g)
+        assert type(tc.mean) is float and all(type(c) is float for c in tc.cos_terms + tc.sin_terms)
+        assert np.allclose([tc.mean, *tc.cos_terms, *tc.sin_terms], [mean, *cos_terms, *sin_terms], rtol=0, atol=1e-13)
+
+
 def test_trig_rejects_non_trig():
     with pytest.raises(NonTrigPolynomial):
         trig_coefficients(parse("exp(x1)", 1))
     with pytest.raises(NonTrigPolynomial):
         trig_coefficients(parse("sin(0.5*x1)", 1))  # half frequency is off the lattice
+    with pytest.raises(NonTrigPolynomial, match="evaluation failed on the circle: division by zero"):
+        trig_coefficients(parse("1/(x1 - 0.31)", 1))  # 0.31 is the first off-grid probe
 
 
 def test_circle_class_examples(dual):

@@ -333,3 +333,45 @@ def test_substitution_into_a_leaf_is_substitution_into_its_tree():
     for point in ([0.3, -0.7], [-0.9, 0.4]):
         expected = evaluate(phi, [evaluate(g, point) for g in h])
         assert evaluate(composed, point) == pytest.approx(expected, rel=1e-14)
+
+
+# -- evaluation over arrays of samples against the scalar path ---------------------------------
+
+_ARRAY_CASES = (
+    "3 + cos(x1)", "sin(2*x1)*cos(x1) - 0.5*sin(3*x1) + 0.25", "2.5", "-x2", "x1^2 - 3*x1*x2 + x2^3",
+    "exp(x1)/(2 + x2)", "log(x1 + 2) - sqrt(x2 + 3)", "(x1 + 2)^1.5", "(x1 + 2)^(x2 + 1)", "2^x1", "x1^-2 + 1",
+    # some sample leaves the domain or overflows
+    "log(x1)", "sqrt(x1)", "sqrt(x1*x1)", "1/x1", "x1^x2", "1/(x1 - x2)", "exp(1000*x1)", "x1^-1", "x1^0.5", "sin(exp(800*x2))",
+    "log(x1) + x3", "x3 + log(x1)", "2*x3",
+)
+
+
+def _scalar_run(e, columns):
+    try:
+        return np.array([evaluate(e, list(p)) for p in zip(*columns)]), None
+    except (ArithmeticError, ValueError) as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("text", _ARRAY_CASES)
+def test_array_evaluate_matches_scalar_samples(text):
+    from npk.sampling import random_polynomial, random_trig_polynomial
+
+    rng = np.random.default_rng(5)
+    x1 = np.concatenate([np.linspace(-1.0, 1.0, 9), rng.uniform(-3.0, 3.0, 8)])
+    x2 = np.concatenate([np.linspace(1.0, -1.0, 9), rng.uniform(-3.0, 3.0, 8)])
+    exprs = [parse(text, 3)]
+    if text == "3 + cos(x1)":  # drawn leaves and trig polynomials too
+        exprs += [random_polynomial(rng, 2, degree=3) for _ in range(4)] + [random_trig_polynomial(rng) for _ in range(4)]
+    for e in exprs:
+        expected, error = _scalar_run(e, [x1, x2])
+        for point in ([x1, x2], np.array([x1, x2])):
+            if error is not None:
+                with pytest.raises(type(error)) as caught:
+                    evaluate(e, point)
+                assert str(caught.value) == str(error)
+                continue
+            got = evaluate(e, point)
+            assert isinstance(got, np.ndarray) and got.shape == x1.shape
+            close = (got == expected) | (np.abs(got - expected) <= 4 * np.spacing(np.abs(expected)))
+            assert close.all(), (text, got, expected)

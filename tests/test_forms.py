@@ -32,6 +32,7 @@ from npk.sampling import (
     random_lifted_field,
     random_lifted_function,
     random_near_point,
+    random_near_points,
 )
 from npk.weil import build_algebra, parse_presentation
 
@@ -429,3 +430,47 @@ def test_form_sums_and_contraction_match_pairwise_fold(presentation):
         )
         comb = ACombination(algebra, 3, degree, summands)
         assert _form_terms_equal(comb.to_aform(chart), _fold_to_aform(comb, chart))
+
+
+# -- on_values against every product in A, kept as its reference ------------------------------
+
+
+def _on_values_by_products(eta, values, xi, coefficients):
+    """eta(X_1..X_p) at xi with each permutation's product started from the A-element sign * 1."""
+    mul, shape = eta.algebra.mul_coeffs, xi.values[0].shape
+    acc = np.zeros(shape)
+    for (_, idx), coefficient in zip(eta.terms, coefficients):
+        det = np.zeros(shape)
+        for perm in itertools.permutations(range(eta.degree)):
+            prod = np.zeros(shape)
+            prod[0] = float(_perm_sign(perm))
+            for row, col in enumerate(perm):
+                prod = mul(prod, values[row][idx[col]])
+            det = det + prod
+        acc = acc + mul(coefficient, det)
+    return acc
+
+
+def _signed(rng, shape):
+    """Uniform values with some entries +0.0 and some -0.0."""
+    v = rng.uniform(-1.0, 1.0, shape)
+    v[rng.random(shape) < 0.2] = 0.0
+    v[rng.random(shape) < 0.2] = -0.0
+    return v
+
+
+def test_on_values_matches_the_product_route_byte_for_byte(catalog):
+    rng = np.random.default_rng(71)
+    chart = Chart.cube(3)
+    for algebra in [*catalog, build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]:
+        unit = AFunction.constant(algebra.unit(), chart)
+        for degree in range(4):
+            eta = AForm(algebra, chart, degree, tuple((unit, idx) for idx in itertools.combinations(range(3), degree)))
+            for size in (1, 5, 10):
+                block = random_near_points(rng, algebra, chart, size)
+                for xi in (block.points()[0], block):
+                    shape = xi.values[0].shape
+                    values = [[_signed(rng, shape) for _ in range(3)] for _ in range(degree)]
+                    coefficients = [_signed(rng, shape) for _ in eta.terms]
+                    got = eta.on_values(values, xi, coefficients)
+                    assert got.tobytes() == _on_values_by_products(eta, values, xi, coefficients).tobytes()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from npk.sampling import (
     random_near_point,
     random_tangent_vector,
 )
+import npk.functions
 import npk.weil
 from npk.weil import AElement, AlgebraMismatch, build_algebra, parse_presentation
 
@@ -242,6 +245,33 @@ def test_extension_values_at_a_block_match_tangent_apply_per_column(catalog):
                 assert got.shape == (algebra.dim, size)
                 for j, v in enumerate(vs):
                     assert got[:, j].tobytes() == tangent_apply(v, phi).coeffs.tobytes()
+
+
+class _ReadsNonEmpty(tuple):
+    """An empty generator table that tests true, so that a constant takes the general route."""
+
+    def __bool__(self) -> bool:
+        return True
+
+
+def test_extension_values_of_a_constant_skips_the_plan(catalog, monkeypatch):
+    rng = np.random.default_rng(18)
+    algebras = list(catalog) + [build_algebra(parse_presentation("R[x,y,z]/(x^3,y^3,z^3)"))]
+    for algebra in algebras:
+        for phi in (AFunction.zero(algebra, CHART), AFunction.constant(random_a_element(rng, algebra), CHART)):
+            general = copy.copy(phi)
+            general.gens = _ReadsNonEmpty()
+            for size in (1, 5):
+                vs = [random_tangent_vector(rng, algebra, CHART) for _ in range(size)]
+                block = NearPoints.stack([v.at for v in vs])
+                u = [np.stack([v.components[i].coeffs for v in vs], axis=-1) for i in range(CHART.n)]
+                for at, values in ((block, u), (vs[0].at, [c.coeffs for c in vs[0].components])):
+                    expected = _extension_values(general, at, values)
+                    with monkeypatch.context() as m:
+                        m.setattr(npk.functions, "_gather_plan", None)  # building a plan would raise
+                        got = _extension_values(phi, at, values)
+                    assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+                    assert phi._plan is None and general._plan is not None
 
 
 def test_block_evaluate_matches_single_points_bit_for_bit(catalog):

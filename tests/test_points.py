@@ -322,6 +322,28 @@ def test_block_lift_map_matches_single_points(plane_jet):
         lift_map([parse("x1 + 10", 2), parse("x2", 2)], NearPoints.stack(points), chart)
 
 
+def _built_alike(p, q) -> bool:
+    """Two points or blocks with one class, algebra, chart and layout, equal values and empty lift memos."""
+    values = [np.asarray(v) for v in (p.values, q.values)]
+    return (type(p) is type(q) and p.algebra == q.algebra and p.chart == q.chart and not p._lifts and not q._lifts
+            and all(v.flags.c_contiguous for v in values) and values[0].tobytes() == values[1].tobytes()
+            and (isinstance(p, NearPoint) or not (p.values.flags.writeable or q.values.flags.writeable)))
+
+
+def test_unchecked_points_are_built_as_the_checked_constructors_build_them(plane_jet):
+    rng = np.random.default_rng(44)
+    chart, wide = Chart.cube(2), Chart.box([(-math.inf, math.inf)] * 2)
+    h = [parse("x1 + sin(x2)", 2), parse("x1*x2", 2)]
+    block = random_near_points(rng, plane_jet, chart, 5)
+    for j, point in enumerate(block.points()):
+        assert _built_alike(point, NearPoint(plane_jet, chart, [AElement(plane_jet, v[:, j].copy()) for v in block.values]))
+        assert all(c.coeffs.flags.writeable and c.coeffs.base is None for c in point.coords)  # fresh copies
+        image = lift_map(h, point, wide)
+        assert _built_alike(image, NearPoint(plane_jet, wide, [lift(hj, point) for hj in h]))
+    image = lift_map(h, block, wide)
+    assert _built_alike(image, NearPoints(plane_jet, wide, [lift(hj, block) for hj in h]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_coordinate_stays_in_its_column(catalog, bad):
     rng = np.random.default_rng(43)
@@ -725,6 +747,16 @@ def test_lift_matches_the_reference_byte_for_byte(catalog):
                         assert _value(lift(f, at)).tobytes() == expected.tobytes(), (algebra.dim, f)
 
 
+def test_horner_at_dim_125_matches_the_reference_byte_for_byte():
+    """Height 12: Horner's steps on n's gathered side of the table against height products by mul_coeffs."""
+    algebra = build_algebra(parse_presentation("R[x,y,z]/(x^5,y^5,z^5)"))
+    chart = Chart.cube(3)
+    xi = random_near_points(np.random.default_rng(64), algebra, chart, 1).points()[0]
+    for text in ("sin(x1)", "exp(x2)", "log(x3 + 2)", "1/(x1 + 2)", "(x2 + 2)^2.5 + x2^3"):
+        f = parse(text, 3)
+        assert lift(f, xi).coeffs.tobytes() == _reference_jet(f, xi).tobytes(), text
+
+
 @pytest.mark.parametrize("c", [2.5, -1.5, 0.0, -0.0, 1e300])
 def test_scalar_product_is_a_scale_plus_zero(catalog, c):
     rng = np.random.default_rng(62)
@@ -767,9 +799,9 @@ def test_constant_factor_keeps_a_non_finite_lift(catalog, bad):
 
 @pytest.mark.parametrize("text, products", [("x1^2", 1), ("x1^3", 2), ("x1^2.5", 5), ("2.5*x1^2 - 0.7*x1", 1)])
 def test_horner_starts_at_the_highest_nonzero_coefficient(monkeypatch, text, products):
-    calls = []
-    real = WeilAlgebra.mul_coeffs
-    monkeypatch.setattr(WeilAlgebra, "mul_coeffs", lambda self, a, b: calls.append(1) or real(self, a, b))
+    calls = []  # every product goes through mul_gathered: Horner's steps directly, mul_coeffs by a wrapper
+    real = WeilAlgebra.mul_gathered
+    monkeypatch.setattr(WeilAlgebra, "mul_gathered", lambda self, a, right: calls.append(1) or real(self, a, right))
     xi = NearPoint(_DIM27, Chart.cube(1), [_DIM27.element([0.3, *np.linspace(-1.0, 1.0, 26)])])
     lift(parse(text, 1), xi)
     assert len(calls) == products  # height 6: six products before

@@ -233,3 +233,19 @@ def test_forms_records_match_the_prolonged_probe_route(monkeypatch, algebras, ch
     got = residuals()
     monkeypatch.setattr(checks, "_form_residual", reference_form_residual)
     assert [x.hex() for x in got] == [x.hex() for x in residuals()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77])
+def test_scalar_draws_by_random_match_uniform_and_its_stream(seed):
+    """rng.random() for rng.uniform(), and the affine map for rng.uniform(lo, hi): equal values, equal state after."""
+    two_pi = 2.0 * np.pi
+    spellings = [
+        (lambda r: r.uniform(), lambda r: r.random()),
+        (lambda r: r.uniform(0.0, two_pi), lambda r: two_pi * r.random()),
+        (lambda r: r.uniform(-2.0, 2.0), lambda r: -2.0 + 4.0 * r.random()),
+    ]
+    for old, new in spellings:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [(float(old(a)), new(b)) for _ in range(200)]
+        assert all(x.hex() == y.hex() for x, y in drawn)
+        assert a.bit_generator.state == b.bit_generator.state

@@ -708,3 +708,25 @@ def test_leibniz_index_drops_only_mirrored_triples(catalog, dim27, dim48):
         assert [d.matrix.tobytes() for d in derivation_basis(build_algebra(a.presentation))] == [
             d.matrix.tobytes() for d in derivation_basis(a)
         ]
+
+
+def test_mul_rows_slices_every_leading_axis_within_the_bound(monkeypatch, dim27):
+    rng = np.random.default_rng(31)
+    terms = len(dim27._prod)
+    pairs = [
+        (rng.uniform(-1, 1, (1, 40, 27)), rng.uniform(-1, 1, (1, 40, 27))),  # a leading axis of length 1
+        (rng.uniform(-1, 1, (6, 1, 27)), rng.uniform(-1, 1, (1, 7, 27))),  # broadcast over both axes
+        (rng.uniform(-1, 1, (3, 27)), rng.uniform(-1, 1, (27,))),
+        (rng.uniform(-1, 1, (1, 1, 5, 27)), rng.uniform(-1, 1, (2, 1, 5, 27))),
+    ]
+    whole = [dim27.mul_rows(a, b) for a, b in pairs]
+    real, seen = np.bincount, []
+    monkeypatch.setattr(np, "bincount", lambda x, weights=None, minlength=0: seen.append(len(x)) or real(
+        x, weights=weights, minlength=minlength))
+    for block in (terms, 3 * terms, 7 * terms + 5):
+        monkeypatch.setattr(weil, "ROWS_BLOCK", block)
+        for (a, b), expected in zip(pairs, whole):
+            seen.clear()
+            got = dim27.mul_rows(a, b)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert seen and max(seen) <= block
