@@ -63,10 +63,7 @@ __all__ = [
     "a_primitive",
     "circle_h1_class",
     "circle_primitive",
-    "closure_residual",
     "h0_check",
-    "inject",
-    "poincare_homotopy",
 ]
 
 DEFAULT_MAX_FREQ = 8
@@ -100,10 +97,10 @@ Poly = dict[tuple[int, ...], Fraction]
 
 def expr_to_poly(e: Expr, n: int) -> Poly:
     """Exact polynomial coefficients of an expression; floats convert exactly."""
-    if isinstance(e, Polynomial):  # term by term; the tree walk below is for parsed input
+    if isinstance(e, Polynomial):  # term by term, in one dict; the tree walk below is for parsed input
         out: Poly = {}
         for c, m in e.terms:
-            out = _poly_add(out, {m + (0,) * (n - len(m)): Fraction(c)}, 1)  # in n variables, as the tree walk
+            _accumulate(out, m + (0,) * (n - len(m)), Fraction(c))  # in n variables, as the tree walk
         return out
     if isinstance(e, Const):
         v = Fraction(e.value)
@@ -138,14 +135,19 @@ def expr_to_poly(e: Expr, n: int) -> Poly:
     raise NonPolynomialCoefficient(f"unsupported node {e!r}")
 
 
+def _accumulate(out: Poly, k: tuple[int, ...], v: Fraction) -> None:
+    """out[k] += v in place, dropping k when the sum is zero."""
+    s = out.get(k, Fraction(0)) + v
+    if s:
+        out[k] = s
+    else:
+        out.pop(k, None)
+
+
 def _poly_add(a: Poly, b: Poly, sign: int) -> Poly:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + sign * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        _accumulate(out, k, sign * v)
     return out
 
 
@@ -153,12 +155,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(k, Fraction(0)) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _accumulate(out, tuple(x + y for x, y in zip(ka, kb)), va * vb)
     return out
 
 
@@ -237,14 +234,6 @@ def _require_star_shaped(chart: Chart) -> None:
         raise NotStarShaped("box must contain the origin")
 
 
-def poincare_homotopy(omega: DifferentialForm, chart: Chart) -> DifferentialForm:
-    """K with dK + Kd = id on positive degrees over a star-shaped box (exact on polynomials)."""
-    _require_star_shaped(chart)
-    if omega.degree < 1:
-        raise ValueError("homotopy applies to degree >= 1")
-    return homotopy_poly(PolyForm.from_form(omega)).to_form()
-
-
 # -- A-combinations of prolonged base forms ----------------------------------
 
 
@@ -265,6 +254,7 @@ class ACombination:
                 raise ValueError("summand of wrong dimension or degree")
 
     def to_aform(self, chart: Chart) -> AForm:
+        """The chain morphism (a, omega) -> a * omega^A, summed: each prolonged form scaled by its A-constant."""
         terms = tuple((lifted_function(g, self.algebra, chart).scale(a), idx)
                       for a, omega in self.terms for g, idx in omega.terms)
         return AForm(self.algebra, chart, self.degree, terms)
@@ -278,23 +268,8 @@ class ACombination:
         )
 
 
-def inject(a: AElement, omega: DifferentialForm, chart: Chart) -> AForm:
-    """The complex morphism: scale the prolonged form by the constant a."""
-    return AForm(
-        a.algebra,
-        chart,
-        omega.degree,
-        tuple((lifted_function(g, a.algebra, chart).scale(a), idx) for g, idx in omega.terms),
-    )
-
-
-def closure_residual(eta: ACombination) -> float:
-    """Max coefficient of d(eta), slotwise over the algebra basis: the exact d_poly, rounded once."""
-    return _closure_residual(eta, [PolyForm.from_form(omega) for _, omega in eta.terms])
-
-
 def _closure_residual(eta: ACombination, polys: list[PolyForm]) -> float:
-    """closure_residual from the summands' rational forms."""
+    """Max coefficient of d(eta), slotwise over the algebra basis: the exact d_poly of polys, eta's summands, rounded once."""
     derivatives = [d_poly(pf) for pf in polys]
     worst = Fraction(0)
     for alpha in range(eta.algebra.dim):

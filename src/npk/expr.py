@@ -789,10 +789,6 @@ class VectorField:
         return VectorField(tuple(mul(f, c) for c in self.components))
 
 
-def coordinate_field(n: int, i: int) -> VectorField:
-    return VectorField(tuple(ONE if j == i else ZERO for j in range(n)))
-
-
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     """[a, b]_i = sum_j a_j d_j(b_i) - b_j d_j(a_i)."""
     if a.n != b.n:

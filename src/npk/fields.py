@@ -31,7 +31,6 @@ from .weil import AElement, AlgebraMismatch, Derivation, WeilAlgebra
 __all__ = [
     "AVectorField",
     "bracket",
-    "coordinate_prolongation",
     "from_derivation",
     "prolong",
 ]
@@ -128,13 +127,6 @@ def prolong(theta: BaseField, algebra: WeilAlgebra, chart: Chart) -> AVectorFiel
     return AVectorField(
         algebra, chart, tuple(lifted_function(c, algebra, chart) for c in theta.components)
     )
-
-
-def coordinate_prolongation(algebra: WeilAlgebra, chart: Chart, i: int) -> AVectorField:
-    """Prolongation of d/dx_i: unit in slot i, zero elsewhere."""
-    comps = [AFunction.zero(algebra, chart) for _ in range(chart.n)]
-    comps[i] = AFunction.constant(algebra.unit(), chart)
-    return AVectorField(algebra, chart, tuple(comps))
 
 
 def from_derivation(d: Derivation, chart: Chart) -> AVectorField:

@@ -49,7 +49,6 @@ __all__ = [
     "AFunction",
     "ScalarGenerator",
     "coordinate_derive",
-    "dual_projection",
     "lifted_function",
     "tangent_apply",
 ]
@@ -363,26 +362,13 @@ def _lift_parts(dim: int) -> tuple[np.ndarray, tuple[Index, ...], np.ndarray]:
     return eye, tuple(zip(range(dim))), index
 
 
-def dual_projection(phi: AFunction, alpha: int) -> AFunction:
-    """Post-compose with the dual functional: a -> (coefficient alpha of a) * 1.
-
-    This is the coefficient recombination that keeps derivation extensions
-    inside the implemented function class; the result is scalar-valued.
-    """
-    c = phi.coeffs[:, alpha]
-    keep = c != 0.0
-    rows = c.compress(keep)[:, None] * phi.algebra.unit().coeffs
-    return AFunction._of(phi.algebra, phi.chart, *_pruned(phi.gens, tuple(itertools.compress(phi.indices, keep)), rows))
-
-
 def coordinate_derive(phi: AFunction, i: int) -> AFunction:
     """Derivation extension of the i-th prolonged coordinate field.
 
     Leibniz over generator products; a generator (alpha, g) goes to
     (alpha, d_i g) and constants die.  These operators commute.
-    exterior_derivative and h0_check call it; it agrees with the general
-    extension of the prolonged coordinate field,
-    coordinate_prolongation(algebra, chart, i).apply_fn(phi), see the test.
+    exterior_derivative and h0_check call it; the tests check it against
+    the general extension of the prolonged coordinate field d/dx_i.
     """
     # one table for the generators a rest can keep (those beside another) and the non-constant derivatives
     multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
@@ -426,7 +412,8 @@ def _extension(phi: AFunction, images: dict[int, AFunction]) -> AFunction:
     for key, image in images.items():
         moved[key] = _remap(image.indices, new[start:start + len(image.gens)])
         start += len(image.gens)
-    # per generator (alpha, g) of phi: X(g) projected onto slot alpha, real numbers c, as in dual_projection
+    # per generator (alpha, g) of phi: X(g) projected onto slot alpha (real numbers c); the tests keep the
+    # dual projection as a function, a -> (coefficient alpha of a) * 1, as this fold's oracle
     projections = []
     for gen in phi.gens:
         c = images[id(gen.fn)].coeffs[:, gen.alpha]

@@ -16,7 +16,6 @@ from npk.expr import (
     UnknownVariable,
     Var,
     VectorField,
-    coordinate_field,
     contract_form,
     diff,
     evaluate,
@@ -182,7 +181,7 @@ def test_eval_examples():
 
 
 def test_lie_bracket_examples():
-    d1, d2 = coordinate_field(2, 0), coordinate_field(2, 1)
+    d1, d2 = VectorField((Const(1.0), Const(0.0))), VectorField((Const(0.0), Const(1.0)))
     assert all(c == Const(0.0) for c in lie_bracket(d1, d2).components)
     x1_d2 = VectorField((Const(0.0), Var(0)))
     out = lie_bracket(d1, x1_d2)
@@ -313,12 +312,20 @@ def test_polynomial_folds_as_add_and_mul():
 def test_leaf_in_fewer_variables_reads_like_its_tree():
     # a leaf drawn over x1, x2 has no x3: its derivative there is 0 and its exact coefficients pad with zeros
     from npk.cohomology import expr_to_poly
-    from npk.expr import polynomial
+    from npk.expr import Polynomial, polynomial
 
     leaf = polynomial([(0.5, (0, 0)), (2.0, (1, 2))])
     spelled = parse(unparse(leaf), 3)
     assert diff(leaf, 2) == diff(spelled, 2) == Const(0.0)
     assert expr_to_poly(leaf, 3) == expr_to_poly(spelled, 3) == {(0, 0, 0): 0.5, (1, 2, 0): 2}
+    # a repeated monomial sums and terms that cancel drop, in the tree walk's order: one re-enters last
+    repeats = polynomial([(1.5, (1, 0)), (0.25, (0, 2)), (-0.5, (1, 0)), (1.0, (1, 1)), (-1.0, (1, 1)), (3.0, (1, 1))])
+    cancels = polynomial([(2.0, (0, 1)), (-2.0, (0, 1))])
+    assert list(expr_to_poly(repeats, 3).items()) == [((1, 0, 0), 1), ((0, 2, 0), 0.25), ((1, 1, 0), 3)]
+    assert expr_to_poly(cancels, 3) == {}
+    for leaf in (repeats, cancels):
+        assert isinstance(leaf, Polynomial)
+        assert list(expr_to_poly(leaf, 3).items()) == list(expr_to_poly(parse(unparse(leaf), 3), 3).items())
 
 
 def test_substitution_into_a_leaf_is_substitution_into_its_tree():

@@ -7,11 +7,10 @@ from npk.expr import Const, Var, VectorField, diff, lie_bracket, parse
 from npk.fields import (
     AVectorField,
     bracket,
-    coordinate_prolongation,
     from_derivation,
     prolong,
 )
-from npk.functions import AFunction, ScalarGenerator, coordinate_derive, dual_projection, lifted_function
+from npk.functions import AFunction, ScalarGenerator, coordinate_derive, lifted_function
 from npk.points import Chart, NearPoint, NearPoints
 from npk.sampling import (
     random_a_element,
@@ -26,8 +25,14 @@ from npk.sampling import (
 )
 from npk.weil import AlgebraMismatch, build_algebra, derivation_basis, parse_presentation
 from npk.checks import check_identity, UnknownIdentity
+from oracles import dual_projection
 
 CHART = Chart.cube(2)
+
+
+def _coordinate(algebra, i):
+    """The prolongation of d/dx_i on CHART."""
+    return prolong(VectorField(tuple(Const(float(j == i)) for j in range(CHART.n))), algebra, CHART)
 
 
 def _field_residual(x, y, points):
@@ -39,7 +44,7 @@ def _field_residual(x, y, points):
 
 
 def test_apply_coordinate_field(plane_jet):
-    x = coordinate_prolongation(plane_jet, CHART, 0)
+    x = _coordinate(plane_jet, 0)
     f = parse("x1^2 + x2", 2)
     out = x.apply(f)
     expected = lifted_function(parse("2*x1", 2), plane_jet, CHART)
@@ -118,7 +123,7 @@ def test_extension_leibniz(catalog):
 
 def test_extension_gamma_product_leibniz(dual):
     # coordinate prolongation on a product of two lifted coordinates
-    x = coordinate_prolongation(dual, CHART, 0)
+    x = _coordinate(dual, 0)
     phi = lifted_function(parse("x1", 2), dual, CHART) * lifted_function(parse("x2", 2), dual, CHART)
     out = x.apply_fn(phi)
     expected = lifted_function(parse("x2", 2), dual, CHART)
@@ -146,7 +151,7 @@ def test_coordinate_derive_matches_general_extension(catalog):
         for f in (phi, polynomial, phi * polynomial, polynomial + random_lifted_function(rng, algebra, CHART, factors=2)):
             for i in range(CHART.n):
                 direct = coordinate_derive(f, i)
-                general = coordinate_prolongation(algebra, CHART, i).apply_fn(f)
+                general = _coordinate(algebra, i).apply_fn(f)
                 assert [[g.key for g in m] for m in direct.monos] == [[g.key for g in m] for m in general.monos]
                 assert np.array_equal(direct.coeffs, general.coeffs)  # == : only the sign of a zero may differ
                 assert direct.evaluate(points[0]).coeffs.tobytes() == general.evaluate(points[0]).coeffs.tobytes()
@@ -154,8 +159,8 @@ def test_coordinate_derive_matches_general_extension(catalog):
 
 
 def test_bracket_coordinates_commute(plane_jet):
-    x = coordinate_prolongation(plane_jet, CHART, 0)
-    y = coordinate_prolongation(plane_jet, CHART, 1)
+    x = _coordinate(plane_jet, 0)
+    y = _coordinate(plane_jet, 1)
     out = bracket(x, y)
     assert all(c.is_structurally_zero() for c in out.components)
 

@@ -4,13 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from npk.cohomology import ACombination, inject
+from npk.cohomology import ACombination
 from npk.expr import Const, VectorField, form, parse
 from npk.expr import exterior_derivative as d_base
 import npk.fields
 import npk.forms
 import npk.functions
-from npk.fields import AVectorField, bracket, coordinate_prolongation, prolong
+from npk.fields import AVectorField, bracket, prolong
 from npk.forms import (
     AForm,
     ArityMismatch,
@@ -40,7 +40,8 @@ CHART = Chart.cube(2)
 
 
 def _coords(algebra):
-    return [coordinate_prolongation(algebra, CHART, i) for i in range(2)]
+    """The prolongations of d/dx1 and d/dx2."""
+    return [prolong(VectorField(tuple(Const(float(j == i)) for j in range(2))), algebra, CHART) for i in range(2)]
 
 
 def test_area_form_on_coordinates(plane_jet):
@@ -381,10 +382,10 @@ def _fold_contract(eta, fields):
 
 
 def _fold_to_aform(comb, chart):
-    """Reference ACombination.to_aform: out = out + inject(a, omega), merged per step."""
+    """Reference ACombination.to_aform: out = out + a * prolong_form(omega), merged per step."""
     out = []
     for a, omega in comb.terms:
-        out = _fold_merge(out + list(inject(a, omega, chart).terms))
+        out = _fold_merge(out + list(prolong_form(omega, comb.algebra, chart).scale_const(a).terms))
     return out
 
 

@@ -3,17 +3,16 @@ import copy
 import numpy as np
 import pytest
 
-from npk.expr import Const, DomainError, Neg, Pow, Var, diff, parse
+from npk.expr import Const, DomainError, Neg, Pow, Var, VectorField, diff, parse
 from npk.functions import (
     AFunction,
     ScalarGenerator,
     coordinate_derive,
-    dual_projection,
     lifted_function,
     _extension_values,
     tangent_apply,
 )
-from npk.fields import bracket, coordinate_prolongation
+from npk.fields import bracket, prolong
 from npk.points import Chart, NearPoint, NearPoints, lift
 from npk.sampling import (
     random_a_element,
@@ -27,6 +26,7 @@ from npk.sampling import (
 import npk.functions
 import npk.weil
 from npk.weil import AElement, AlgebraMismatch, build_algebra, parse_presentation
+from oracles import dual_projection
 
 CHART = Chart.cube(2)
 
@@ -362,7 +362,7 @@ def test_non_finite_coefficient_stays_non_finite(plane_jet, bad):
     g, h = ScalarGenerator(1, parse("sin(x1)", 2)), ScalarGenerator(0, parse("x2", 2))
     coeffs = np.array([1.0, bad, 0.0])
     phi = AFunction(plane_jet, CHART, [(AElement(plane_jet, coeffs), (g, h)), (plane_jet.unit(), (h,))])
-    x = coordinate_prolongation(plane_jet, CHART, 0)
+    x = prolong(VectorField((Const(1.0), Const(0.0))), plane_jet, CHART)  # d/dx1
     with np.errstate(invalid="ignore"):
         extensions = (x.apply_fn(phi), coordinate_derive(phi, 0))
         for psi in (phi, phi * lifted_function(parse("x1", 2), plane_jet, CHART), *extensions):
