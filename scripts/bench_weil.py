@@ -4,7 +4,7 @@ Usage: python scripts/bench_weil.py [--section NAME]
 
 Each section is one key of the output; --section (repeatable) runs only the
 named ones: products, lift, afunction, block, derivation_basis, sampling,
-cohomology.  A full run takes about six minutes on two shared vCPUs.
+cohomology, parse.  A full run takes about six minutes on two shared vCPUs.
 
 Prints the per-call microseconds of WeilAlgebra.mul_coeffs,
 WeilAlgebra.left_multiplication and AElement.invert at dims 2, 4, 6, 16, 27
@@ -49,6 +49,11 @@ combination d(a_1 omega_1 + a_2 omega_2) of each degree p on box^2 and box^3
 (omega_k random polynomial base forms of degree p - 1, as the poincare model
 draws them), and circle_primitive of a sum of two A-scaled random
 trigonometric 1-forms, as the circle model draws them (best of five rounds).
+The parse section times parse over a seeded corpus of 400 random expressions
+in 3 variables (random_expr, printed by unparse), per expression (best of
+five rounds), and the seconds to parse a 10^4-term sum x1 + ... + x1 and a
+10^4-deep nesting sin(sin(...(x1)...)) (best of three runs); the nesting is
+null on a checkout whose parser recurses and so exceeds the recursion limit.
 It also prints the OpenBLAS thread count, read from the library numpy loaded.
 The script does not pin it, so it times what `npk algebra` sees.
 
@@ -73,7 +78,7 @@ import numpy as np  # noqa: E402
 
 from npk.cohomology import ACombination, a_primitive, circle_primitive, h0_check  # noqa: E402
 from npk.expr import form  # noqa: E402
-from npk.expr import parse  # noqa: E402
+from npk.expr import parse, unparse  # noqa: E402
 from npk.fields import AVectorField, bracket, prolong  # noqa: E402
 from npk.forms import AForm, exterior_derivative, palais_eval, prolong_form  # noqa: E402
 from npk.functions import AFunction, ScalarGenerator, lifted_function  # noqa: E402
@@ -82,6 +87,7 @@ import npk.sampling  # noqa: E402
 from npk.points import Chart, NearPoint, lift  # noqa: E402
 from npk.sampling import (  # noqa: E402
     random_a_element,
+    random_expr,
     random_base_field,
     random_base_form,
     random_field,
@@ -336,6 +342,23 @@ def cohomologies(text: str) -> dict:
     return out
 
 
+def parses(n: int) -> dict:
+    rng = np.random.default_rng(0)
+    corpus = [unparse(random_expr(rng, n)) for _ in range(400)]
+    total = "+".join(["x1"] * 10**4)
+    nested = "sin(" * 10**4 + "x1" + ")" * 10**4
+    try:
+        nesting_s = best_seconds(lambda _: parse(nested, n))
+    except RecursionError:
+        nesting_s = None
+    return {
+        "variables": n,
+        "corpus_parse_us": per_call_us(lambda: [parse(text, n) for text in corpus]) / len(corpus),
+        "sum_10000_s": best_seconds(lambda _: parse(total, n)),
+        "nesting_10000_s": nesting_s,
+    }
+
+
 SECTIONS = {
     "products": (products, PRODUCT_ALGEBRAS),
     "lift": (lifts, LIFT_ALGEBRAS),
@@ -344,6 +367,7 @@ SECTIONS = {
     "derivation_basis": (derivations, DERIVATION_ALGEBRAS),
     "sampling": (samplings, AFUNCTION_ALGEBRAS),
     "cohomology": (cohomologies, COHOMOLOGY_ALGEBRAS),
+    "parse": (parses, (3,)),
 }
 
 

@@ -16,17 +16,10 @@ import os
 import sys
 
 from .checks import SUITES, SuiteReport, run_cohomology_model, run_suite
-from .cohomology import NotClosed
-from .expr import DomainError, ParseError, UnknownVariable, parse
+from .expr import DomainError, parse
+from .literals import parse_field, parse_form
 from .points import Chart, NearPoint, coefficient_lists, lift
-from .weil import (
-    DimensionMismatch,
-    PresentationError,
-    WeilAlgebra,
-    build_algebra,
-    derivation_basis,
-    parse_presentation,
-)
+from .weil import WeilAlgebra, build_algebra, derivation_basis, parse_presentation
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -36,6 +29,14 @@ BROKEN_PIPE = 141
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _vector(coeffs) -> str:
+    return "[" + ", ".join(_fmt(c) for c in coeffs) + "]"
+
+
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _default_seed() -> int:
@@ -58,7 +59,7 @@ def _chart_from(args: argparse.Namespace) -> Chart:
 
 def _emit_report(report: SuiteReport, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")))
+        _print_json(report.to_dict())
     else:
         cfg = report.config
         header = ", ".join(f"{k}={v}" for k, v in cfg.items())
@@ -84,7 +85,7 @@ def cmd_algebra(args: argparse.Namespace) -> int:
             "der_dim": len(derivations),
             "derivations": [[list(row) for row in d.matrix] for d in derivations],
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
         print(f"algebra {algebra.text}")
         print(f"  dim      {algebra.dim}")
@@ -121,9 +122,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
             "fn": args.fn,
             "result": list(value.coeffs),
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
-        print("[" + ", ".join(_fmt(c) for c in value.coeffs) + "]")
+        print(_vector(value.coeffs))
     return 0
 
 
@@ -135,8 +136,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_field(args: argparse.Namespace) -> int:
-    from .literals import parse_field
-
     algebra = _algebra_from(args)
     chart = _chart_from(args)
     field = parse_field(args.field, algebra, chart)
@@ -155,16 +154,14 @@ def cmd_field(args: argparse.Namespace) -> int:
             "chart": chart.text(),
             "values": [list(v.coeffs) for v in values],
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
         for label, v in zip(labels, values):
-            print(f"{label} = [" + ", ".join(_fmt(c) for c in v.coeffs) + "]")
+            print(f"{label} = {_vector(v.coeffs)}")
     return 0
 
 
 def cmd_form(args: argparse.Namespace) -> int:
-    from .literals import parse_field, parse_form
-
     algebra = _algebra_from(args)
     chart = _chart_from(args)
     eta = parse_form(args.form, algebra, chart)
@@ -180,9 +177,9 @@ def cmd_form(args: argparse.Namespace) -> int:
             "degree": eta.degree,
             "value": list(value.coeffs),
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
-        print("[" + ", ".join(_fmt(c) for c in value.coeffs) + "]")
+        print(_vector(value.coeffs))
     return 0
 
 
@@ -272,16 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         # the reader quit early; silence the flush at interpreter exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
-    except (
-        PresentationError,
-        ParseError,
-        UnknownVariable,
-        ValueError,
-        DimensionMismatch,
-        DomainError,
-        NotClosed,
-    ) as exc:
-        # data and configuration problems; exit 1 is reserved for failed checks
+    except (ValueError, DomainError) as exc:
+        # data and configuration problems (every npk input error is a ValueError); exit 1 is reserved for failed checks
         print(f"npk: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -51,6 +51,7 @@ from .expr import (
 from .forms import AForm
 from .functions import AFunction, coordinate_derive, lifted_function
 from .points import Chart
+from .sampling import random_near_points
 from .weil import AElement, WeilAlgebra, _grlex_key
 
 __all__ = [
@@ -194,17 +195,11 @@ def d_poly(pf: PolyForm) -> PolyForm:
             slot = _insert_index(i, idx)
             if slot is None:
                 continue
-            partial: Poly = {}
+            sign, new_idx = slot
+            target = out.setdefault(new_idx, {})
             for exps, c in p.items():
                 if exps[i]:
-                    down = list(exps)
-                    down[i] -= 1
-                    partial[tuple(down)] = c * exps[i]
-            if not partial:
-                continue
-            sign, new_idx = slot
-            signed = {k: sign * v for k, v in partial.items()}
-            out[new_idx] = _poly_add(out.get(new_idx, {}), signed, 1)
+                    _accumulate(target, exps[:i] + (exps[i] - 1,) + exps[i + 1:], sign * (c * exps[i]))
     return PolyForm(pf.n, pf.degree + 1, out)
 
 
@@ -218,12 +213,9 @@ def homotopy_poly(pf: PolyForm) -> PolyForm:
         for k, ik in enumerate(idx):
             sign = (-1) ** k
             rest = idx[:k] + idx[k + 1:]
-            bumped: Poly = {}
+            target = out.setdefault(rest, {})
             for exps, c in poly.items():
-                up = list(exps)
-                up[ik] += 1
-                bumped[tuple(up)] = sign * c / (sum(exps) + p)
-            out[rest] = _poly_add(out.get(rest, {}), bumped, 1)
+                _accumulate(target, exps[:ik] + (exps[ik] + 1,) + exps[ik + 1:], sign * c / (sum(exps) + p))
     return PolyForm(pf.n, p - 1, out)
 
 
@@ -405,8 +397,6 @@ def h0_check(
     constant_tol: float = 1e-8,
 ) -> AElement:
     """Verify phi is closed and constant across the chart; return the constant value."""
-    from .sampling import random_near_points
-
     algebra, chart = phi.algebra, phi.chart
     rng = np.random.default_rng(seed)
     block = random_near_points(rng, algebra, chart, max(1, samples))

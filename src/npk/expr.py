@@ -4,7 +4,9 @@ Expressions are finite trees over real constants, chart variables
 x1..xn (x, y, z accepted as aliases for the first three), the binary
 operators + - * / ^ and the functions sin, cos, exp, log, sqrt, or a
 `Polynomial` leaf that evaluates and prints as the tree it spells but
-differentiates on exponents (the parser builds trees only).
+differentiates on exponents (the parser builds trees only).  The parser is
+one pass over the tokens with explicit operand and operator stacks, the
+operators binding by the precedence table that the printer uses too.
 Constant folding and 0/1 absorption are the only simplifications;
 identity of two expressions is decided downstream by sampled
 evaluation, never by canonical form.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -237,7 +240,7 @@ def power(base: Expr, exponent: Expr) -> Expr:
     if _is_const(base) and _is_const(exponent):
         try:
             return Const(math.pow(base.value, exponent.value))
-        except ValueError:
+        except (ValueError, OverflowError):  # left unfolded, as x^c is: evaluation raises DomainError
             pass
     return Pow(base, exponent)
 
@@ -273,150 +276,76 @@ def polynomial(terms: Iterable[tuple[float, tuple[int, ...]]]) -> Expr:
 
 # -- parsing ----------------------------------------------------------------
 
+# how tightly each operator binds, for the parser and the printer alike
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+_INFIX = {"+": (_PREC_ADD, add), "-": (_PREC_ADD, sub), "*": (_PREC_MUL, mul), "/": (_PREC_MUL, div),
+          "^": (_PREC_POW, power)}
 _ALIASES = {"x": 0, "y": 1, "z": 2}
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_number(self) -> float:
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(t) and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(t) and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(t) and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        return float(t[start:self.pos])
-
-    def take_ident(self) -> str:
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        return t[start:self.pos]
-
-
-class _Parser:
-    """Recursive descent; precedence ^ > unary - > * / > + -, binaries left-associative."""
-
-    def __init__(self, text: str, n: int):
-        self.tk = _Tokenizer(text)
-        self.n = n
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        self.tk.skip_ws()
-        if self.tk.pos != len(self.tk.text):
-            raise ParseError("trailing input", self.tk.pos)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            c = self.tk.peek()
-            if c == "+":
-                self.tk.pos += 1
-                e = add(e, self.term())
-            elif c == "-":
-                self.tk.pos += 1
-                e = sub(e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            c = self.tk.peek()
-            if c == "*":
-                self.tk.pos += 1
-                e = mul(e, self.unary())
-            elif c == "/":
-                self.tk.pos += 1
-                e = div(e, self.unary())
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        if self.tk.peek() == "-":
-            self.tk.pos += 1
-            return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.tk.peek() == "^":
-            self.tk.pos += 1
-            return power(base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
-        c = self.tk.peek()
-        offset = self.tk.pos
-        if c == "(":
-            self.tk.pos += 1
-            e = self.expr()
-            if self.tk.peek() != ")":
-                raise ParseError("expected ')'", self.tk.pos)
-            self.tk.pos += 1
-            return e
-        if c.isdigit() or c == ".":
-            return Const(self.tk.take_number())
-        if c.isalpha() or c == "_":
-            name = self.tk.take_ident()
-            if self.tk.peek() == "(":
-                if name not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {name!r}", offset)
-                self.tk.pos += 1
-                arg = self.expr()
-                if self.tk.peek() != ")":
-                    raise ParseError("expected ')'", self.tk.pos)
-                self.tk.pos += 1
-                return Call(name, arg)
-            return self.variable(name, offset)
-        raise ParseError(f"unexpected character {c!r}" if c else "unexpected end of input", offset)
-
-    def variable(self, name: str, offset: int) -> Expr:
-        if name in _ALIASES:
-            index = _ALIASES[name]
-        elif len(name) > 1 and name[0] == "x" and name[1:].isdigit():
-            index = int(name[1:]) - 1
-        else:
-            raise UnknownVariable(name, offset)
-        if not 0 <= index < self.n:
-            raise UnknownVariable(name, offset)
-        return Var(index)
+# after whitespace: a number, a name that opens a call, a name, any other character, or the end
+_TOKEN = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<call>[^\W\d]\w*)\s*\(|"
+                    r"(?P<name>[^\W\d]\w*)|(?P<char>\S)|\Z)")
 
 
 def parse(text: str, n: int) -> Expr:
-    """Parse an expression over variables x1..xn."""
-    return _Parser(text, n).parse()
+    """Parse an expression over variables x1..xn in one pass over its tokens.
+
+    Operator precedence (the shunting yard, Dijkstra 1961): operands wait on
+    one stack and operators on another, each with the precedence the printer
+    gives it, so ^ > unary - > * / > + -; ^ is right-associative, the other
+    binaries left.  An open '(' or call waits with precedence 0.  A syntax
+    error is a ParseError at its token's offset.
+    """
+    operands: list[Expr] = []
+    pending: list[tuple[int, Callable | str | None]] = []  # (precedence, constructor), or (0, call's name or None)
+    want_operand = True
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        token, at = (m[kind], m.start(kind)) if kind else ("", len(text))
+        if want_operand:
+            if kind == "number":
+                operands.append(Const(float(token)))
+                want_operand = False
+            elif kind in ("call", "name") and (token[0].isalpha() or token[0] == "_"):  # not a numeral such as ½
+                if kind == "call":
+                    if token not in _FUNCTIONS:
+                        raise ParseError(f"unknown function {token!r}", at)
+                    pending.append((0, token))
+                    continue
+                index = _ALIASES.get(token, int(token[1:]) - 1 if token[0] == "x" and token[1:].isdecimal() else -1)
+                if not 0 <= index < n:
+                    raise UnknownVariable(token, at)
+                operands.append(Var(index))
+                want_operand = False
+            elif token == "(":
+                pending.append((0, None))
+            elif token == "-":
+                pending.append((_PREC_NEG, neg))
+            else:
+                raise ParseError(f"unexpected character {token[0]!r}" if token else "unexpected end of input", at)
+            continue
+        infix = _INFIX.get(token)
+        # apply the waiting operators that bind at least as tightly: ^ is right-associative, so a waiting ^
+        # stays for a new ^; ')' and the end apply all of them down to the innermost open '(' or call
+        floor = infix[0] + (token == "^") if infix else _PREC_ADD
+        while pending and pending[-1][0] >= floor:
+            build = pending.pop()[1]
+            right = operands.pop()
+            operands.append(neg(right) if build is neg else build(operands.pop(), right))
+        if infix:
+            pending.append(infix)
+            want_operand = True
+        elif token == ")" and pending:
+            name = pending.pop()[1]
+            if name:
+                operands.append(Call(name, operands.pop()))
+        elif kind is None and not pending:
+            return operands.pop()
+        else:
+            raise ParseError("expected ')'" if pending else "trailing input", at)
 
 
 # -- printing ---------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_float(v: float) -> str:

@@ -245,6 +245,23 @@ def test_lift_500_term_sum_exit_0():
     assert out.stdout.strip() == "[0, 500]"
 
 
+def test_lift_300_deep_nesting_exit_0():
+    # the parser keeps its own stacks; its recursive descent exhausted the recursion limit here (exit 3)
+    fn = "sin(" * 300 + "x1" + ")" * 300
+    out = run_cli("lift", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", "[[0,1]]")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 1]"
+
+
+def test_lift_constant_power_out_of_range_exit_2(capsys):
+    # 10^400 is not folded to a constant (math.pow overflows, which was exit 3); lifting it is a domain error
+    from npk import cli
+
+    code = cli.main(["lift", "--algebra", "R[x]/(x^2)", "--fn", "10^400", "--point", "[[0,1]]"])
+    assert code == cli.USAGE_ERROR == 2
+    assert capsys.readouterr().err == "npk: 10.0^400.0 undefined\n"
+
+
 @pytest.mark.parametrize("fn, base", [("x1^0.5", 0), ("log(x1)", -0.5), ("1/x1", 0)])
 def test_lift_domain_error_exit_2(fn, base):
     out = run_cli("lift", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", f"[[{base},1]]")

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from npk.expr import (
     form,
     lie_bracket,
     parse,
+    power,
     unparse,
 )
 
@@ -70,6 +73,113 @@ def test_precedence():
     assert evaluate(parse("2*3 + 4/2", 1), [0.0]) == 8.0
     assert evaluate(parse("2 - 3 - 4", 1), [0.0]) == -5.0
     assert evaluate(parse("16/4/2", 1), [0.0]) == 2.0
+
+
+def test_number_and_dot_errors_carry_offset():
+    # a '.' with no digit used to leak float()'s ValueError with no offset
+    for text, offset in ((".", 0), (".e5", 0), ("x1 + .e5", 5), ("2*(.)", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text, 1)
+        assert err.value.offset == offset
+        assert str(err.value) == f"unexpected character '.' (at offset {offset})"
+    assert parse(".5", 1) == Const(0.5) and parse("5.", 1) == Const(5.0)
+
+
+def test_constant_power_out_of_range_stays_unfolded():
+    assert parse("2^10", 1) == Const(1024.0)
+    assert power(Const(10.0), Const(400.0)) == Pow(Const(10.0), Const(400.0))
+    assert parse("10^400", 1) == Pow(Const(10.0), Const(400.0))
+    with pytest.raises(DomainError, match=r"^10\.0\^400\.0 undefined$"):
+        evaluate(parse("10^400", 1), [0.0])
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [
+        ("+".join(["x1"] * 10**4), 10**4 - 1),
+        ("(" * 10**4 + "x1" + ")" * 10**4, 0),
+        ("-" * 10**4 + "x1", 0),
+        ("sin(" * 10**4 + "x1" + ")" * 10**4, 10**4),
+    ],
+    ids=["sum", "parentheses", "minus-signs", "sin-nesting"],
+)
+def test_deep_input_parses_without_recursion(text, depth):
+    # the parser keeps its own stacks: 10^4 levels parse under the default recursion limit
+    e, levels = parse(text, 1), 0
+    while not isinstance(e, Var):
+        e, levels = (e.left if isinstance(e, Add) else e.arg), levels + 1
+    assert (e, levels) == (Var(0), depth)
+
+
+# fragments of the differential fuzz: names (aliases, x10, unknown names, Unicode letters and digits),
+# numbers (1e and 1E+ with no exponent digit, .5, 5., a bare '.', Unicode digits), functions known and not;
+# the first _VALID names and numbers parse over x1..x3
+_NAMES = ("x1", "x2", "x3", "x01", "x", "y", "z", "x٣", "x10", "x0", "w", "foo", "_a", "é", "x²", "ж1", "sin")
+_NUMBERS = ("0", "2", "10", "2.5", "1e-3", "2E+2", "1e400", ".5", "5.", "٣", "３.５", "1e", "1E+", ".", ".e5", "²", "½")
+_VALID = 8
+_CALLS = ("sin", "cos", "exp", "log", "sqrt", "tan", "foo", "x1", "Sin")
+_SPACES = ("", "", "", " ", "  ", "\t", "\n", "\u00a0")
+_FRAGMENTS = _NAMES + _NUMBERS + _SPACES + ("+", "-", "*", "/", "^", "(", ")", "sin(", "--", "^-", "#", ",")
+
+
+def _fuzz_expression(rng, depth):
+    """A random string of the grammar, with unary and ^ chains, broken now and then by a random fragment."""
+    def spaced(text):
+        return rng.choice(_SPACES) + text + rng.choice(_SPACES)
+
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        pool = _NAMES if rng.random() < 0.5 else _NUMBERS
+        text = rng.choice(pool[:_VALID] if rng.random() < 0.8 else pool)
+    elif r < 0.4:
+        text = "-" * rng.randint(1, 4) + _fuzz_expression(rng, depth - 1)
+    elif r < 0.5:
+        text = "^".join(_fuzz_expression(rng, depth - 1) for _ in range(rng.randint(2, 4)))
+    elif r < 0.6:
+        text = rng.choice(_CALLS) + rng.choice(_SPACES) + "(" + _fuzz_expression(rng, depth - 1) + ")"
+    elif r < 0.7:
+        text = "(" + _fuzz_expression(rng, depth - 1) + ")"
+    else:
+        text = _fuzz_expression(rng, depth - 1) + rng.choice("+-*/^") + _fuzz_expression(rng, depth - 1)
+    if rng.random() < 0.03:
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(_FRAGMENTS + ("",)) + text[cut + rng.randint(0, 1):]
+    return spaced(text)
+
+
+def _leaked_a_bare_value_error(text):
+    """Where the reference parser raised float()'s or int()'s ValueError, with no offset: a digit that is not a
+    decimal digit (such as ²) in a number or a name, or a '.' with a decimal digit on neither side (such as .e5)."""
+    return any(c.isdigit() and not c.isdecimal() for c in text) or re.search(r"(?<!\d)\.(?!\d)", text)
+
+
+def _outcome(parser, text):
+    try:
+        return repr(parser(text, 3))  # repr: -0.0 is not 0.0, and a NaN constant equals itself
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def test_parse_matches_the_recursive_descent_reference():
+    from oracles import parse as reference_parse
+
+    rng = random.Random(2301)
+    counts = {"tree": 0, "error": 0, "bare": 0}
+    for k in range(50_000):
+        if k % 2:
+            text = _fuzz_expression(rng, rng.randint(0, 5))
+        else:
+            text = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(0, 8)))
+        want, got = _outcome(reference_parse, text), _outcome(parse, text)
+        if isinstance(want, tuple) and want[0] is ValueError:
+            # the one intended difference: such an input is now a ParseError or UnknownVariable at its token
+            assert _leaked_a_bare_value_error(text), text
+            assert got[0] in (ParseError, UnknownVariable) and 0 <= got[2] <= len(text), (text, got)
+            counts["bare"] += 1
+            continue
+        assert got == want, text
+        counts["error" if isinstance(want, tuple) else "tree"] += 1
+    assert min(counts.values()) >= 1000, counts
 
 
 def _leaf(n):
