@@ -23,11 +23,12 @@ h0_check (5 samples) of lift(f + g) - lift(f) - lift(g) + a, as in the h0 model,
 memoized point, of a lifted function, of a prolonged random base field and of a prolonged random 2-form
 on two such fields; the per-call microseconds of building
 (through the public constructor), evaluating and squaring a function of one row
-and one of two rows, whose cost is mostly fixed; and, at dims 27, 48 and 100, the
-seconds of build_algebra, of derivation_basis on a fresh algebra (exact
-solve, assembly and validation) and of validating that basis again element
-by element with is_derivation (best of three runs, or one run when a run
-takes over a second).
+and one of two rows, whose cost is mostly fixed; and, at dims 2, 6, 16, 27, 48,
+100 and 216, the seconds of build_algebra, of derivation_basis on a fresh
+algebra (exact solve, assembly and validation) and of validating that basis
+again element by element with is_derivation (best of three runs, or one run
+when a run takes over a second), and the per-call microseconds of
+is_derivation on the last basis element (best of five rounds).
 The block section times, at dims 2, 6 and 27 on a 2-dim chart, one lift and
 one evaluate of the product of two lifted functions on a block of N = 1, 5
 and 10 near points against N single-point calls, each with empty lift memos
@@ -112,7 +113,8 @@ LIFT_PRIMITIVES = ("sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "1/x1
 AFUNCTION_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x,y,z]/(x^3,y^3,z^3)")
 BLOCK_SIZES = (1, 5, 10)
 COHOMOLOGY_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)")
-DERIVATION_ALGEBRAS = ("R[x,y,z]/(x^3,y^3,z^3)", "R[x,y,z]/(x^4,y^4,z^3)", "R[x,y,z]/(x^5,y^5,z^4)")
+DERIVATION_ALGEBRAS = ("R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)", "R[x,y]/(x^4,y^4)", "R[x,y,z]/(x^3,y^3,z^3)",
+                       "R[x,y,z]/(x^4,y^4,z^3)", "R[x,y,z]/(x^5,y^5,z^4)", "R[x,y,z]/(x^6,y^6,z^6)")
 
 
 def blas_threads():
@@ -298,6 +300,7 @@ def derivations(text: str) -> dict:
         "build_s": best_seconds(lambda _: build_algebra(presentation)),
         "derivation_basis_s": best_seconds(derivation_basis, lambda: build_algebra(presentation)),
         "validation_s": best_seconds(lambda _: all(is_derivation(algebra, d.endo) for d in basis)),
+        "is_derivation_us": per_call_us(lambda: is_derivation(algebra, basis[-1].endo)),
     }
 
 

@@ -312,7 +312,9 @@ def parse(text: str, n: int) -> Expr:
                         raise ParseError(f"unknown function {token!r}", at)
                     pending.append((0, token))
                     continue
-                index = _ALIASES.get(token, int(token[1:]) - 1 if token[0] == "x" and token[1:].isdecimal() else -1)
+                # a numeral of 20 or more digits names no chart coordinate, and int() refuses the longest ones
+                numbered = token[0] == "x" and token[1:].isdecimal() and len(token) <= 20
+                index = _ALIASES.get(token, int(token[1:]) - 1 if numbered else -1)
                 if not 0 <= index < n:
                     raise UnknownVariable(token, at)
                 operands.append(Var(index))

@@ -118,8 +118,12 @@ def _draw(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) 
     and coordinate by coordinate a base by rng.uniform, in the chart clipped to
     the unit box and 5% in from each end, and then dim coefficients by
     rng.uniform(-0.5, 0.5, dim), the first of them replaced by the base.
+    A box chart one of whose intervals misses (-1, 1) has no such draw: ValueError.
     """
     bounds = [(max(lo, -1.0), min(hi, 1.0)) if chart.kind == "box" else (lo, hi) for lo, hi in chart.intervals]
+    if any(lo >= hi for lo, hi in bounds):
+        raise ValueError(f"chart {chart.text()} misses the unit box: random base points are drawn in the chart "
+                         "clipped to [-1, 1] in each coordinate")
     low = np.array([lo + 0.05 * (hi - lo) for lo, hi in bounds])
     scale = np.array([hi - 0.05 * (hi - lo) for lo, hi in bounds]) - low
     c = rng.random((k, chart.n, algebra.dim + 1))

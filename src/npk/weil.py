@@ -7,6 +7,11 @@ monomials (those divisible by no ideal generator), the product of two
 basis monomials is either a basis monomial or zero, and the structure
 constants are 0/1 integers.  Every jet algebra R[x1..xk]/m^(h+1) and
 all the small desk examples are of this form.
+
+A derivation is fixed by its values d(x_i): a linear map D is one exactly
+when every column D(x^b) is the Leibniz rebuild sum_i b_i x^(b-e_i) D(x_i)
+and the same sum vanishes at each minimal generator of I.  The Leibniz
+residual is the largest deviation from that rebuild.
 """
 
 from __future__ import annotations
@@ -43,10 +48,6 @@ __all__ = [
 DERIVATION_TOL = 1e-10
 INVERT_TOL = 1e-12
 ROWS_BLOCK = 1 << 18  # table terms mul_rows forms at once; larger batches run in slices
-# Leibniz terms a batched check gathers at once from a group of elements: about two elements
-# of a dim-16 algebra, so that batching adds next to no memory.  One element with more terms
-# than ROWS_BLOCK is checked in slices of its triples.
-LEIBNIZ_BLOCK = 1 << 12
 
 
 class PresentationError(ValueError):
@@ -383,42 +384,29 @@ class WeilAlgebra:
         return c
 
     @functools.cached_property
-    def _product_quotient(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table as dense (dim, dim) indices: product[a, b] = ab, quotient[s, b] = s/b, -1 outside A."""
-        product = np.full((self.dim, self.dim), -1)
-        product[self._left, self._right] = self._prod
-        quotient = np.full((self.dim, self.dim), -1)
-        quotient[self._prod, self._right] = self._left
-        return product, quotient
+    def _rebuild(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The Leibniz rebuild as terms (src, weight, dest) from a flattened D to a (dim, width) defect.
 
-    @functools.cached_property
-    def _leibniz_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where the Leibniz terms of each triple (a, b, s) sit in a flattened D.
-
-        The terms are D[s, ab], D[s/b, a] and D[s/a, b]; each is given as a flat
-        position in the dim x dim matrix D followed by one zero, which stands in
-        for every product or quotient outside the basis.  Only triples where a
-        term can be nonzero are listed: those with ab, s/b or s/a in the basis.
-        The residual of (b, a, s) equals that of (a, b, s), so of each such pair
-        only one is listed: the triples with ab in the basis and a <= b, and then
-        those with s/b in the basis whose mirror is not already listed.
+        Column b of the defect is D(x^b) - sum_i b_i x^(b-e_i) D(x_i), and column
+        dim + j is the sum alone for the j-th minimal generator x^g, whose
+        x^(g-e_i) are standard monomials; width = dim + #generators.  D(x_i) is
+        column 1 + i of D, the basis being 1, x_1, ..., x_k, ...  Each D[s, b]
+        adds +1 at (s, b); each product e_a e_c = e_s and variable i with c + e_i
+        a basis monomial or a minimal generator adds -(c_i + 1) D[a, x_i] at
+        (s, column of c + e_i).
         """
-        dim, left, right, prod = self.dim, self._left, self._right, self._prod
-        product, quotient = self._product_quotient
-        every = np.arange(dim)
-        half = left <= right
-        # ab in the basis and a <= b, every s
-        a1, b1, s1 = np.repeat(left[half], dim), np.repeat(right[half], dim), np.tile(every, half.sum())
-        # s/b in the basis and ab not, every a; when s/a is in the basis too, (b, a, s) is
-        # also such a triple, and only the one of the two with a <= b is kept
-        a2, b2, s2 = np.tile(every, len(prod)), np.repeat(right, dim), np.repeat(prod, dim)
-        rest = (product[a2, b2] < 0) & ((a2 <= b2) | (quotient[s2, a2] < 0))
-        a, b, s = (np.concatenate([x1, x2[rest]]) for x1, x2 in ((a1, a2), (b1, b2), (s1, s2)))
-
-        def position(row, col):
-            return np.where((row >= 0) & (col >= 0), row * dim + col, dim * dim)
-
-        return position(s, product[a, b]), position(quotient[s, b], a), position(quotient[s, a], b)
+        dim, gens = self.dim, self.presentation.normalized_generators()
+        width = dim + len(gens)
+        column = {**self._index, **{g: dim + j for j, g in enumerate(gens)}}
+        up = [[column.get(_shift(c, i, 1), -1) for i in range(self.num_vars)] for c in self.basis]
+        up = np.array(up, dtype=np.intp)  # column of c + e_i, -1 where it is neither
+        term, var = np.nonzero(up[self._right] >= 0)
+        c = self._right[term]
+        every = np.arange(dim * dim)
+        src = np.concatenate((every, self._left[term] * dim + 1 + var))
+        weight = np.concatenate((np.ones(dim * dim), -1.0 - self._exps[c, var]))
+        dest = np.concatenate((every + every // dim * len(gens), self._prod[term] * width + up[c, var]))
+        return src, weight, dest, width
 
 
 class AElement:
@@ -534,50 +522,29 @@ class LinearEndo:
         return AElement(self.algebra, self.matrix @ a.coeffs)
 
 
-def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float | np.ndarray:
-    """max over (a, b, s) of |coefficient s of d(e_a e_b) - d(e_a) e_b - e_a d(e_b)|.
+def _leibniz_defect(algebra: WeilAlgebra, matrix: np.ndarray) -> np.ndarray:
+    """D minus the Leibniz rebuild of its values D(x_i), column by column, then the rebuild at each generator."""
+    src, weight, dest, width = algebra._rebuild
+    return np.bincount(dest, weight * matrix.take(src), minlength=algebra.dim * width).reshape(algebra.dim, width)
 
-    matrix is one (dim, dim) D, giving one float, or a (k, dim, dim) stack,
-    giving the k residuals, each bit for bit what its element gives alone.
-    One element gathers from a flat vector, the cheapest form per call; a
-    stack gathers row-wise, in groups of elements of at most LEIBNIZ_BLOCK
-    terms.  Both run in slices of at most ROWS_BLOCK triples, so that memory
-    stays bounded and a large element's arrays stay in cache.
+
+def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
+    """Largest deviation of the (dim, dim) matrix D from the Leibniz rebuild of its values D(x_i).
+
+    Every entry of D enters its own column's defect, so a NaN or inf anywhere
+    makes the residual non-finite.
     """
-    lhs, left, right = algebra._leibniz_index
-    if matrix.ndim == 2:
-        flat = np.concatenate((matrix.ravel(), (0.0,)))
-        if len(lhs) <= ROWS_BLOCK:
-            return _flat_residual(flat, lhs, left, right)
-        parts = [slice(t, t + ROWS_BLOCK) for t in range(0, len(lhs), ROWS_BLOCK)]
-        return float(np.max([_flat_residual(flat, lhs[p], left[p], right[p]) for p in parts]))  # NaN-sticky
-    step = max(1, LEIBNIZ_BLOCK // len(lhs))
-    if len(matrix) > step:
-        slices = range(0, len(matrix), step)
-        return np.concatenate([_leibniz_residual(algebra, matrix[k:k + step]) for k in slices])
-    flat = np.concatenate((matrix.reshape(len(matrix), algebra.dim**2), np.zeros((len(matrix), 1))), axis=1)
-    out = np.zeros(len(matrix))
-    for t in range(0, len(lhs), ROWS_BLOCK):  # one element has about dim^3 / 3 terms
-        part = slice(t, t + ROWS_BLOCK)
-        residual, rhs = flat.take(lhs[part], axis=1), flat.take(left[part], axis=1)
-        rhs += flat.take(right[part], axis=1)
-        residual -= rhs
-        np.maximum(out, np.abs(residual, out=residual).max(axis=1), out=out)
-    return out
-
-
-def _flat_residual(flat: np.ndarray, lhs: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """max |flat[lhs] - flat[left] - flat[right]|, in one gather each."""
-    residual, rhs = flat[lhs], flat[left]
-    rhs += flat[right]
-    residual -= rhs
-    return float(np.abs(residual, out=residual).max())
+    return float(np.abs(_leibniz_defect(algebra, matrix)).max())
 
 
 def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray, tol: float = DERIVATION_TOL) -> bool:
-    """Leibniz check d(e_a e_b) = d(e_a) e_b + e_a d(e_b) on all basis pairs.
+    """Leibniz check: D is a derivation exactly when it is the Leibniz rebuild of its values D(x_i).
 
-    Raises DimensionMismatch unless the matrix is dim x dim.
+    That is, every column D(x^b) equals sum_i b_i x^(b-e_i) D(x_i), so D(1) = 0,
+    and the same sum vanishes for every minimal generator x^g of the ideal.
+    The residual compared with tol is the largest deviation from that rebuild;
+    it is 0 exactly on the matrices that satisfy d(e_a e_b) = d(e_a) e_b + e_a d(e_b)
+    for all basis pairs.  Raises DimensionMismatch unless the matrix is dim x dim.
     """
     matrix = endo.matrix if isinstance(endo, LinearEndo) else np.asarray(endo, dtype=float)
     if matrix.shape != (algebra.dim, algebra.dim):
@@ -641,42 +608,25 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     Order: each free unknown of the reduced row echelon form, in increasing
     index i * dim + a, gives one basis element: that unknown set to 1, the
     other free ones to 0, then scaled to the smallest integer vector, so that
-    every matrix entry is an integer.  Column b of the matrix is
-    d(x^b) = sum_i b_i x^(b-e_i) d(x_i).  All matrices are assembled in one
-    scatter and validated by one batched Leibniz check.  Cached per algebra
-    instance.
+    every matrix entry is an integer.  Each matrix holds its values in the
+    columns x_i and is completed by the Leibniz rebuild
+    d(x^b) = sum_i b_i x^(b-e_i) d(x_i); each element is then validated by the
+    same residual as is_derivation.  Cached per algebra instance.
     """
     cached = getattr(algebra, "_derivation_basis", None)
     if cached is not None:
         return list(cached)
-    algebra._leibniz_index  # built first, so that its transient arrays are freed before the matrices exist
-    matrices = _assemble(algebra, _derivation_values(algebra))
-    if not (_leibniz_residual(algebra, matrices) <= DERIVATION_TOL).all():
-        raise NotADerivation("a solved basis element fails the Leibniz rule")
+    values = _derivation_values(algebra)
+    matrices = np.zeros((len(values), algebra.dim, algebra.dim))
+    for m, entries in zip(matrices, values):
+        for i, a, v in entries:
+            m[a, 1 + i] = v  # column 1 + i is d(x_i)
+        m -= _leibniz_defect(algebra, m)[:, :algebra.dim]  # leaves the values, fills every other column
+        if not _leibniz_residual(algebra, m) <= DERIVATION_TOL:
+            raise NotADerivation("a solved basis element fails the Leibniz rule")
     out = [Derivation._of(algebra, m) for m in matrices]
     algebra._derivation_basis = tuple(out)
     return out
-
-
-def _assemble(algebra: WeilAlgebra, values: list[list[tuple[int, int, int]]]) -> np.ndarray:
-    """The (k, dim, dim) matrices of derivations given by their values (i, a, u[i, a]), in one bincount.
-
-    Column b is d(x^b) = sum_i b_i x^(b-e_i) d(x_i): entry (e_a x^(b-e_i), b)
-    gains b_i * u[i, a] for every value and every b with b_i > 0.
-    """
-    dim = algebra.dim
-    element, var, a, v = np.array(
-        [(n, *entry) for n, entries in enumerate(values) for entry in entries], dtype=np.int64
-    ).reshape(-1, 4).T
-    product, quotient = algebra._product_quotient
-    xs = [algebra._index[_shift((0,) * algebra.num_vars, i, 1)] for i in range(algebra.num_vars)]
-    lower = quotient[:, xs].T[var]  # x^(b-e_i) for every b, -1 where b_i = 0
-    s = np.where(lower >= 0, product[a[:, None], lower], -1)
-    keep = s >= 0
-    position = (element[:, None] * dim + s) * dim + np.arange(dim)
-    weights = algebra._exps.T[var] * v[:, None]
-    size = len(values) * dim * dim
-    return np.bincount(position[keep], weights[keep], minlength=size).reshape(len(values), dim, dim)
 
 
 def _derivation_values(algebra: WeilAlgebra) -> list[list[tuple[int, int, int]]]:

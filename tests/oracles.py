@@ -2,8 +2,11 @@
 
 import itertools
 
+import numpy as np
+
 from npk.expr import _ALIASES, _FUNCTIONS, Call, Const, Expr, ParseError, UnknownVariable, Var, add, div, mul, neg, power, sub
 from npk.functions import AFunction, _pruned
+from npk.weil import WeilAlgebra
 
 
 def dual_projection(phi: AFunction, alpha: int) -> AFunction:
@@ -17,6 +20,18 @@ def dual_projection(phi: AFunction, alpha: int) -> AFunction:
     keep = c != 0.0
     rows = c.compress(keep)[:, None] * phi.algebra.unit().coeffs
     return AFunction._of(phi.algebra, phi.chart, *_pruned(phi.gens, tuple(itertools.compress(phi.indices, keep)), rows))
+
+
+def leibniz_triple_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
+    """max over basis triples (a, b, s) of |coefficient s of d(e_a e_b) - d(e_a) e_b - e_a d(e_b)|.
+
+    The Leibniz rule checked pair by pair through the dense structure tensor,
+    the reference of npk.weil's check by the rebuild of the values d(x_i).
+    """
+    c = algebra.structure
+    lhs = np.einsum("abg,sg->abs", c, matrix, optimize=True)
+    rhs = np.einsum("ra,rbs->abs", matrix, c, optimize=True) + np.einsum("rb,ars->abs", matrix, c, optimize=True)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # the recursive-descent parser that npk.expr.parse replaced, the reference of its differential test

@@ -77,6 +77,20 @@ def test_lift_bad_expression_exit_2():
     assert out.returncode == 2
 
 
+def test_lift_variable_with_thousands_of_digits_exit_2():
+    # int() refuses numerals of more than 4,300 digits; the parser reads such a name as unknown
+    out = run_cli("lift", "--algebra", "R[x]/(x^2)", "--fn", "x" + "1" * 5000, "--point", "[[0,1]]")
+    assert out.returncode == 2
+    assert out.stderr.startswith("npk: unknown variable 'x111") and "4300" not in out.stderr
+
+
+def test_check_on_a_box_outside_the_unit_box_exit_2():
+    out = run_cli("check", "--suite", "lift", "--algebra", "R[x]/(x^2)", "--chart", "box:[2,3]^1", "--samples", "2")
+    assert out.returncode == 2
+    assert "box:[2,3]^1" in out.stderr and "unit box" in out.stderr and "outside chart" not in out.stderr
+    assert out.stdout == ""
+
+
 def test_check_suite_passes():
     out = run_cli(
         "check", "--suite", "lie", "--algebra", "R[x]/(x^2)", "--seed", "42", "--samples", "10"

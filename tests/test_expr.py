@@ -48,6 +48,10 @@ def test_parse_unknown_variable():
         parse("x3", 2)
     with pytest.raises(UnknownVariable):
         parse("foo", 2)
+    with pytest.raises(UnknownVariable) as caught:  # more digits than int() converts
+        parse("x" + "1" * 5000 + " + 1", 2)
+    assert caught.value.offset == 0
+    assert parse("x" + "0" * 18 + "2", 2) == Var(1)  # 19 digits are still read
 
 
 def test_parse_aliases():

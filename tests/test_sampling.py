@@ -102,6 +102,17 @@ def test_single_near_point_is_column_0_of_a_block_of_one(algebras, chart):
         assert ours.random() == theirs.random()
 
 
+@pytest.mark.parametrize("intervals", [[(2, 3)], [(-5, -1)], [(-1, 1), (1, 4)]])
+def test_a_box_that_misses_the_unit_box_has_no_draw(algebras, intervals):
+    chart = Chart.box(intervals)
+    rng = np.random.default_rng(29)
+    for draw in (lambda: random_near_point(rng, algebras[0], chart), lambda: random_near_points(rng, algebras[0], chart, 3)):
+        with pytest.raises(ValueError, match=r"misses the unit box") as caught:
+            draw()
+        assert chart.text() in str(caught.value)
+    assert rng.random() == np.random.default_rng(29).random()  # refused before drawing
+
+
 def test_random_polynomial_draws_are_unchanged():
     ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
     for n, degree in itertools.product((1, 2, 3, 5), (1, 2, 3)):
