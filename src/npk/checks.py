@@ -632,7 +632,7 @@ def _poincare_model(algebra, chart, rng, seed, samples, tol):
                 rng, algebra, n, degree - 1, lambda: sp.random_base_form(rng, chart, degree - 1)
             )
             eta = seed_comb.differential()  # closed by construction
-            primitive = a_primitive(eta, chart, tol=1e-10)
+            primitive = a_primitive(eta, chart)
             lhs = d_a(primitive.to_aform(chart))
             rhs = eta.to_aform(chart)
             residual = _worst(residual, _form_residual(lhs, rhs, rng, sp.random_near_points(rng, algebra, chart, 3)))

@@ -67,8 +67,11 @@ __all__ = [
     "h0_check",
 ]
 
-DEFAULT_MAX_FREQ = 8
+MAX_FREQ = 8  # the highest frequency a circle coefficient may have
+TRIG_TOL = 1e-8  # relative misfit of the Fourier reconstruction at the off-grid probes
 CLOSURE_TOL = 1e-10
+H0_CLOSED_TOL = 1e-9
+H0_CONSTANT_TOL = 1e-8
 
 
 class NotStarShaped(ValueError):
@@ -275,7 +278,7 @@ def _closure_residual(eta: ACombination, polys: list[PolyForm]) -> float:
     return float(worst)
 
 
-def a_primitive(eta: ACombination, chart: Chart, tol: float = CLOSURE_TOL) -> ACombination:
+def a_primitive(eta: ACombination, chart: Chart) -> ACombination:
     """Primitive of a closed positive-degree combination via the homotopy operator.
 
     Closure and the primitive share each summand's one rational form.
@@ -285,8 +288,8 @@ def a_primitive(eta: ACombination, chart: Chart, tol: float = CLOSURE_TOL) -> AC
         raise ValueError("primitives are defined for degree >= 1")
     polys = [PolyForm.from_form(omega) for _, omega in eta.terms]
     residual = _closure_residual(eta, polys)
-    if residual > tol:
-        raise NotClosed(f"closure residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > CLOSURE_TOL:
+        raise NotClosed(f"closure residual {residual:.3e} exceeds {CLOSURE_TOL:.1e}")
     terms = tuple((a, homotopy_poly(pf).to_form()) for (a, _), pf in zip(eta.terms, polys))
     return ACombination(eta.algebra, eta.n, eta.degree - 1, terms)
 
@@ -303,19 +306,17 @@ class TrigCoefficients:
     sin_terms: tuple[float, ...]
 
 
-def trig_coefficients(
-    g: Expr, max_freq: int = DEFAULT_MAX_FREQ, tol: float = 1e-8
-) -> TrigCoefficients:
+def trig_coefficients(g: Expr) -> TrigCoefficients:
     """Fourier coefficients by discrete sampling; exact on trig polynomials.
 
-    Sampling at 2*max_freq+1 equispaced angles recovers every frequency up to
-    max_freq; the reconstruction is then validated at 7 off-grid points and a
-    mismatch flags a non-trig-polynomial input.  g is evaluated once over all
-    the angles; the sums and the reconstruction are products with the cached
-    cos and sin tables of the angles.
+    Sampling at 2*MAX_FREQ+1 equispaced angles recovers every frequency up to
+    MAX_FREQ; the reconstruction is then validated at 7 off-grid points and a
+    misfit above TRIG_TOL flags a non-trig-polynomial input.  g is evaluated
+    once over all the angles; the sums and the reconstruction are products
+    with the cached cos and sin tables of the angles.
     """
-    n_samples = 2 * max_freq + 1
-    angles, cos_grid, sin_grid, cos_probe, sin_probe = _fourier_tables(max_freq)
+    n_samples = 2 * MAX_FREQ + 1
+    angles, cos_grid, sin_grid, cos_probe, sin_probe = _fourier_tables()
     try:
         values = evaluate(g, [angles])
     except ArithmeticError as exc:
@@ -331,18 +332,18 @@ def trig_coefficients(
     sin_terms = snap(2.0 / n_samples * (sin_grid @ grid))
     recon = mean + cos_probe @ cos_terms + sin_probe @ sin_terms
     # `not <=` so that a NaN fails
-    if not np.all(np.abs(recon - probes) <= tol * (1.0 + np.abs(recon))):
-        raise NonTrigPolynomial(f"not a trigonometric polynomial of frequency <= {max_freq}")
+    if not np.all(np.abs(recon - probes) <= TRIG_TOL * (1.0 + np.abs(recon))):
+        raise NonTrigPolynomial(f"not a trigonometric polynomial of frequency <= {MAX_FREQ}")
     return TrigCoefficients(float(mean), tuple(cos_terms.tolist()), tuple(sin_terms.tolist()))
 
 
 @lru_cache(maxsize=None)
-def _fourier_tables(max_freq: int) -> tuple[np.ndarray, ...]:
+def _fourier_tables() -> tuple[np.ndarray, ...]:
     """The grid angles then the 7 off-grid probes; cos(k t) and sin(k t) on the grid (k by t), at the probes (t by k)."""
-    n_samples = 2 * max_freq + 1
+    n_samples = 2 * MAX_FREQ + 1
     grid = np.array([2.0 * math.pi * j / n_samples for j in range(n_samples)])
     probes = np.array([0.31 + 2.0 * math.pi * j / 7.0 for j in range(7)])
-    k = np.arange(1, max_freq + 1, dtype=float)
+    k = np.arange(1, MAX_FREQ + 1, dtype=float)
     return (np.concatenate([grid, probes]), np.cos(np.outer(k, grid)), np.sin(np.outer(k, grid)),
             np.cos(np.outer(probes, k)), np.sin(np.outer(probes, k)))
 
@@ -357,29 +358,27 @@ def trig_primitive_expr(tc: TrigCoefficients) -> Expr:
     return out
 
 
-def _fourier(eta: ACombination, max_freq: int) -> tuple[AElement, list[TrigCoefficients]]:
+def _fourier(eta: ACombination) -> tuple[AElement, list[TrigCoefficients]]:
     """The class of a degree-1 circle combination and each summand's Fourier coefficients."""
     if eta.degree != 1 or eta.n != 1:
         raise ValueError("circle classes live in degree 1 on a 1-dimensional chart")
     acc = eta.algebra.zero()
     analyses = []
     for a, omega in eta.terms:
-        tc = trig_coefficients(omega.coefficient((0,)), max_freq)
+        tc = trig_coefficients(omega.coefficient((0,)))
         acc = acc + tc.mean * a
         analyses.append(tc)
     return acc, analyses
 
 
-def circle_h1_class(eta: ACombination, max_freq: int = DEFAULT_MAX_FREQ) -> AElement:
+def circle_h1_class(eta: ACombination) -> AElement:
     """Cohomology class of a degree-1 combination on the circle: A-weighted Fourier means."""
-    return _fourier(eta, max_freq)[0]
+    return _fourier(eta)[0]
 
 
-def circle_primitive(
-    eta: ACombination, max_freq: int = DEFAULT_MAX_FREQ
-) -> tuple[AElement, ACombination]:
+def circle_primitive(eta: ACombination) -> tuple[AElement, ACombination]:
     """Split eta = class * dx + d(primitive); returns (class, primitive 0-form)."""
-    cls, analyses = _fourier(eta, max_freq)
+    cls, analyses = _fourier(eta)
     terms = tuple(
         (a, form(1, 0, {(): trig_primitive_expr(tc)})) for (a, _), tc in zip(eta.terms, analyses)
     )
@@ -389,13 +388,7 @@ def circle_primitive(
 # -- degree zero --------------------------------------------------------------
 
 
-def h0_check(
-    phi: AFunction,
-    samples: int = 20,
-    seed: int = 0,
-    closed_tol: float = 1e-9,
-    constant_tol: float = 1e-8,
-) -> AElement:
+def h0_check(phi: AFunction, samples: int = 20, seed: int = 0) -> AElement:
     """Verify phi is closed and constant across the chart; return the constant value."""
     algebra, chart = phi.algebra, phi.chart
     rng = np.random.default_rng(seed)
@@ -403,10 +396,10 @@ def h0_check(
     partials = [coordinate_derive(phi, i) for i in range(chart.n)]
     # np.max keeps a NaN, and `not x <= tol` fails it, so a NaN never passes
     residual = np.max([np.max(np.abs(dphi.evaluate(block))) for dphi in partials])
-    if not residual <= closed_tol:
-        raise NotClosed(f"differential residual {residual:.3e} exceeds {closed_tol:.1e}")
+    if not residual <= H0_CLOSED_TOL:
+        raise NotClosed(f"differential residual {residual:.3e} exceeds {H0_CLOSED_TOL:.1e}")
     values = phi.evaluate(block)
     spread = np.max(np.abs(values - values[:, :1]))
-    if not spread <= constant_tol:
-        raise NotConstant(f"value spread {spread:.3e} exceeds {constant_tol:.1e}")
+    if not spread <= H0_CONSTANT_TOL:
+        raise NotConstant(f"value spread {spread:.3e} exceeds {H0_CONSTANT_TOL:.1e}")
     return AElement(algebra, values[:, 0].copy())

@@ -139,7 +139,8 @@ def random_near_points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Ch
 
 def random_near_point(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart) -> NearPoint:
     """Column 0 of a block of one from the same draw; each coordinate owns its coefficients, as from algebra.element."""
-    return NearPoint(algebra, chart, [AElement(algebra, v.copy()) for v in _draw(rng, algebra, chart, 1)[0]])
+    # _draw puts every base 5% inside the chart, so NearPoint's checks cannot fail
+    return NearPoint._of(algebra, chart, [AElement(algebra, v.copy()) for v in _draw(rng, algebra, chart, 1)[0]])
 
 
 def random_tangent_vector(

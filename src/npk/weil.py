@@ -537,19 +537,19 @@ def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
     return float(np.abs(_leibniz_defect(algebra, matrix)).max())
 
 
-def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray, tol: float = DERIVATION_TOL) -> bool:
+def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray) -> bool:
     """Leibniz check: D is a derivation exactly when it is the Leibniz rebuild of its values D(x_i).
 
     That is, every column D(x^b) equals sum_i b_i x^(b-e_i) D(x_i), so D(1) = 0,
     and the same sum vanishes for every minimal generator x^g of the ideal.
-    The residual compared with tol is the largest deviation from that rebuild;
+    The residual compared with DERIVATION_TOL is the largest deviation from that rebuild;
     it is 0 exactly on the matrices that satisfy d(e_a e_b) = d(e_a) e_b + e_a d(e_b)
     for all basis pairs.  Raises DimensionMismatch unless the matrix is dim x dim.
     """
     matrix = endo.matrix if isinstance(endo, LinearEndo) else np.asarray(endo, dtype=float)
     if matrix.shape != (algebra.dim, algebra.dim):
         raise DimensionMismatch(f"derivation matrix must be {algebra.dim} square, got shape {matrix.shape}")
-    return _leibniz_residual(algebra, matrix) <= tol
+    return _leibniz_residual(algebra, matrix) <= DERIVATION_TOL
 
 
 @dataclass(frozen=True)

@@ -424,3 +424,98 @@ def test_field_and_form_nested_or_ragged_point_exit_2(capsys, command, point):
     captured = capsys.readouterr()
     assert code == cli.USAGE_ERROR and captured.out == ""
     assert captured.err.startswith("npk: ") and "Traceback" not in captured.err
+
+
+# every subcommand's options as the parser declares them, in the order of its usage line:
+# flag -> (default, required, choices, action class, type)
+CLI_SURFACE = {
+    "algebra": {
+        "--algebra": (None, True, None, "_StoreAction", None),
+        "--json": (False, False, None, "_StoreTrueAction", None),
+    },
+    "lift": {
+        "--algebra": (None, True, None, "_StoreAction", None),
+        "--fn": (None, True, None, "_StoreAction", None),
+        "--point": (None, True, None, "_StoreAction", None),
+        "--chart": (None, False, None, "_StoreAction", None),
+        "--json": (False, False, None, "_StoreTrueAction", None),
+    },
+    "check": {
+        "--suite": ("all", False, ["all", "forms", "lie", "lift"], "_StoreAction", None),
+        "--algebra": (None, True, None, "_StoreAction", None),
+        "--chart": ("box:[-1,1]^2", False, None, "_StoreAction", None),
+        "--seed": (None, False, None, "_StoreAction", int),
+        "--samples": (50, False, None, "_StoreAction", int),
+        "--tol": (1e-08, False, None, "_StoreAction", float),
+        "--json": (False, False, None, "_StoreTrueAction", None),
+    },
+    "cohomology": {
+        "--model": (None, True, ["poincare", "circle", "h0"], "_StoreAction", None),
+        "--algebra": (None, True, None, "_StoreAction", None),
+        "--chart": ("box:[-1,1]^2", False, None, "_StoreAction", None),
+        "--seed": (None, False, None, "_StoreAction", int),
+        "--samples": (50, False, None, "_StoreAction", int),
+        "--tol": (1e-08, False, None, "_StoreAction", float),
+        "--json": (False, False, None, "_StoreTrueAction", None),
+    },
+    "field": {
+        "--algebra": (None, True, None, "_StoreAction", None),
+        "--chart": ("box:[-1,1]^2", False, None, "_StoreAction", None),
+        "--field": (None, True, None, "_StoreAction", None),
+        "--fn": (None, False, None, "_StoreAction", None),
+        "--point": (None, True, None, "_StoreAction", None),
+        "--json": (False, False, None, "_StoreTrueAction", None),
+    },
+    "form": {
+        "--algebra": (None, True, None, "_StoreAction", None),
+        "--chart": ("box:[-1,1]^2", False, None, "_StoreAction", None),
+        "--form": (None, True, None, "_StoreAction", None),
+        "--field": (None, False, None, "_AppendAction", None),
+        "--point": (None, True, None, "_StoreAction", None),
+        "--json": (False, False, None, "_StoreTrueAction", None),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    # a usage error prints the usage line, so the order of the options is part of stderr
+    import argparse
+
+    from npk.cli import build_parser
+
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(CLI_SURFACE)
+    for name, parser in commands.choices.items():
+        options = [
+            (*a.option_strings, (a.default, a.required, a.choices, type(a).__name__, a.type))
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert options == [(flag, spec) for flag, spec in CLI_SURFACE[name].items()], name
+
+
+@pytest.mark.parametrize("command", [["check"], ["cohomology", "--model", "h0"]], ids=["check", "cohomology"])
+@pytest.mark.parametrize("bad", [["--samples", "0"], ["--tol", "nan"]], ids=["samples-0", "tol-nan"])
+def test_check_options_out_of_range_exit_2(capsys, command, bad):
+    from npk import cli
+
+    with pytest.raises(SystemExit) as caught:
+        cli.main([*command, "--algebra", "R[x]/(x^2)", *bad])
+    assert caught.value.code == cli.USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("presentation", ["R", "R[x]/(x^2)", "R[x,y]/(x^3,x^2*y,x*y^2,y^3)"])
+def test_algebra_json_streamed_as_encoded_at_once(capsys, presentation):
+    # the Der(A) matrices are written one at a time; the bytes are json.dumps of the whole report
+    from npk import cli
+    from npk.weil import build_algebra, derivation_basis, parse_presentation
+
+    assert cli.main(["algebra", "--json", "--algebra", presentation]) == 0
+    algebra = build_algebra(parse_presentation(presentation))
+    derivations = derivation_basis(algebra)
+    whole = {
+        "schema": 1, "command": "algebra", "presentation": algebra.text, "dim": algebra.dim,
+        "height": algebra.height, "basis": [algebra.monomial_text(i) for i in range(algebra.dim)],
+        "der_dim": len(derivations), "derivations": [[list(row) for row in d.matrix] for d in derivations],
+    }
+    assert capsys.readouterr().out == json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"

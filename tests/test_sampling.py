@@ -102,6 +102,21 @@ def test_single_near_point_is_column_0_of_a_block_of_one(algebras, chart):
         assert ours.random() == theirs.random()
 
 
+@pytest.mark.parametrize("chart", [Chart.cube(2), Chart.box([(-0.5, 3.0), (0.2, 0.9)]), Chart.circle()],
+                         ids=lambda c: c.text())
+def test_unchecked_near_point_equals_the_checked_one(algebras, chart):
+    # random_near_point skips NearPoint's checks; a draw they would refuse raises here
+    fn = parse("sin(x1) + x1^3" if chart.n == 1 else "sin(x1)*x2 + exp(x2)/(2 + x1)", chart.n)
+    for algebra in algebras:
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            xi = random_near_point(rng, algebra, chart)
+            checked = NearPoint(algebra, chart, [algebra.element(c.coeffs.copy()) for c in xi.coords])
+            assert xi.algebra is checked.algebra and xi.chart == checked.chart
+            assert np.array(xi.values).tobytes() == np.array(checked.values).tobytes()
+            assert lift(fn, xi).coeffs.tobytes() == lift(fn, checked).coeffs.tobytes()
+
+
 @pytest.mark.parametrize("intervals", [[(2, 3)], [(-5, -1)], [(-1, 1), (1, 4)]])
 def test_a_box_that_misses_the_unit_box_has_no_draw(algebras, intervals):
     chart = Chart.box(intervals)
