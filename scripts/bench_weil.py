@@ -24,11 +24,13 @@ memoized point, of a lifted function, of a prolonged random base field and of a 
 on two such fields; the per-call microseconds of building
 (through the public constructor), evaluating and squaring a function of one row
 and one of two rows, whose cost is mostly fixed; and, at dims 2, 6, 16, 27, 48,
-100 and 216, the seconds of build_algebra, of derivation_basis on a fresh
-algebra (exact solve, assembly and validation) and of validating that basis
-again element by element with is_derivation (best of three runs, or one run
-when a run takes over a second), and the per-call microseconds of
-is_derivation on the last basis element (best of five rounds).
+100 and 216, the seconds of build_algebra and of validating the basis of
+Der(A) again element by element with is_derivation (best of three runs, or
+one run when a run takes over a second), the per-call microseconds of
+derivation_basis on a fresh algebra (exact solve, one-scatter build and
+check; best of 25 runs, or of fewer once they take over a second), and the
+per-call microseconds of is_derivation on the last basis element (best of
+five rounds).
 The block section times, at dims 2, 6 and 27 on a 2-dim chart, one lift and
 one evaluate of the product of two lifted functions on a block of N = 1, 5
 and 10 near points against N single-point calls, each with empty lift memos
@@ -142,10 +144,10 @@ def per_call_us(fn) -> float:
     return min(timer.repeat(repeat=5, number=number)) / number * 1e6
 
 
-def best_seconds(fn, fresh=lambda: None) -> float:
-    """Fastest of three runs of fn(fresh()), or one run when a run takes over a second; fresh is not timed."""
+def best_seconds(fn, fresh=lambda: None, runs=3) -> float:
+    """Fastest of `runs` runs of fn(fresh()), or fewer once they take over a second; fresh is not timed."""
     times = []
-    while len(times) < 3 and sum(times) <= 1.0:
+    while len(times) < runs and sum(times) <= 1.0:
         arg = fresh()
         start = time.perf_counter()
         fn(arg)
@@ -298,7 +300,7 @@ def derivations(text: str) -> dict:
         "dim": algebra.dim,
         "derivations": len(basis),
         "build_s": best_seconds(lambda _: build_algebra(presentation)),
-        "derivation_basis_s": best_seconds(derivation_basis, lambda: build_algebra(presentation)),
+        "derivation_basis_us": 1e6 * best_seconds(derivation_basis, lambda: build_algebra(presentation), runs=25),
         "validation_s": best_seconds(lambda _: all(is_derivation(algebra, d.endo) for d in basis)),
         "is_derivation_us": per_call_us(lambda: is_derivation(algebra, basis[-1].endo)),
     }

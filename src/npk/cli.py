@@ -154,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help, handler, *options, selector=None):
         """One subcommand: --algebra, its options in order, then --json; check and cohomology pass
-        the option that picks what to check as selector, first, with the check options and help lines."""
+        the option that picks what to check as selector, first, with the check options."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if selector:
             p.add_argument(selector[0], **selector[1])
-        p.add_argument("--algebra", required=True, help="presentation, e.g. R[x]/(x^2) or R" if selector else None)
+        p.add_argument("--algebra", required=True, help="presentation, e.g. R[x]/(x^2) or R")
         if selector:
             p.add_argument("--chart", default="box:[-1,1]^2", help="box:[lo,hi]^n or circle")
             p.add_argument("--seed", type=int, default=None, help="RNG seed (default: NPK_SEED or 0)")
@@ -167,24 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=1e-8, help="pass tolerance")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit a JSON report" if selector else None)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    point = {"required": True}
+    point = ("--point", {"required": True, "help": "JSON: n arrays of dim(A) coefficients"})
     box_chart = ("--chart", {"default": "box:[-1,1]^2"})
     command("algebra", "print dimension, basis, height and derivations", cmd_algebra)
     command("lift", "lift an expression through a near point", cmd_lift,
             ("--fn", {"required": True, "help": "expression in x1..xn"}),
-            ("--point", {**point, "help": "JSON: n arrays of dim(A) coefficients"}), ("--chart", {"default": None}))
+            point, ("--chart", {"default": None}))
     command("check", "run a named identity suite", cmd_check,
             selector=("--suite", {"choices": sorted(SUITES), "default": "all"}))
     command("cohomology", "run a cohomology model", cmd_cohomology,
             selector=("--model", {"choices": ["poincare", "circle", "h0"], "required": True}))
     command("field", "evaluate a vector-field literal at a near point", cmd_field, box_chart,
             ("--field", {"required": True, "help": 'literal, e.g. prolong("x2; x1") or dstar(0)'}),
-            ("--fn", {"default": None, "help": "apply the field to this expression instead"}), ("--point", point))
+            ("--fn", {"default": None, "help": "apply the field to this expression instead"}), point)
     command("form", "evaluate a form literal on field literals at a near point", cmd_form, box_chart,
             ("--form", {"required": True, "help": 'literal, e.g. "x2 dx(1) + x1 dx(2)"'}),
-            ("--field", {"action": "append", "help": "one field literal per form degree"}), ("--point", point))
+            ("--field", {"action": "append", "help": "one field literal per form degree"}), point)
     return parser
 
 

@@ -571,6 +571,14 @@ def _divisor_power(a0: float, k: int) -> float:
     return power
 
 
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))  # 171! is past the largest float
+
+
+def _factorials(order: int) -> tuple[float, ...]:
+    """float(k!) for k = 0..order, inf past 170, so that a coefficient divided by it underflows to +-0.0."""
+    return _FACTORIALS[:order + 1] + (math.inf,) * (order - 170)
+
+
 def series(g: str | float, a0: float, order: int) -> list[float]:
     """Taylor coefficients g^(k)(a0) / k!, k = 0..order, of a primitive g of one variable.
 
@@ -581,11 +589,11 @@ def series(g: str | float, a0: float, order: int) -> list[float]:
     """
     if g == "exp":
         value = _apply("exp", a0)
-        return [value / math.factorial(k) for k in range(order + 1)]
+        return [value / f for f in _factorials(order)]
     if g in ("sin", "cos"):
         s, c = _apply("sin", a0), _apply("cos", a0)
         cycle = (s, c, -s, -c) if g == "sin" else (c, -s, -c, s)
-        return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+        return [cycle[k % 4] / f for k, f in enumerate(_factorials(order))]
     if g == "log":
         head = _apply("log", a0)
         return [head] + [(-1.0) ** (k + 1) / _nonzero(k * _divisor_power(a0, k)) for k in range(1, order + 1)]

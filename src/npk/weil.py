@@ -11,7 +11,9 @@ all the small desk examples are of this form.
 A derivation is fixed by its values d(x_i): a linear map D is one exactly
 when every column D(x^b) is the Leibniz rebuild sum_i b_i x^(b-e_i) D(x_i)
 and the same sum vanishes at each minimal generator of I.  The Leibniz
-residual is the largest deviation from that rebuild.
+residual is the largest deviation from that rebuild.  The basis of Der(A) is
+that rebuild of integer values, written for all elements in one scatter and
+checked at once at the generator columns, the others being the rebuild itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -384,28 +385,32 @@ class WeilAlgebra:
         return c
 
     @functools.cached_property
+    def _up(self) -> np.ndarray:
+        """The one-step map: up[c, i] is the column of c + e_i, its basis index or dim + j for the
+        j-th minimal generator (whose x^(g-e_i) are then standard monomials), or -1 where it is neither."""
+        gens = self.presentation.normalized_generators()
+        column = {**self._index, **{g: self.dim + j for j, g in enumerate(gens)}}
+        return np.array([[column.get(_shift(c, i, 1), -1) for i in range(self.num_vars)] for c in self.basis],
+                        dtype=np.intp)
+
+    @functools.cached_property
     def _rebuild(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The Leibniz rebuild as terms (src, weight, dest) from a flattened D to a (dim, width) defect.
 
         Column b of the defect is D(x^b) - sum_i b_i x^(b-e_i) D(x_i), and column
-        dim + j is the sum alone for the j-th minimal generator x^g, whose
-        x^(g-e_i) are standard monomials; width = dim + #generators.  D(x_i) is
-        column 1 + i of D, the basis being 1, x_1, ..., x_k, ...  Each D[s, b]
-        adds +1 at (s, b); each product e_a e_c = e_s and variable i with c + e_i
-        a basis monomial or a minimal generator adds -(c_i + 1) D[a, x_i] at
-        (s, column of c + e_i).
+        dim + j is the sum alone for the j-th minimal generator; width = dim +
+        #generators.  D(x_i) is column 1 + i of D, the basis being 1, x_1, ...,
+        x_k, ...  Each D[s, b] adds +1 at (s, b); each product e_a e_c = e_s and
+        variable i with up[c, i] >= 0 adds -(c_i + 1) D[a, x_i] at (s, up[c, i]).
         """
-        dim, gens = self.dim, self.presentation.normalized_generators()
-        width = dim + len(gens)
-        column = {**self._index, **{g: dim + j for j, g in enumerate(gens)}}
-        up = [[column.get(_shift(c, i, 1), -1) for i in range(self.num_vars)] for c in self.basis]
-        up = np.array(up, dtype=np.intp)  # column of c + e_i, -1 where it is neither
+        dim, up = self.dim, self._up
+        width = dim + len(self.presentation.normalized_generators())
         term, var = np.nonzero(up[self._right] >= 0)
         c = self._right[term]
         every = np.arange(dim * dim)
         src = np.concatenate((every, self._left[term] * dim + 1 + var))
         weight = np.concatenate((np.ones(dim * dim), -1.0 - self._exps[c, var]))
-        dest = np.concatenate((every + every // dim * len(gens), self._prod[term] * width + up[c, var]))
+        dest = np.concatenate((every + every // dim * (width - dim), self._prod[term] * width + up[c, var]))
         return src, weight, dest, width
 
 
@@ -522,19 +527,15 @@ class LinearEndo:
         return AElement(self.algebra, self.matrix @ a.coeffs)
 
 
-def _leibniz_defect(algebra: WeilAlgebra, matrix: np.ndarray) -> np.ndarray:
-    """D minus the Leibniz rebuild of its values D(x_i), column by column, then the rebuild at each generator."""
-    src, weight, dest, width = algebra._rebuild
-    return np.bincount(dest, weight * matrix.take(src), minlength=algebra.dim * width).reshape(algebra.dim, width)
-
-
 def _leibniz_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
     """Largest deviation of the (dim, dim) matrix D from the Leibniz rebuild of its values D(x_i).
 
-    Every entry of D enters its own column's defect, so a NaN or inf anywhere
-    makes the residual non-finite.
+    The defect is D minus that rebuild, column by column, then the rebuild alone
+    at each minimal generator.  Every entry of D enters its own column's defect,
+    so a NaN or inf anywhere makes the residual non-finite.
     """
-    return float(np.abs(_leibniz_defect(algebra, matrix)).max())
+    src, weight, dest, width = algebra._rebuild
+    return float(np.abs(np.bincount(dest, weight * matrix.take(src), minlength=algebra.dim * width)).max())
 
 
 def is_derivation(algebra: WeilAlgebra, endo: LinearEndo | np.ndarray) -> bool:
@@ -596,106 +597,64 @@ class Derivation:
 
 
 def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
-    """Basis of Der(A), solved exactly from the values d(x_i).
+    """Basis of Der(A), solved exactly from the values d(x_i) and built in one scatter.
 
-    A derivation of R[x1..xk]/I is fixed by the values d(x_i) = sum_a u[i, a] e_a,
+    A derivation of R[x1..xk]/I is fixed by its values d(x_i) = sum_a u[i, a] e_a,
     and these define one exactly when d(x^g) = sum_i g_i x^(g-e_i) d(x_i) is zero
-    in A for every minimal generator x^g (each x^(g-e_i) is then a standard
-    monomial).  That gives one integer equation per pair (g, e_s).  An equation
-    couples only unknowns u[i, a] of one weight e_a / x_i, so the system splits
-    into blocks of at most k unknowns, each reduced exactly over the rationals.
+    in A for every minimal generator x^g.  Each of those integer equations
+    forces one unknown to 0 (_derivation_values), and every other unknown, in
+    increasing index i * dim + a, gives one basis element: that value 1.
 
-    Order: each free unknown of the reduced row echelon form, in increasing
-    index i * dim + a, gives one basis element: that unknown set to 1, the
-    other free ones to 0, then scaled to the smallest integer vector, so that
-    every matrix entry is an integer.  Each matrix holds its values in the
-    columns x_i and is completed by the Leibniz rebuild
-    d(x^b) = sum_i b_i x^(b-e_i) d(x_i); each element is then validated by the
-    same residual as is_derivation.  Cached per algebra instance.
+    The value u[i, a] = D[a, x_i] is read by the rebuild terms e_a e_c = e_s
+    with up[c, i] >= 0, each adding (c_i + 1) u[i, a] at row s of the column
+    of c + e_i: the basis monomial x^b, so D[s, b] (the value itself when
+    c = 1), or a minimal generator.  One bincount writes every element's
+    terms into one (n, dim, dim) buffer, and a second, over the terms that
+    land in generator columns, checks every element at once: the other
+    columns are the rebuild itself, so their Leibniz defect is exactly 0.
+    Values and weights are small integers, so each sum is exact in any order.
+    Cached per algebra instance.
     """
     cached = getattr(algebra, "_derivation_basis", None)
     if cached is not None:
         return list(cached)
-    values = _derivation_values(algebra)
-    matrices = np.zeros((len(values), algebra.dim, algebra.dim))
-    for m, entries in zip(matrices, values):
-        for i, a, v in entries:
-            m[a, 1 + i] = v  # column 1 + i is d(x_i)
-        m -= _leibniz_defect(algebra, m)[:, :algebra.dim]  # leaves the values, fills every other column
-        if not _leibniz_residual(algebra, m) <= DERIVATION_TOL:
-            raise NotADerivation("a solved basis element fails the Leibniz rule")
+    dim, up, values = algebra.dim, algebra._up, _derivation_values(algebra)
+    entries = np.array([(n, *entry) for n, vs in enumerate(values) for entry in vs], dtype=np.intp)
+    element, i, a, value = entries.reshape(-1, 4).T
+    rows = algebra._left.searchsorted(np.arange(dim + 1))  # the products e_a e_c are rows[a]:rows[a + 1]
+    first, count = rows[a], rows[a + 1] - rows[a]
+    owner = np.arange(len(a)).repeat(count)  # the entry behind each product it reads
+    t = (first - count.cumsum() + count).repeat(count) + np.arange(len(owner))
+    c, var = algebra._right[t], i[owner]
+    col, cell, weight = up[c, var], element[owner] * dim + algebra._prod[t], (algebra._exps[c, var] + 1) * value[owner]
+    spill = col >= dim  # the terms at generator columns: a derivation's sum to 0 in each (element, s, generator)
+    inside = (col >= 0) & ~spill
+    size = len(values) * dim * dim
+    matrices = np.bincount((cell * dim + col)[inside], weight[inside], minlength=size).reshape(-1, dim, dim)
+    gens = len(algebra.presentation.normalized_generators())
+    if spill.any() and np.bincount((cell * gens + col - dim)[spill], weight[spill]).any():
+        raise NotADerivation("a solved basis element fails the Leibniz rule")
     out = [Derivation._of(algebra, m) for m in matrices]
     algebra._derivation_basis = tuple(out)
     return out
 
 
 def _derivation_values(algebra: WeilAlgebra) -> list[list[tuple[int, int, int]]]:
-    """The exact solve behind derivation_basis: per basis element, its integer values (i, a, u[i, a]) != 0."""
-    dim, basis, index = algebra.dim, algebra.basis, algebra._index
-    blocks: dict[tuple[int, ...], list[dict[int, Fraction]]] = {}
-    for g in algebra.presentation.normalized_generators():
-        for m in basis:
-            weight = tuple(x - y for x, y in zip(m, g))
-            row = {}
-            for i, gi in enumerate(g):
-                a = index.get(_shift(weight, i, 1)) if gi else None
-                if a is not None:
-                    row[i * dim + a] = Fraction(gi)
-            if row:
-                blocks.setdefault(weight, []).append(row)
-    pivots: set[int] = set()
-    dependents: dict[int, list[tuple[int, Fraction]]] = {}  # free -> [(pivot, value)]
-    for rows in blocks.values():
-        for p, row in _rref(rows).items():
-            pivots.add(p)
-            for col, v in row.items():
-                if col != p:
-                    dependents.setdefault(col, []).append((p, -v))
-    out = []
-    for free in range(algebra.num_vars * dim):
-        if free in pivots:
-            continue
-        values = [(free, 1), *dependents.get(free, ())]
-        scale = math.lcm(*(v.denominator for _, v in values))
-        out.append([(*divmod(col, dim), v.numerator * (scale // v.denominator)) for col, v in values])
-    return out
+    """The exact solve behind derivation_basis: per basis element, its values (i, a, u[i, a]) != 0.
+
+    Coefficient s of d(x^g) reads u[i, a] where e_a x^(g-e_i) = e_s, that is,
+    where up[c, i] is a generator column for a product e_a e_c = e_s.  No such
+    equation reads two unknowns: s = a + g - e_i = a' + g - e_j with i != j
+    gives s >= g, and x^g divides no standard monomial.  So each equation
+    g_i u[i, a] = 0 forces its one unknown to 0, and each unknown that none
+    reads is free, one element with that value 1.
+    """
+    term, var = (algebra._up[algebra._right] >= algebra.dim).nonzero()
+    free = np.ones((algebra.num_vars, algebra.dim), dtype=bool)
+    free[var, algebra._left[term]] = False
+    return [[(i, a, 1)] for i, a in zip(*(index.tolist() for index in free.nonzero()))]
 
 
 def _shift(exps: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
     """exps with exponent i moved by delta."""
     return exps[:i] + (exps[i] + delta,) + exps[i + 1:]
-
-
-def _rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of sparse rational rows, keyed by pivot column.
-
-    Each pivot is the lowest column of its row, and no other row has an entry
-    in a pivot column, so the result depends only on the span of the rows.
-    """
-    reduced: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        for p, prow in reduced.items():
-            _eliminate(row, prow, p)
-        if not row:
-            continue
-        p = min(row)
-        lead = row[p]
-        row = {c: v / lead for c, v in row.items()}
-        for prow in reduced.values():
-            _eliminate(prow, row, p)
-        reduced[p] = row
-    return reduced
-
-
-def _eliminate(row: dict[int, Fraction], pivot_row: dict[int, Fraction], p: int) -> None:
-    """Subtract the multiple of pivot_row (entry 1 at p) that clears column p of row."""
-    factor = row.get(p)
-    if not factor:
-        return
-    for c, v in pivot_row.items():
-        x = row.get(c, 0) - factor * v
-        if x:
-            row[c] = x
-        else:
-            row.pop(c, None)

@@ -1,12 +1,14 @@
 """Reference routes kept beside the tests that check npk against them."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from npk.expr import _ALIASES, _FUNCTIONS, Call, Const, Expr, ParseError, UnknownVariable, Var, add, div, mul, neg, power, sub
 from npk.functions import AFunction, _pruned
-from npk.weil import WeilAlgebra
+from npk.weil import DERIVATION_TOL, NotADerivation, WeilAlgebra, _derivation_values, _leibniz_residual, _shift
 
 
 def dual_projection(phi: AFunction, alpha: int) -> AFunction:
@@ -32,6 +34,100 @@ def leibniz_triple_residual(algebra: WeilAlgebra, matrix: np.ndarray) -> float:
     lhs = np.einsum("abg,sg->abs", c, matrix, optimize=True)
     rhs = np.einsum("ra,rbs->abs", matrix, c, optimize=True) + np.einsum("rb,ars->abs", matrix, c, optimize=True)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def derivation_values_by_rref(algebra: WeilAlgebra) -> list[list[tuple[int, int, int]]]:
+    """The values of npk.weil._derivation_values by a general exact solve, the reference of its shortcut.
+
+    Each equation (g, e_s) becomes a sparse row in Fractions, found by shifting
+    each basis monomial by each generator; the rows split into blocks of one
+    weight e_a / x_i, each reduced by _rref.  Each free unknown of the reduced
+    row echelon form, in increasing index i * dim + a, gives one element: that
+    unknown set to 1, the other free ones to 0, scaled to the smallest integers.
+    """
+    dim, basis, index = algebra.dim, algebra.basis, algebra._index
+    blocks: dict[tuple[int, ...], list[dict[int, Fraction]]] = {}
+    for g in algebra.presentation.normalized_generators():
+        for m in basis:
+            weight = tuple(x - y for x, y in zip(m, g))
+            row = {}
+            for i, gi in enumerate(g):
+                a = index.get(_shift(weight, i, 1)) if gi else None
+                if a is not None:
+                    row[i * dim + a] = Fraction(gi)
+            if row:
+                blocks.setdefault(weight, []).append(row)
+    pivots: set[int] = set()
+    dependents: dict[int, list[tuple[int, Fraction]]] = {}
+    for rows in blocks.values():
+        for p, row in _rref(rows).items():
+            pivots.add(p)
+            for col, v in row.items():
+                if col != p:
+                    dependents.setdefault(col, []).append((p, -v))
+    out = []
+    for free in range(algebra.num_vars * dim):
+        if free in pivots:
+            continue
+        values = [(free, 1), *dependents.get(free, ())]
+        scale = math.lcm(*(v.denominator for _, v in values))
+        out.append([(*divmod(col, dim), v.numerator * (scale // v.denominator)) for col, v in values])
+    return out
+
+
+def derivation_matrices_by_element(algebra: WeilAlgebra) -> list[np.ndarray]:
+    """The Der(A) matrices built one element at a time, the reference of npk.weil's one scatter.
+
+    Each matrix holds its values in the columns x_i, and the other columns are
+    filled by subtracting its Leibniz defect, one bincount over every rebuild
+    term per element; each is then checked again by the whole residual.
+    """
+    src, weight, dest, width = algebra._rebuild
+    dim, values = algebra.dim, _derivation_values(algebra)
+    matrices = np.zeros((len(values), dim, dim))
+    for m, entries in zip(matrices, values):
+        for i, a, v in entries:
+            m[a, 1 + i] = v  # column 1 + i is d(x_i)
+        defect = np.bincount(dest, weight * m.take(src), minlength=dim * width).reshape(dim, width)
+        m -= defect[:, :dim]  # leaves the values, fills every other column
+        if not _leibniz_residual(algebra, m) <= DERIVATION_TOL:
+            raise NotADerivation("a solved basis element fails the Leibniz rule")
+    return list(matrices)
+
+
+def _rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rational rows, keyed by pivot column.
+
+    Each pivot is the lowest column of its row, and no other row has an entry
+    in a pivot column, so the result depends only on the span of the rows.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = dict(row)
+        for p, prow in reduced.items():
+            _eliminate(row, prow, p)
+        if not row:
+            continue
+        p = min(row)
+        lead = row[p]
+        row = {c: v / lead for c, v in row.items()}
+        for prow in reduced.values():
+            _eliminate(prow, row, p)
+        reduced[p] = row
+    return reduced
+
+
+def _eliminate(row: dict[int, Fraction], pivot_row: dict[int, Fraction], p: int) -> None:
+    """Subtract the multiple of pivot_row (entry 1 at p) that clears column p of row."""
+    factor = row.get(p)
+    if not factor:
+        return
+    for c, v in pivot_row.items():
+        x = row.get(c, 0) - factor * v
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
 
 
 # the recursive-descent parser that npk.expr.parse replaced, the reference of its differential test

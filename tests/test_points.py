@@ -624,6 +624,17 @@ def test_series_matches_symbolic_route(name, g, a0):
             assert abs(u - v) <= 1e-12 * abs(v), (k, u, v)
 
 
+@pytest.mark.parametrize("n", [171, 172, 400])
+@pytest.mark.parametrize("fn", ["sin", "cos", "exp"])
+def test_lift_past_height_170_is_finite(fn, n):
+    # 171! is past the largest float: the coefficients beyond it underflow to +-0.0 instead of raising
+    a = build_algebra(parse_presentation(f"R[x]/(x^{n})"))
+    xi = NearPoint(a, Chart.box([(-math.inf, math.inf)]), [a.element([0.7, 1.0] + [0.0] * (n - 2))])
+    got = lift(Call(fn, Var(0)), xi).coeffs
+    assert np.isfinite(got).all() and got[20] != 0.0 and not got[171:].any()
+    assert series(fn, 0.7, n - 1)[:171] == series(fn, 0.7, 170)
+
+
 @pytest.mark.parametrize("c", [2.0, 3.0])
 def test_series_of_integer_power_at_zero_is_defined(c):
     # binom(c, k) vanishes for k > c, so the negative powers of 0 are never taken

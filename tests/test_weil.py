@@ -24,7 +24,7 @@ from npk.weil import (
     parse_presentation,
 )
 from npk.weil import _leibniz_residual
-from oracles import leibniz_triple_residual
+from oracles import derivation_matrices_by_element, derivation_values_by_rref, leibniz_triple_residual
 
 
 def test_parse_presentation_roundtrip():
@@ -283,7 +283,7 @@ def test_derivation_basis_order():
 
 
 def test_derivation_basis_clears_denominators():
-    # x^3*y forces 3*u + v = 0 between d(x) and d(y) terms; the basis stays integral
+    # the rebuild d(x^3) = 3 x^2 d(x) brings integers other than 1 into the matrices; no fraction enters
     a = build_algebra(parse_presentation("R[x,y]/(x^3*y,x^5,y^4)"))
     basis = derivation_basis(a)
     assert len(basis) == len(svd_derivation_nullspace(a))
@@ -459,6 +459,24 @@ def test_validation_covers_every_basis_element(monkeypatch):
             monkeypatch.undo()
 
 
+def test_validation_covers_the_mixed_generator_columns(monkeypatch):
+    # d(x) = y spoils only the mixed generator: d(x^3 y) = 3 x^2 y^2 != 0, while d(x^5) = 5 x^4 y = 0
+    solve, text = weil._derivation_values, "R[x,y]/(x^3*y,x^5,y^4)"
+    y = build_algebra(parse_presentation(text))._index[(0, 1)]
+    count = len(solve(build_algebra(parse_presentation(text))))
+    for k in (0, count // 2, count - 1):
+        def spoiled(algebra, k=k):
+            values = solve(algebra)
+            assert all((0, y, 1) not in element for element in values)
+            values[k].append((0, y, 1))
+            return values
+
+        monkeypatch.setattr(weil, "_derivation_values", spoiled)
+        with pytest.raises(NotADerivation):
+            derivation_basis(build_algebra(parse_presentation(text)))
+        monkeypatch.undo()
+
+
 def test_algebra_equality_by_identity_and_by_basis():
     pres = parse_presentation("R[x,y]/(x^3,x^2*y,x*y^2,y^3)")
     a, b = build_algebra(pres), build_algebra(pres)
@@ -567,6 +585,28 @@ def test_derivation_matrices_match_elementwise_reference(oracle_algebras):
             assert d.matrix.dtype == want.dtype and d.matrix.shape == want.shape
             assert d.matrix.tobytes() == want.tobytes(), a.text
             assert isinstance(d.endo, LinearEndo) and d.endo.algebra is a
+
+
+# beside the catalog: a coupled block (3u + v = 0), a cubic generator in three variables, an uneven ideal, dim 100
+SCATTER_PRESENTATIONS = ("R[x,y]/(x^3*y,x^5,y^4)", "R[x,y,z]/(x^2,y^2,z^2,x*y*z)", "R[x,y]/(x^2,x*y,y^3)",
+                         "R[x,y]/(x^10,y^10)")
+
+
+def test_derivation_basis_matches_per_element_oracle(catalog, dim27, dim48):
+    # tobytes, not array_equal: -0.0 and 0.0 print differently in `npk algebra --json`
+    extra = [build_algebra(parse_presentation(text)) for text in SCATTER_PRESENTATIONS]
+    for a in [*catalog, *extra, dim27, dim48]:
+        basis, reference = derivation_basis(a), derivation_matrices_by_element(a)
+        assert len(basis) == len(reference), a.text
+        assert [d.matrix.tobytes() for d in basis] == [m.tobytes() for m in reference], a.text
+    assert extra[-1].dim == 100
+
+
+def test_derivation_values_match_the_rref_solve(oracle_algebras):
+    # each equation forces one unknown to 0, so the free unknowns are exactly those of the Fraction rref
+    extra = [build_algebra(parse_presentation(text)) for text in SCATTER_PRESENTATIONS]
+    for a in [*oracle_algebras, *extra]:
+        assert weil._derivation_values(a) == derivation_values_by_rref(a), a.text
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 1), (1, 4), (2, 2, 1), (1, 1), (1, 2, 2), (4,)])
