@@ -57,6 +57,9 @@ in 3 variables (random_expr, printed by unparse), per expression (best of
 five rounds), and the seconds to parse a 10^4-term sum x1 + ... + x1 and a
 10^4-deep nesting sin(sin(...(x1)...)) (best of three runs); the nesting is
 null on a checkout whose parser recurses and so exceeds the recursion limit.
+Every timing given as a best of runs (best_seconds) follows one untimed run of
+the same call, a warm-up: the first calls on fresh algebras in a process run up
+to twice as slow as later ones.
 It also prints the OpenBLAS thread count, read from the library numpy loaded.
 The script does not pin it, so it times what `npk algebra` sees.
 
@@ -145,7 +148,12 @@ def per_call_us(fn) -> float:
 
 
 def best_seconds(fn, fresh=lambda: None, runs=3) -> float:
-    """Fastest of `runs` runs of fn(fresh()), or fewer once they take over a second; fresh is not timed."""
+    """Fastest of `runs` runs of fn(fresh()), or fewer once they take over a second; fresh is not timed.
+
+    One untimed run of fn(fresh()) comes first, as a warm-up: the first calls on
+    fresh algebras in a process run up to twice as slow as later ones.
+    """
+    fn(fresh())
     times = []
     while len(times) < runs and sum(times) <= 1.0:
         arg = fresh()

@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "Add",
     "Call",
+    "CoefficientOverflow",
     "Const",
     "DifferentialForm",
     "Div",
@@ -80,6 +81,15 @@ class UnknownVariable(ValueError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the domain of definition (log/sqrt of non-positive, x/0)."""
+
+
+class CoefficientOverflow(DomainError):
+    """A Taylor coefficient of order k of a primitive g is past the float range at the base a0."""
+
+    def __init__(self, g: str | float, k: int, a0: float):
+        name = g if isinstance(g, str) else f"x^{g!r}"
+        super().__init__(f"{name} at {a0!r}: the Taylor coefficient of order {k} is out of floating-point range")
+        self.g, self.k, self.a0 = g, k, a0
 
 
 class Expr:
@@ -563,12 +573,19 @@ _FLOATS = _Leaves(_coordinate, _nonzero, _power, _apply)
 _ARRAYS = _Leaves(_array_coordinate, _array_nonzero, _array_power, _array_apply)
 
 
-def _divisor_power(a0: float, k: int) -> float:
-    """a0^k, the divisor of a coefficient; if it underflows, the coefficient a0^-k is out of range, as in x^c."""
-    power = _power(a0, k)
-    if power == 0.0 and a0 != 0.0:
-        raise DomainError(f"{a0}^{-float(k)} undefined")
-    return power
+def _series_power(a0: float, exponent: float) -> float:
+    """a0^exponent inside a coefficient of order >= 1: inf past the float range, else as _power."""
+    try:
+        return math.pow(a0, exponent)
+    except OverflowError:
+        return math.inf
+    except ValueError:  # 0 to a negative power: _power's DomainError
+        return _power(a0, exponent)
+
+
+def _over(numerator: float, divisor: float) -> float:
+    """numerator / divisor, a divisor of 0 (a power of the base below the float range) giving inf."""
+    return numerator / divisor if divisor else math.inf
 
 
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))  # 171! is past the largest float
@@ -582,10 +599,10 @@ def _factorials(order: int) -> tuple[float, ...]:
 def series(g: str | float, a0: float, order: int) -> list[float]:
     """Taylor coefficients g^(k)(a0) / k!, k = 0..order, of a primitive g of one variable.
 
-    g names a function (sin, cos, exp, log, sqrt), is "1/x", or is the constant
-    exponent c of x^c.  The closed forms are those of univariate Taylor
-    propagation; values and powers go through the helpers of `evaluate`, so
-    a point outside the domain raises the same DomainError.
+    g names a function (sin, cos, exp, log, sqrt), is "1/x", or is the constant exponent c of
+    x^c.  The closed forms are those of univariate Taylor propagation; values and powers go
+    through the helpers of `evaluate`, so a point outside the domain raises the same
+    DomainError, and a coefficient past the float range raises CoefficientOverflow.
     """
     if g == "exp":
         value = _apply("exp", a0)
@@ -595,22 +612,23 @@ def series(g: str | float, a0: float, order: int) -> list[float]:
         cycle = (s, c, -s, -c) if g == "sin" else (c, -s, -c, s)
         return [cycle[k % 4] / f for k, f in enumerate(_factorials(order))]
     if g == "log":
-        head = _apply("log", a0)
-        return [head] + [(-1.0) ** (k + 1) / _nonzero(k * _divisor_power(a0, k)) for k in range(1, order + 1)]
-    if g == "1/x":
-        return [(-1.0) ** k / _nonzero(_divisor_power(a0, k + 1)) for k in range(order + 1)]
-    if g == "sqrt":
-        out, c = [_apply("sqrt", a0)], 0.5
-    elif isinstance(g, float):
-        out, c = [_power(a0, g)], g
+        out = [_apply("log", a0)] + [_over((-1.0) ** (k + 1), k * _series_power(a0, k)) for k in range(1, order + 1)]
+    elif g == "1/x":
+        _nonzero(a0)
+        out = [_over((-1.0) ** k, _series_power(a0, k + 1)) for k in range(order + 1)]
+    elif g == "sqrt" or isinstance(g, float):
+        out, c = ([_apply("sqrt", a0)], 0.5) if g == "sqrt" else ([_power(a0, g)], g)
+        # binom(c, k) a0^(c - k); once binom(c, k) is 0 (integer c >= 0) no power is taken
+        binom, exponent = 1.0, c
+        for k in range(1, order + 1):
+            binom *= (c - k + 1) / k
+            exponent -= 1.0
+            out.append(binom * _series_power(a0, exponent) if binom else 0.0)
     else:
         raise ValueError(f"no series for {g!r}")
-    # binom(c, k) a0^(c - k); once binom(c, k) is 0 (integer c >= 0) no power is taken
-    binom, exponent = 1.0, c
-    for k in range(1, order + 1):
-        binom *= (c - k + 1) / k
-        exponent -= 1.0
-        out.append(binom * _power(a0, exponent) if binom else 0.0)
+    # an infinite coefficient makes the sum non-finite; out[0], the value, may be inf at an infinite base
+    if not math.isfinite(sum(out)) and (math.inf in out[1:] or -math.inf in out[1:]):
+        raise CoefficientOverflow(g, list(map(abs, out)).index(math.inf, 1), a0)
     return out
 
 

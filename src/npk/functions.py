@@ -10,7 +10,8 @@ once, in key order: position order is key order, so comparing the int
 tuples compares the key tuples), and one read-only (T, dim) matrix whose
 row t is the A-coefficient of monomial t.  A product or sum merges the
 operands' tables and remaps their positions through a monotone array;
-the derivation extensions work once per table generator.  The class is
+the derivation extensions of a field and of a coordinate field are one
+Leibniz fold (_leibniz), fed the image of each table generator.  The class is
 closed under addition, multiplication, scaling by A, post-composition
 with linear maps of A, and the derivation extensions used by vector
 fields; it contains every lifted smooth function and every A-constant,
@@ -29,7 +30,8 @@ order.  A function made by lifted_function is the one exception: it is
 valued as the memoised lift plus 0.0, the bits of that sum for a finite
 lift, while a non-finite lift keeps each inf or NaN in its own slot.
 A field's derivation extension is valued likewise, from the values of its
-components at the point or block, without being built (_extension_values).
+components at the point or block, without being built (_extension_values),
+by the same gather and TangentVector.apply's chain rule X(g) = sum_i lift(d_i g) X_i.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .expr import ONE, Const, Expr, diff, expr_key
-from .points import Chart, NearPoint, NearPoints, TangentVector, lift
+from .points import Chart, NearPoint, NearPoints, TangentVector, _chain_rule, lift
 from .weil import AElement, AlgebraMismatch, WeilAlgebra
 
 __all__ = [
@@ -202,13 +204,7 @@ class AFunction:
             raise AlgebraMismatch("near point over a different algebra")
         if self.coeffs is _lift_parts(self.algebra.dim)[0]:  # only lifted_function hands _of these rows
             return xi._wrap(xi._unwrap(lift(self.gens[0].fn, xi)) + 0.0)
-        if self._plan is None:
-            self._plan = _gather_plan(self.algebra.dim, self.gens, self.indices)
-        fns, index, padded = self._plan
-        values = [xi._unwrap(lift(fn, xi)) for fn in fns]
-        if padded:
-            values.append(xi._unwrap(lift(ONE, xi))[:1])  # an absent generator is the constant 1
-        stack = values[0] if len(values) == 1 else np.concatenate(values)
+        fns, index, stack = _generator_values(self, xi)
         gathered = stack[index]  # (T, width) or (T, width, N)
         scalars = gathered[:, 0]
         for j in range(1, index.shape[1]):
@@ -244,6 +240,20 @@ def _gather_plan(dim: int, gens: Sequence[ScalarGenerator], indices: Sequence[In
     flat = list(itertools.chain.from_iterable(m + pad[len(m)] for m in indices))
     index = np.array(position, dtype=np.intp)[np.array(flat, dtype=np.intp).reshape(len(indices), width)]
     return fns, index, not fns or any(len(m) < width for m in indices)
+
+
+def _generator_values(phi: AFunction, xi: NearPoint | NearPoints) -> tuple:
+    """(fns, index, stack): phi's plan, built once, and stack[index] its generator values at xi.
+
+    stack is the lifts of fns from xi's lift memo, then for a padded plan a 1.0 (a row of them at a block).
+    """
+    if phi._plan is None:
+        phi._plan = _gather_plan(phi.algebra.dim, phi.gens, phi.indices)
+    fns, index, padded = phi._plan
+    values = [xi._unwrap(lift(fn, xi)) for fn in fns]
+    if padded:
+        values.append(xi._unwrap(lift(ONE, xi))[:1])
+    return fns, index, values[0] if len(values) == 1 else np.concatenate(values)
 
 
 def _table(gens: Sequence[ScalarGenerator]) -> tuple[tuple[ScalarGenerator, ...], list[int]]:
@@ -314,15 +324,6 @@ def _pruned(gens, indices: Sequence[Index], coeffs: np.ndarray, plan=None) -> tu
     return tuple(map(gens.__getitem__, kept)), [tuple([new[k] for k in m]) for m in indices], coeffs, None
 
 
-def _canonical(algebra: WeilAlgebra, chart: Chart, gens, monos: Sequence[Index], rows: np.ndarray) -> AFunction:
-    """The function sum_t rows[t] * monos[t], monomials given as sorted positions into gens, in canonical form.
-
-    gens may hold generators that no monomial uses, as the derivation extensions' tables do; products
-    and sums, whose monomials use every generator, skip that pass.
-    """
-    return AFunction._of(algebra, chart, *_pruned(*_nonzero(gens, *_canonical_rows(algebra.dim, monos, rows))))
-
-
 def _sum(algebra: WeilAlgebra, chart: Chart, phis: Sequence[AFunction]) -> AFunction:
     """Sum of functions by one merge of their rows, in order."""
     if len(phis) < 2:
@@ -363,110 +364,88 @@ def _lift_parts(dim: int) -> tuple[np.ndarray, tuple[Index, ...], np.ndarray]:
 
 
 def coordinate_derive(phi: AFunction, i: int) -> AFunction:
-    """Derivation extension of the i-th prolonged coordinate field.
+    """Derivation extension of the i-th prolonged coordinate field, by the Leibniz fold _leibniz.
 
-    Leibniz over generator products; a generator (alpha, g) goes to
-    (alpha, d_i g) and constants die.  These operators commute.
-    exterior_derivative and h0_check call it; the tests check it against
-    the general extension of the prolonged coordinate field d/dx_i.
+    A generator (alpha, g) goes to (alpha, d_i g), or for a constant d_i g = c to c at slot 0, 0 elsewhere.
+    These operators commute; the tests check them against the general extension of d/dx_i.
     """
-    # one table for the generators a rest can keep (those beside another) and the non-constant derivatives
-    multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
-    gens = [phi.gens[k] for k in multi]
-    derived: list[tuple[int, float] | None] = []  # per generator of phi: (its derivative's place in gens, factor)
+    gens, images = [], []
     for gen in phi.gens:
         dg = diff(gen.fn, i)
-        if isinstance(dg, Const):
-            # constant generator: dual coefficient is c at slot 0, zero elsewhere
-            derived.append(None if dg.value == 0.0 or gen.alpha != 0 else (-1, dg.value))
-        else:
-            derived.append((len(gens), 1.0))
+        if not isinstance(dg, Const):
+            images.append((((len(gens),),), (1.0,)))
             gens.append(ScalarGenerator(gen.alpha, dg))
-    table, new = _table(gens)
-    own = dict(zip(multi, new))
-    images = [d and ((new[d[0]],) if d[0] >= 0 else (), d[1]) for d in derived]  # as positions into table
-    monos, source, factors = [], [], []
-    for t, mono in enumerate(phi.indices):
-        for j, k in enumerate(mono):
-            if images[k] is None:
-                continue
-            image, factor = images[k]
-            if len(mono) > 1:
-                image = tuple(sorted([*map(own.__getitem__, mono[:j] + mono[j + 1:]), *image]))
-            monos.append(image)
-            factors.append(factor)
-            source.append(t)
-    return _canonical(phi.algebra, phi.chart, table, monos, phi.coeffs[source] * np.array(factors)[:, None])
+        else:
+            images.append((((),), (dg.value,)) if dg.value != 0.0 and gen.alpha == 0 else None)
+    return _leibniz(phi, gens, images)
 
 
 def _extension(phi: AFunction, images: dict[int, AFunction]) -> AFunction:
-    """The Leibniz extension sending generator (alpha, g) of phi to images[id(g)] projected onto slot alpha.
+    """A field's derivation extension, given X(g) = images[id(g)] per generator function g, by _leibniz.
 
-    This is a vector field's derivation extension, given the field's image X(g) of each generator function.
+    Generator (alpha, g) goes to the projection of X(g) onto slot alpha (the tests' oracle: dual_projection).
     """
-    # one table for the generators a rest can keep (those beside another) and the images' generators
-    multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
-    gens, new = _table([phi.gens[k] for k in multi] + [g for image in images.values() for g in image.gens])
-    own = dict(zip(multi, new))
-    start, moved = len(multi), {}
+    gens, monos = [], {}  # the images' tables one after another, each image's monomials as positions into them
     for key, image in images.items():
-        moved[key] = _remap(image.indices, new[start:start + len(image.gens)])
-        start += len(image.gens)
-    # per generator (alpha, g) of phi: X(g) projected onto slot alpha (real numbers c); the tests keep the
-    # dual projection as a function, a -> (coefficient alpha of a) * 1, as this fold's oracle
+        monos[key] = [tuple([len(gens) + k for k in m]) for m in image.indices] if gens else image.indices
+        gens += image.gens
     projections = []
     for gen in phi.gens:
         c = images[id(gen.fn)].coeffs[:, gen.alpha]
         keep = c != 0.0
-        projections.append((list(itertools.compress(moved[id(gen.fn)], keep)), c.compress(keep)))
+        projections.append((list(itertools.compress(monos[id(gen.fn)], keep)), c[keep].tolist()))
+    return _leibniz(phi, gens, projections)
+
+
+def _leibniz(phi: AFunction, gens: Sequence[ScalarGenerator], images: Sequence) -> AFunction:
+    """The Leibniz fold of the derivation extensions: the derivation sending generator k of phi to images[k].
+
+    images[k] is (monos, scales), positions into gens (a monomial's generators in key order) and a nonzero
+    real factor for each, or None for 0.  Each monomial of phi gives, per generator, one row per image
+    monomial: phi's row times the factor plus 0.0, for a finite row mul_coeffs(factor * 1, row).
+    """
+    # one table for the images' generators and the generators of phi that a rest can keep (those beside another)
+    multi = sorted({k for mono in phi.indices if len(mono) > 1 for k in mono})
+    table, new = _table([phi.gens[k] for k in multi] + list(gens))
+    own, at = dict(zip(multi, new)), new[len(multi):]
+    if at != list(range(len(at))):
+        images = [image and ([tuple([at[k] for k in m]) for m in image[0]], image[1]) for image in images]
     monos, left, right = [], [], []
     for t, mono in enumerate(phi.indices):
         for j, k in enumerate(mono):
-            image, scales = projections[k]
-            if len(mono) > 1:
+            if images[k] is None:
+                continue
+            image, scales = images[k]
+            if len(mono) == 1:
+                monos += image
+            else:
                 rest = tuple(map(own.__getitem__, mono[:j] + mono[j + 1:]))
-                image = [tuple(sorted(rest + m2)) if m2 else rest for m2 in image]
-            monos += image
-            left.extend([t] * len(image))
-            right.append(scales)
-    if not monos:
-        return AFunction.zero(phi.algebra, phi.chart)
-    # each row of phi scaled by each projection c: for finite rows, c * v + 0.0 is mul_coeffs(c*1, v) bit for bit
-    rows = phi.coeffs[left] * np.concatenate(right)[:, None] + 0.0
-    return _canonical(phi.algebra, phi.chart, gens, monos, rows)
+                for m2 in image:
+                    monos.append(tuple(sorted(rest + m2)) if m2 else rest)
+            left += [t] * len(image)
+            right += scales
+    rows = phi.coeffs[left] * np.array(right)[:, None] + 0.0
+    # the table may hold generators that no monomial uses: _pruned drops them
+    return AFunction._of(phi.algebra, phi.chart, *_pruned(*_nonzero(table, *_canonical_rows(phi.algebra.dim, monos, rows))))
 
 
 def _extension_values(phi: AFunction, xi: NearPoint | NearPoints, u: Sequence[np.ndarray]) -> np.ndarray:
     """X~(phi) at xi, where u[i] is the value there of component i of X: (dim,) at a point, (dim, N) at a block.
 
-    The canonical extension of X, A-linear in the coefficients, zero on
-    constants, X(f) on the lift of f, is valued without building it: per
-    distinct generator function g, X(g) = sum_i lift(d_i g) * u[i] from xi's
-    lift memo; then the Leibniz rule over each monomial, a generator (alpha, g)
-    going to coefficient alpha of X(g) times the product of the other
-    generators' values, in their order, one row per (monomial, generator)
-    pair, summed in that order by sum_rows.
+    The canonical extension of X, valued without building it: X(g) by _chain_rule per distinct generator
+    function g; then per monomial and generator (alpha, g), coefficient alpha of X(g) times the other
+    generators' values in their order, one row per pair, summed in that order by sum_rows.
     """
-    mul, shape = phi.algebra.mul_coeffs, xi.values[0].shape
+    shape = xi.values[0].shape
     if not phi.gens:  # an A-constant: no (monomial, generator) pair, so no plan to build
         return np.zeros(shape)
-    if phi._plan is None:
-        phi._plan = _gather_plan(phi.algebra.dim, phi.gens, phi.indices)
-    fns, index, _ = phi._plan
+    fns, index, at = _generator_values(phi, xi)
     t, j = np.nonzero(index >= 0)  # the (monomial, generator) pairs in order; index -1 pads a short monomial
     if not len(t):
         return np.zeros(shape)
-    values, images = [], []
-    for fn in fns:
-        values.append(xi._unwrap(lift(fn, xi)))
-        image = np.zeros(shape)
-        for i, c in enumerate(u):
-            image = image + mul(xi._unwrap(lift(diff(fn, i), xi)), c)
-        images.append(image)
-    scalars = np.concatenate(images)[index[t, j]]
+    scalars = np.concatenate([_chain_rule(fn, xi, u) for fn in fns])[index[t, j]]
     width = index.shape[1]
     if width > 1:
-        at = np.concatenate(values + [np.ones((1,) + shape[1:])])  # a pad reads 1.0, an exact factor
         skip = np.arange(width - 1)
         others = index[t[:, None], skip + (skip >= j[:, None])]  # the other positions of each pair's monomial
         product = at[others[:, 0]]
@@ -480,11 +459,8 @@ def _extension_values(phi: AFunction, xi: NearPoint | NearPoints, u: Sequence[np
 def tangent_apply(v: TangentVector, phi: AFunction) -> AElement:
     """Canonical point-derivation extension of a tangent vector, evaluated on phi.
 
-    A-linear in the coefficients, vanishes on constants, agrees with v on
-    lifted functions, and satisfies the Leibniz rule relative to evaluation
-    at the base near point.  A generator (alpha, g) contributes the dual
-    coefficient alpha of v applied to g, a real scalar.  This is
-    _extension_values at v.at, with v's components as the field's values.
+    A-linear in the coefficients, zero on constants, v on lifted functions, Leibniz relative to evaluation
+    at v.at: _extension_values there, with v's components as the field's values.
     """
     if phi.algebra != v.at.algebra:
         raise AlgebraMismatch("function over a different algebra")

@@ -381,6 +381,14 @@ def lift_map(h: Sequence[Expr], xi: NearPoint | NearPoints, target: Chart) -> Ne
     return type(xi)._of(xi.algebra, target, coords)  # NearPoint and NearPoints take their coordinates alike
 
 
+def _chain_rule(f: Expr, xi: NearPoint | NearPoints, u: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i lift(d_i f, xi) * u[i] on values, (dim,) at a point or (dim, N) at a block, added in order from zeros."""
+    mul, acc = xi.algebra.mul_coeffs, np.zeros(xi.values[0].shape)
+    for i, c in enumerate(u):
+        acc = acc + mul(xi._unwrap(lift(diff(f, i), xi)), c)
+    return acc
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """Tangent vector at a near point: a Leibniz map from smooth functions into A.
@@ -400,10 +408,7 @@ class TangentVector:
                 raise AlgebraMismatch("component from a different algebra")
 
     def apply(self, f: Expr) -> AElement:
-        acc = self.at.algebra.zero()
-        for i, u in enumerate(self.components):
-            acc = acc + lift(diff(f, i), self.at) * u
-        return acc
+        return AElement(self.at.algebra, _chain_rule(f, self.at, [u.coeffs for u in self.components]))
 
     def apply_fn(self, phi) -> AElement:
         """Action of the unique point-derivation extension on an A-valued function."""

@@ -133,8 +133,8 @@ def _draw(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) 
 
 
 def random_near_points(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart, k: int) -> NearPoints:
-    """A block of k random near points, drawn at once: column j is the j-th point of the draw."""
-    return NearPoints(algebra, chart, _draw(rng, algebra, chart, k).transpose(1, 2, 0))
+    """A block of k >= 1 random near points drawn at once, column j the j-th; unchecked, as _draw keeps bases inside."""
+    return NearPoints._of(algebra, chart, _draw(rng, algebra, chart, k).transpose(1, 2, 0))
 
 
 def random_near_point(rng: np.random.Generator, algebra: WeilAlgebra, chart: Chart) -> NearPoint:

@@ -289,7 +289,8 @@ def test_lift_domain_error_exit_2(fn, base):
         ("x1^0.5", 0, "0.0^-0.5 undefined"),
         ("1/x1", 0, "division by zero"),
         ("log(x1)", -0.5, "log of non-positive value -0.5"),
-        ("1/x1", 1e-200, "1e-200^-2.0 undefined"),  # 1e-200^2 underflows to 0, so -1e400 is out of range
+        # 1e-200^2 underflows to 0, so the coefficient -1e400 is out of range
+        ("1/x1", 1e-200, "1/x at 1e-200: the Taylor coefficient of order 1 is out of floating-point range"),
     ],
 )
 def test_lift_domain_error_message(capsys, fn, base, message):
@@ -298,6 +299,18 @@ def test_lift_domain_error_message(capsys, fn, base, message):
 
     code = cli.main(["lift", "--json", "--algebra", "R[x]/(x^2)", "--fn", fn, "--point", json.dumps([[base, 1]])])
     assert code == cli.USAGE_ERROR == 2
+    assert capsys.readouterr().err == f"npk: {message}\n"
+
+
+@pytest.mark.parametrize("fn, name, k", [("1/x1", "1/x", 236), ("log(x1)", "log", 239)])
+def test_lift_coefficient_overflow_names_primitive_order_and_base(capsys, fn, name, k):
+    # at 0.05 the coefficients grow like 20^k: order k is the first past 1.8e308, and the message names it
+    from npk import cli
+
+    point = json.dumps([[0.05, 1.0] + [0.0] * 398])
+    code = cli.main(["lift", "--algebra", "R[x]/(x^400)", "--fn", fn, "--point", point])
+    assert code == cli.USAGE_ERROR == 2
+    message = f"{name} at 0.05: the Taylor coefficient of order {k} is out of floating-point range"
     assert capsys.readouterr().err == f"npk: {message}\n"
 
 

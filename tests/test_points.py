@@ -10,6 +10,7 @@ from npk.expr import (
     ONE,
     Add,
     Call,
+    CoefficientOverflow,
     Const,
     Div,
     DomainError,
@@ -646,17 +647,60 @@ def test_series_of_integer_power_at_zero_is_defined(c):
     assert list(lift(Pow(Var(0), Const(c)), xi).coeffs) == want
 
 
+def _overflow(name: str, k: int, a0: str = "1e-200") -> str:
+    return f"{name} at {a0}: the Taylor coefficient of order {k} is out of floating-point range"
+
+
 @pytest.mark.parametrize(
     "g, order, message",
-    [("1/x", 1, "1e-200^-2.0 undefined"), ("log", 2, "1e-200^-2.0 undefined"),
-     ("sqrt", 3, "1e-200^-2.5 undefined"), (-1.0, 1, "1e-200^-2.0 undefined")],
+    [("1/x", 1, _overflow("1/x", 1)), ("log", 2, _overflow("log", 2)),
+     ("sqrt", 3, _overflow("sqrt", 3)), (-1.0, 1, _overflow("x^-1.0", 1))],
 )
 def test_series_out_of_range_reads_alike(g, order, message):
     # a coefficient c * a0^-k beyond float range: 1/x and log divide by an underflowed a0^k, sqrt and x^c overflow
-    with pytest.raises(DomainError) as caught:
+    with pytest.raises(CoefficientOverflow) as caught:
         series(g, 1e-200, order)
-    assert str(caught.value) == message
+    assert str(caught.value) == message and isinstance(caught.value, DomainError)
+    assert (caught.value.g, caught.value.k, caught.value.a0) == (g, order, 1e-200)
     assert series(g, 1e-200, order - 1)[-1] != 0.0  # one order lower is still in range
+
+
+def _closed_form_coefficients(g, a0: float, order: int) -> list:
+    """Coefficient k of g at a0 from its closed form alone, or None where a power of a0 in it leaves float range."""
+    out, binom, c = [], 1.0, 0.5 if g == "sqrt" else g
+    for k in range(order + 1):
+        try:
+            if g == "1/x":
+                out.append((-1.0) ** k / math.pow(a0, k + 1))
+            elif g == "log":
+                out.append(math.log(a0) if k == 0 else (-1.0) ** (k + 1) / (k * math.pow(a0, k)))
+            elif k == 0:
+                out.append(math.sqrt(a0) if g == "sqrt" else math.pow(a0, c))
+            else:
+                binom *= (c - k + 1) / k
+                out.append(binom * math.pow(a0, c - k) if binom else 0.0)
+        except (OverflowError, ZeroDivisionError):
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("a0", [0.05, 0.3, 1.7, 3.0, 1e10])
+@pytest.mark.parametrize("g", ["1/x", "log", "sqrt", 2.5, -1.5])
+def test_series_keeps_the_closed_form_bits_up_to_the_first_overflow(g, a0):
+    # every finite coefficient is the closed form's, bit for bit; a divisor past float range gives +-0.0;
+    # the first coefficient out of range (infinite, or a power of a0 past range) raises, naming its order
+    want = _closed_form_coefficients(g, a0, 400)
+    try:
+        got = series(g, a0, 400)
+    except CoefficientOverflow as exc:
+        assert (exc.g, exc.a0) == (g, a0) and (want[exc.k] is None or math.isinf(want[exc.k]))
+        got = series(g, a0, exc.k - 1)
+    assert a0 != 0.05 or len(got) < 300  # at 0.05 every primitive overflows below order 300
+    for k, (u, v) in enumerate(zip(got, want)):
+        if v is None:
+            assert u == 0.0 and math.copysign(1.0, u) == (-1.0) ** (k + (g == "log")), (k, u)
+        else:
+            assert u.hex() == v.hex(), (k, u, v)
 
 
 def test_series_of_height_zero_is_the_value():

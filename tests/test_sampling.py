@@ -117,6 +117,19 @@ def test_unchecked_near_point_equals_the_checked_one(algebras, chart):
             assert lift(fn, xi).coeffs.tobytes() == lift(fn, checked).coeffs.tobytes()
 
 
+@pytest.mark.parametrize("chart", [Chart.cube(2), Chart.cube(3), Chart.circle()], ids=lambda c: c.text())
+def test_unchecked_block_equals_the_checked_one(algebras, chart):
+    # random_near_points skips NearPoints' checks; a draw they would refuse raises here
+    for algebra in algebras:
+        rng = np.random.default_rng(37)
+        for k in (1, 5):
+            block = random_near_points(rng, algebra, chart, k)
+            checked = NearPoints(algebra, chart, block.values.copy())
+            assert block.algebra is checked.algebra and block.chart == checked.chart
+            assert block.values.shape == checked.values.shape and block.values.tobytes() == checked.values.tobytes()
+            assert block.values.flags.c_contiguous and not block.values.flags.writeable
+
+
 @pytest.mark.parametrize("intervals", [[(2, 3)], [(-5, -1)], [(-1, 1), (1, 4)]])
 def test_a_box_that_misses_the_unit_box_has_no_draw(algebras, intervals):
     chart = Chart.box(intervals)
