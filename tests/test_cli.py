@@ -289,8 +289,13 @@ def test_lift_domain_error_exit_2(fn, base):
         ("x1^0.5", 0, "0.0^-0.5 undefined"),
         ("1/x1", 0, "division by zero"),
         ("log(x1)", -0.5, "log of non-positive value -0.5"),
-        # 1e-200^2 underflows to 0, so the coefficient -1e400 is out of range
-        ("1/x1", 1e-200, "1/x at 1e-200: the Taylor coefficient of order 1 is out of floating-point range"),
+        # 1e-200^2 underflows to 0, so the coefficient -1e400 is out of range; the id names that power of the base
+        pytest.param(
+            "1/x1",
+            1e-200,
+            "1/x at 1e-200: the Taylor coefficient of order 1 is out of floating-point range",
+            id="1/x1-1e-200-1e-200^-2.0 undefined",
+        ),
     ],
 )
 def test_lift_domain_error_message(capsys, fn, base, message):

@@ -651,16 +651,23 @@ def _overflow(name: str, k: int, a0: str = "1e-200") -> str:
     return f"{name} at {a0}: the Taylor coefficient of order {k} is out of floating-point range"
 
 
+def _out_of_range(g, order: int, name: str, power: float):
+    # the id names the power of a0 in the coefficient of that order which leaves float range
+    return pytest.param(g, order, name, power, id=f"{g}-{order}-1e-200^{power} undefined")
+
+
 @pytest.mark.parametrize(
-    "g, order, message",
-    [("1/x", 1, _overflow("1/x", 1)), ("log", 2, _overflow("log", 2)),
-     ("sqrt", 3, _overflow("sqrt", 3)), (-1.0, 1, _overflow("x^-1.0", 1))],
+    "g, order, name, power",
+    [_out_of_range("1/x", 1, "1/x", -2.0), _out_of_range("log", 2, "log", -2.0),
+     _out_of_range("sqrt", 3, "sqrt", -2.5), _out_of_range(-1.0, 1, "x^-1.0", -2.0)],
 )
-def test_series_out_of_range_reads_alike(g, order, message):
+def test_series_out_of_range_reads_alike(g, order, name, power):
     # a coefficient c * a0^-k beyond float range: 1/x and log divide by an underflowed a0^k, sqrt and x^c overflow
+    with pytest.raises(OverflowError):
+        1e-200**power
     with pytest.raises(CoefficientOverflow) as caught:
         series(g, 1e-200, order)
-    assert str(caught.value) == message and isinstance(caught.value, DomainError)
+    assert str(caught.value) == _overflow(name, order) and isinstance(caught.value, DomainError)
     assert (caught.value.g, caught.value.k, caught.value.a0) == (g, order, 1e-200)
     assert series(g, 1e-200, order - 1)[-1] != 0.0  # one order lower is still in range
 
